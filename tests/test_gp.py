@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 
 from dimsched.errors import DimensionMismatch
 from dimsched.gp import (
+    _MAX_HALVINGS,
     Dataset,
     KernelHyperparams,
+    _bracket_step,
     gp_augment,
     gp_fit,
     gp_predict,
@@ -91,6 +94,7 @@ class TestFitPredict:
         # Tiny lengthscales blow the scaled norms up, so |a|^2 + |b|^2 - 2a.b
         # cancels; close pairs, duplicates and offset boxes do the same.
         rng = np.random.default_rng(14)
+        y_rng = np.random.default_rng(15)  # targets and test points for gp_predict
         for case in range(400):
             d = int(rng.integers(1, 11))
             n = int(rng.integers(2, 16))
@@ -111,6 +115,20 @@ class TestFitPredict:
                 assert np.max(np.abs(K - oracle)) <= 1e-10 * sf2
                 if X2.shape[0] == n:
                     assert np.all(np.diag(K) == sf2)
+            # gp_predict builds k* itself; check it against the dense oracle
+            # at a training row and at a fresh point of the box.
+            Y = y_rng.normal(size=n)
+            model = gp_fit(Dataset(X, Y), h)
+            K = np.array([[se_kernel(a, b, h) for b in X] for a in X])
+            K += (h.noise_variance + model.factor.jitter_used) * np.eye(n)
+            yc = Y - np.mean(Y)
+            for x in (x_star, offset + y_rng.uniform(-width, width, size=d)):
+                k_star = np.array([se_kernel(a, x, h) for a in X])
+                mean_o = np.mean(Y) + k_star @ np.linalg.solve(K, yc)
+                var_o = sf2 - k_star @ np.linalg.solve(K, k_star)
+                mean, var = gp_predict(model, x)
+                assert abs(mean - mean_o) <= 1e-8
+                assert abs(var - max(var_o, 0.0)) <= 1e-12 * sf2
 
     def test_noise_free_interpolation(self):
         rng = np.random.default_rng(1)
@@ -234,6 +252,133 @@ class TestLmlGradient:
         expected[2] = -0.5 * np.sum(K_inv * K)
         expected[3] = -0.5 * h.noise_variance * np.trace(K_inv)
         assert np.allclose(grad, expected, atol=1e-10)
+
+
+def per_dimension_gradient(data, h):
+    """The LML gradient one lengthscale at a time, with K^-1 from solving
+    against the identity, and the magnitude each sum was cancelled from."""
+    K_sig = kernel_matrix(data.X, data.X, h)
+    K_sig = 0.5 * (K_sig + K_sig.T)
+    L = np.linalg.cholesky(K_sig + h.noise_variance * np.eye(data.n))
+    yc = data.Y - np.mean(data.Y)
+    alpha = solve_triangular(L.T, solve_triangular(L, yc, lower=True), lower=False)
+    Linv = solve_triangular(L, np.eye(data.n), lower=True)
+    M = np.outer(alpha, alpha) - Linv.T @ Linv
+    terms = []
+    for j in range(data.d):
+        diff = (data.X[:, j][:, None] - data.X[:, j][None, :]) / h.lengthscales[j]
+        terms.append(0.5 * M * (K_sig * diff * diff))
+    terms.append(0.5 * M * K_sig)
+    terms.append(0.5 * h.noise_variance * np.diag(M))
+    grad = np.array([np.sum(t) for t in terms])
+    scale = np.array([np.sum(np.abs(t)) for t in terms])
+    return grad, scale
+
+
+class TestOnePassGradient:
+    def test_matches_per_dimension_formula(self):
+        # Summation order differs, so the bound is relative to the sum of
+        # the magnitudes each component is cancelled from.
+        rng = np.random.default_rng(16)
+        for _ in range(200):
+            n = int(rng.integers(2, 40))
+            d = int(rng.integers(1, 11))
+            data = Dataset(rng.uniform(-2, 2, size=(n, d)), rng.normal(size=n))
+            h = KernelHyperparams(
+                log_lengthscales=rng.uniform(-0.5, 1.5, size=d),
+                log_signal_variance=rng.uniform(-1.0, 1.0),
+                log_noise_variance=rng.uniform(-5.0, -2.0),
+            )
+            expected, scale = per_dimension_gradient(data, h)
+            assert np.all(np.abs(lml_gradient(data, h) - expected) <= 1e-10 * scale)
+
+    def test_finite_at_log_clip(self):
+        # Corners of the trainer's +-300 box, a duplicate row and offset
+        # boxes: zero differences meet 1/ell^2 = e^600, which must give 0.
+        # Kernel entries may underflow to 0; nothing may overflow or be nan.
+        rng = np.random.default_rng(17)
+        for case in range(300):
+            d = int(rng.integers(1, 11))
+            n = int(rng.integers(2, 16))
+            offset = rng.uniform(-1000.0, 1000.0, size=d) if case % 2 else np.zeros(d)
+            width = 10.0 ** rng.uniform(-3.0, 1.0)
+            X = offset + rng.uniform(-width, width, size=(n, d))
+            X[-1] = X[0]
+            data = Dataset(X, rng.normal(size=n) * 10.0 ** rng.uniform(-3.0, 5.0))
+            corner = rng.choice([-300.0, 300.0], size=d + 2)
+            theta = np.where(rng.random(d + 2) < 0.5, corner, rng.uniform(-300.0, 300.0, size=d + 2))
+            h = KernelHyperparams.from_vector(theta)
+            with np.errstate(invalid="raise", over="raise", divide="raise"):
+                assert np.isfinite(log_marginal_likelihood(data, h))
+                assert np.isfinite(lml_gradient(data, h)).all()
+
+
+    def test_overflowed_inverse_lengthscale_gives_white_noise(self):
+        # exp(800) overflows; a zero difference must still weigh 0, so the
+        # kernel is sigma_f^2 on the diagonal and 0 off it.
+        X = np.array([[0.0, 1.0], [0.5, 1.0], [2.0, -1.0]])
+        data = Dataset(X, [1.0, -2.0, 0.5])
+        h = KernelHyperparams([-400.0, 0.0], 0.3, -1.0)
+        with np.errstate(over="ignore"):
+            lml = log_marginal_likelihood(data, h)
+            grad = lml_gradient(data, h)
+        var = h.signal_variance + h.noise_variance
+        yc = data.Y - np.mean(data.Y)
+        expected = -0.5 * (yc @ yc / var + 3 * math.log(var) + 3 * math.log(2 * math.pi))
+        assert abs(lml - expected) < 1e-12 * abs(expected)
+        assert np.isfinite(grad).all()
+
+
+def backtrack_from_one(passing):
+    """The step rule the bracketed search replaces: 1, 1/2, 1/4, ..."""
+    return next((k for k in range(_MAX_HALVINGS) if passing[k]), None)
+
+
+def bracketed(passing, k0):
+    """_bracket_step on a fixed pass/fail pattern, and the k it evaluated."""
+    tried = []
+
+    def passes(k):
+        tried.append(k)
+        return passing[k]
+
+    return _bracket_step(passes, k0), tried
+
+
+class TestBracketStep:
+    def test_interval_gives_backtracking_step(self):
+        for lo in range(_MAX_HALVINGS):
+            for hi in range(lo, _MAX_HALVINGS):
+                passing = np.zeros(_MAX_HALVINGS, dtype=bool)
+                passing[lo : hi + 1] = True
+                for k0 in range(_MAX_HALVINGS):
+                    assert bracketed(passing, k0)[0] == lo
+
+    def test_random_patterns(self):
+        rng = np.random.default_rng(18)
+        for _ in range(4000):
+            passing = rng.random(_MAX_HALVINGS) < rng.uniform(0.0, 0.3)
+            k0 = int(rng.integers(_MAX_HALVINGS))
+            k, tried = bracketed(passing, k0)
+            assert len(tried) == len(set(tried))  # no step tried twice
+            if k is None:  # gives up exactly where backtracking from 1 does
+                assert backtrack_from_one(passing) is None
+                assert sorted(tried) == list(range(_MAX_HALVINGS))
+            else:  # never accepts a failing step
+                assert passing[k]
+                assert backtrack_from_one(passing) is not None
+
+    def test_repeated_step_costs_two_evaluations(self):
+        for k0 in range(1, _MAX_HALVINGS):
+            passing = np.zeros(_MAX_HALVINGS, dtype=bool)
+            passing[k0:] = True
+            k, tried = bracketed(passing, k0)
+            assert k == k0
+            assert tried == [k0, k0 - 1]
+
+    def test_full_step_costs_one_evaluation(self):
+        passing = np.ones(_MAX_HALVINGS, dtype=bool)
+        assert bracketed(passing, 0) == (0, [0])
 
 
 class TestTraining:
