@@ -36,7 +36,6 @@ from .optimize import (
 from .scheduler import (
     DimensionSubset,
     ProbabilityVector,
-    canonical_key,
     compute_dimension_probabilities,
     sample_subset,
 )
@@ -58,7 +57,6 @@ __all__ = [
     "TimeSeriesData",
     "acquisition_objective",
     "benchmark_catalog",
-    "canonical_key",
     "compute_dimension_probabilities",
     "direct_minimize",
     "eval_benchmark",

@@ -13,10 +13,6 @@ class NotPositiveDefinite(DimschedError):
     """Matrix could not be factorized even after jitter escalation."""
 
 
-class NoConvergence(DimschedError):
-    """Iterative routine exhausted its sweep budget."""
-
-
 class NonFiniteObjective(DimschedError):
     """Objective callback returned NaN or infinity."""
 

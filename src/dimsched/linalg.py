@@ -1,8 +1,8 @@
 """Small dense linear algebra and scalar normal-distribution helpers.
 
-Everything here operates on plain numpy arrays.  Matrices are tiny
-(GP kernel matrices up to a few hundred rows, PCA covariances up to
-d ~ 12), so clarity wins over asymptotics.
+Everything here operates on plain numpy arrays.  Matrices are small
+(GP kernel matrices up to a few hundred rows), so clarity wins over
+asymptotics.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import lapack
 
-from .errors import DimensionMismatch, NoConvergence, NotPositiveDefinite
+from .errors import DimensionMismatch, NotPositiveDefinite
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _SQRT_2 = math.sqrt(2.0)
@@ -96,69 +96,6 @@ def solve_chol(factor: CholFactor, b) -> np.ndarray:
         raise DimensionMismatch(f"rhs length {b.shape[0]} != matrix size {factor.n}")
     z = solve_tri(factor.L, b, lower=True)
     return solve_tri(factor.L.T, z, lower=False)
-
-
-def eigen_sym(A, max_sweeps: int = 100):
-    """Eigendecomposition of a small symmetric matrix by cyclic Jacobi sweeps.
-
-    Returns (eigenvalues descending, eigenvectors as columns).  Sweeps
-    stop when the off-diagonal Frobenius norm drops below 1e-12 times
-    the norm of the input.
-    """
-    A = _as_sym_matrix(A)
-    n = A.shape[0]
-    if n > 64:
-        raise DimensionMismatch(f"eigen_sym limited to n <= 64, got {n}")
-    a = A.copy()
-    V = np.eye(n)
-    norm_a = np.linalg.norm(A)
-    if n <= 1 or norm_a == 0.0:
-        w = np.diag(a).copy()
-        order = np.argsort(-w)
-        return w[order], V[:, order]
-
-    for _ in range(max_sweeps):
-        # Norm of the off-diagonal part, computed directly to avoid the
-        # cancellation in ||A||^2 - ||diag||^2.
-        off = float(np.linalg.norm(a - np.diag(np.diag(a))))
-        if off < 1e-12 * norm_a:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = float(a[p, q])
-                if apq == 0.0:
-                    continue
-                # Plain-float division overflows quietly to inf, which the
-                # asymptotic branch below handles.
-                theta = (float(a[q, q]) - float(a[p, p])) / (2.0 * apq)
-                if abs(theta) > 1e10:
-                    # Asymptotic branch avoids overflow in theta**2.
-                    t = 0.5 / theta
-                else:
-                    t = math.copysign(1.0, theta) / (
-                        abs(theta) + math.sqrt(1.0 + theta * theta)
-                    )
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                # Rotate rows/columns p and q.
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p - s * row_q
-                a[q, :] = s * row_p + c * row_q
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-                vc_p = V[:, p].copy()
-                vc_q = V[:, q].copy()
-                V[:, p] = c * vc_p - s * vc_q
-                V[:, q] = s * vc_p + c * vc_q
-    else:
-        raise NoConvergence(f"Jacobi did not converge in {max_sweeps} sweeps")
-
-    w = np.diag(a).copy()
-    order = np.argsort(-w, kind="stable")
-    return w[order], V[:, order]
 
 
 def std_normal_pdf(z: float) -> float:

@@ -1,11 +1,16 @@
 """Optimizer loops: classical BO, dimension-scheduled BO, and the
 manager/worker parallel variant of the latter.
 
-Both loops share the same record format so the harness can persist and
-compare traces uniformly.  The dimension-scheduled loop keeps a registry
-of subspace GP models keyed by the canonical coordinate subset; each
-model is spawned lazily from the initial design's projection and only
-ever grows through its own subset's proposals.
+All three are entry points of one manager loop.  At each iteration the
+manager picks a coordinate subset, proposes a point by maximizing EI
+over that subset with DIRECT, clamps the other coordinates to the
+incumbent, evaluates and augments the subset's GP.  Dimension-scheduled
+runs sample the subset from per-coordinate weights (the sample variance
+of the observed inputs, mixed with a uniform floor); classical BO is the
+case where the subset is always every coordinate, so it keeps a single
+full-space GP.  The manager keeps a registry of GP models keyed by the
+sorted subset; each model is spawned lazily from the initial design's
+projection and only ever grows through its own subset's proposals.
 """
 
 from __future__ import annotations
@@ -20,13 +25,7 @@ from .acquisition import AcquisitionContext, acquisition_objective
 from .direct import Bounds, DirectConfig, direct_minimize
 from .errors import DimensionMismatch, NonFiniteObjective
 from .gp import Dataset, GpModel, gp_augment, gp_fit, train_hyperparams
-from .scheduler import (
-    DimensionSubset,
-    ProbabilityVector,
-    canonical_key,
-    compute_dimension_probabilities,
-    sample_subset,
-)
+from .scheduler import ProbabilityVector, compute_dimension_probabilities, sample_subset
 
 
 @dataclass(frozen=True)
@@ -114,180 +113,14 @@ def run_bo(
     objective, bounds: Bounds, config: RunConfig, initial=None
 ) -> RunResult:
     """Classical loop: one full-dimensional GP over every observation."""
-    t_start = time.perf_counter()
-    rng = np.random.default_rng(config.seed)
-    if initial is None:
-        design, design_ms = initial_design(objective, bounds, config.n_init, rng)
-    else:
-        design, design_ms = initial
-    incumbent = _design_incumbent(design)
-
-    hyper = train_hyperparams(
-        design,
-        restarts=config.train_restarts,
-        rng=rng,
-        bounds_ranges=bounds.span,
-        max_iter=config.train_max_iter,
-    )
-    model = gp_fit(design, hyper)
-
-    records: list[IterationRecord] = []
-    aborted = False
-    for i in range(config.max_iter):
-        t_iter = time.perf_counter()
-        ctx = AcquisitionContext(model=model, y_best=incumbent.value)
-        x_new, _, _ = direct_minimize(
-            acquisition_objective(ctx), bounds, config.direct_config
-        )
-        try:
-            y_new, eval_ms = _timed_eval(objective, x_new)
-        except NonFiniteObjective:
-            aborted = True
-            break
-        retrain = (i + 1) % config.retrain_period == 0
-        model = gp_augment(
-            model, x_new, y_new, retrain=retrain, rng=rng,
-            retrain_max_iter=config.retrain_max_iter,
-        )
-        if y_new < incumbent.value:
-            incumbent = Incumbent(point=x_new.copy(), value=y_new)
-        records.append(
-            IterationRecord(
-                iter=config.n_init + i,
-                subset=None,
-                x=x_new,
-                y=y_new,
-                y_best=incumbent.value,
-                wall_time_ms=(time.perf_counter() - t_iter) * 1e3,
-                eval_time_ms=eval_ms,
-                gp_size=model.n,
-            )
-        )
-    return RunResult(
-        records=records,
-        incumbent=incumbent,
-        total_time_ms=(time.perf_counter() - t_start) * 1e3,
-        gp_count=1,
-        design=design,
-        design_eval_ms=list(design_ms),
-        aborted=aborted,
-    )
-
-
-class _Registry:
-    """Subspace GP models keyed by canonical coordinate subset."""
-
-    def __init__(self):
-        self.models: dict[tuple[int, ...], GpModel] = {}
-        self.augment_counts: dict[tuple[int, ...], int] = {}
-
-    def __len__(self) -> int:
-        return len(self.models)
-
-    def fetch_or_spawn(
-        self,
-        subset: DimensionSubset,
-        design: Dataset,
-        bounds: Bounds,
-        config: RunConfig,
-        rng: np.random.Generator,
-    ) -> tuple[tuple[int, ...], GpModel]:
-        key = canonical_key(subset)
-        if key not in self.models:
-            dims = list(subset.dims)
-            proj = Dataset(design.X[:, dims], design.Y)
-            hyper = train_hyperparams(
-                proj,
-                restarts=config.train_restarts,
-                rng=rng,
-                bounds_ranges=bounds.span[dims],
-                max_iter=config.train_max_iter,
-            )
-            self.models[key] = gp_fit(proj, hyper)
-            self.augment_counts[key] = 0
-        return key, self.models[key]
-
-    def augment(
-        self, key: tuple[int, ...], x_sub, y: float, config: RunConfig,
-        rng: np.random.Generator,
-    ) -> None:
-        count = self.augment_counts[key] + 1
-        self.augment_counts[key] = count
-        retrain = count % config.retrain_period == 0
-        self.models[key] = gp_augment(
-            self.models[key], x_sub, y, retrain=retrain, rng=rng,
-            retrain_max_iter=config.retrain_max_iter,
-        )
+    return _run(objective, bounds, config, 1, initial, scheduled=False)
 
 
 def run_dsa(
     objective, bounds: Bounds, config: RunConfig, initial=None
 ) -> RunResult:
     """Dimension-scheduled loop (sequential)."""
-    if not 1 <= config.subset_size <= bounds.d:
-        raise DimensionMismatch(
-            f"subset size {config.subset_size} outside [1, {bounds.d}]"
-        )
-    t_start = time.perf_counter()
-    rng = np.random.default_rng(config.seed)
-    if initial is None:
-        design, design_ms = initial_design(objective, bounds, config.n_init, rng)
-    else:
-        design, design_ms = initial
-    incumbent = _design_incumbent(design)
-
-    registry = _Registry()
-    observed_x = [row.copy() for row in design.X]
-    probs: ProbabilityVector | None = None
-
-    records: list[IterationRecord] = []
-    aborted = False
-    for i in range(config.max_iter):
-        t_iter = time.perf_counter()
-        if i % config.pca_period == 0:
-            probs = compute_dimension_probabilities(
-                np.asarray(observed_x), config.floor_eps
-            )
-        subset = sample_subset(probs, config.subset_size, rng)
-        key, model = registry.fetch_or_spawn(subset, design, bounds, config, rng)
-        dims = list(subset.dims)
-
-        ctx = AcquisitionContext(model=model, y_best=incumbent.value)
-        x_sub, _, _ = direct_minimize(
-            acquisition_objective(ctx), bounds.subset(dims), config.direct_config
-        )
-        x_new = incumbent.point.copy()
-        x_new[dims] = x_sub
-        try:
-            y_new, eval_ms = _timed_eval(objective, x_new)
-        except NonFiniteObjective:
-            aborted = True
-            break
-        registry.augment(key, x_sub, y_new, config, rng)
-        observed_x.append(x_new.copy())
-        if y_new < incumbent.value:
-            incumbent = Incumbent(point=x_new.copy(), value=y_new)
-        records.append(
-            IterationRecord(
-                iter=config.n_init + i,
-                subset=key,
-                x=x_new,
-                y=y_new,
-                y_best=incumbent.value,
-                wall_time_ms=(time.perf_counter() - t_iter) * 1e3,
-                eval_time_ms=eval_ms,
-                gp_size=registry.models[key].n,
-            )
-        )
-    return RunResult(
-        records=records,
-        incumbent=incumbent,
-        total_time_ms=(time.perf_counter() - t_start) * 1e3,
-        gp_count=len(registry),
-        design=design,
-        design_eval_ms=list(design_ms),
-        aborted=aborted,
-    )
+    return _run(objective, bounds, config, 1, initial, scheduled=True)
 
 
 def run_dsa_parallel(
@@ -301,9 +134,21 @@ def run_dsa_parallel(
     is checked out by at most one in-flight task; contended subsets are
     resampled (up to 10 attempts) before the manager blocks.
     """
+    return _run(objective, bounds, config, workers, initial, scheduled=True)
+
+
+def _run(
+    objective, bounds: Bounds, config: RunConfig, workers: int, initial,
+    scheduled: bool,
+) -> RunResult:
+    """The one optimizer loop behind run_bo, run_dsa and run_dsa_parallel.
+
+    Unscheduled runs (classical BO, always one worker) use the full
+    coordinate set as their only key and draw no scheduler randomness.
+    """
     if workers < 1:
         raise DimensionMismatch("workers must be >= 1")
-    if not 1 <= config.subset_size <= bounds.d:
+    if scheduled and not 1 <= config.subset_size <= bounds.d:
         raise DimensionMismatch(
             f"subset size {config.subset_size} outside [1, {bounds.d}]"
         )
@@ -315,16 +160,30 @@ def run_dsa_parallel(
         design, design_ms = initial
     incumbent = _design_incumbent(design)
 
-    registry = _Registry()
+    models: dict[tuple[int, ...], GpModel] = {}
     observed_x = [row.copy() for row in design.X]
     probs: ProbabilityVector | None = None
-
     records: list[IterationRecord] = []
     aborted = False
     assigned = 0
     completed = 0
     inflight: list[tuple[tuple[int, ...], concurrent.futures.Future, float]] = []
-    checked_out: set[tuple[int, ...]] = set()
+
+    def schedule() -> tuple[int, ...] | None:
+        """The next key to propose on, or None if every draw is checked out."""
+        nonlocal probs
+        if not scheduled:
+            return tuple(range(bounds.d))
+        if assigned % config.pca_period == 0:
+            probs = compute_dimension_probabilities(
+                np.asarray(observed_x), config.floor_eps
+            )
+        checked_out = {key for key, _, _ in inflight}
+        for _ in range(11):  # one draw, then up to 10 resamples
+            key = sample_subset(probs, config.subset_size, rng).dims
+            if key not in checked_out:
+                return key
+        return None
 
     def propose(model: GpModel, y_best: float, sub_bounds: Bounds):
         ctx = AcquisitionContext(model=model, y_best=y_best)
@@ -336,29 +195,31 @@ def run_dsa_parallel(
     with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
         while completed < config.max_iter and not aborted:
             while assigned < config.max_iter and len(inflight) < workers:
-                if assigned % config.pca_period == 0:
-                    probs = compute_dimension_probabilities(
-                        np.asarray(observed_x), config.floor_eps
+                t_iter = time.perf_counter()
+                key = schedule()
+                if key is None:
+                    break  # everything sampled is busy; wait for completions
+                dims = list(key)
+                if key not in models:
+                    proj = Dataset(np.ascontiguousarray(design.X[:, dims]), design.Y)
+                    hyper = train_hyperparams(
+                        proj,
+                        restarts=config.train_restarts,
+                        rng=rng,
+                        bounds_ranges=bounds.span[dims],
+                        max_iter=config.train_max_iter,
                     )
-                subset = sample_subset(probs, config.subset_size, rng)
-                if canonical_key(subset) in checked_out:
-                    for _ in range(10):
-                        subset = sample_subset(probs, config.subset_size, rng)
-                        if canonical_key(subset) not in checked_out:
-                            break
-                    else:
-                        break  # everything sampled is busy; wait for completions
-                key, model = registry.fetch_or_spawn(
-                    subset, design, bounds, config, rng
-                )
-                future = pool.submit(
-                    propose, model, incumbent.value, bounds.subset(list(key))
-                )
-                inflight.append((key, future, time.perf_counter()))
-                checked_out.add(key)
+                    models[key] = gp_fit(proj, hyper)
+                args = (models[key], incumbent.value, bounds.subset(dims))
+                if workers == 1:
+                    # Inline: handing each proposal to a pool thread made the
+                    # median st10 proposal 3-8% slower (2-core x86 host).
+                    future = concurrent.futures.Future()
+                    future.set_result(propose(*args))
+                else:
+                    future = pool.submit(propose, *args)
+                inflight.append((key, future, t_iter))
                 assigned += 1
-            if not inflight:
-                continue
             concurrent.futures.wait(
                 [f for _, f, _ in inflight],
                 return_when=concurrent.futures.FIRST_COMPLETED,
@@ -369,39 +230,42 @@ def run_dsa_parallel(
                     still_inflight.append((key, future, t_iter))
                     continue
                 x_sub = future.result()
-                dims = list(key)
                 x_new = incumbent.point.copy()
-                x_new[dims] = x_sub
+                x_new[list(key)] = x_sub
                 try:
                     y_new, eval_ms = _timed_eval(objective, x_new)
                 except NonFiniteObjective:
                     aborted = True
-                    checked_out.discard(key)
                     continue
-                registry.augment(key, x_sub, y_new, config, rng)
+                model = models[key]
+                # One retrain per retrain_period points added to this model.
+                retrain = (model.n + 1 - design.n) % config.retrain_period == 0
+                models[key] = gp_augment(
+                    model, x_sub, y_new, retrain=retrain, rng=rng,
+                    retrain_max_iter=config.retrain_max_iter,
+                )
                 observed_x.append(x_new.copy())
                 if y_new < incumbent.value:
                     incumbent = Incumbent(point=x_new.copy(), value=y_new)
                 records.append(
                     IterationRecord(
                         iter=config.n_init + completed,
-                        subset=key,
+                        subset=key if scheduled else None,
                         x=x_new,
                         y=y_new,
                         y_best=incumbent.value,
                         wall_time_ms=(time.perf_counter() - t_iter) * 1e3,
                         eval_time_ms=eval_ms,
-                        gp_size=registry.models[key].n,
+                        gp_size=models[key].n,
                     )
                 )
                 completed += 1
-                checked_out.discard(key)
             inflight = still_inflight
     return RunResult(
         records=records,
         incumbent=incumbent,
         total_time_ms=(time.perf_counter() - t_start) * 1e3,
-        gp_count=len(registry),
+        gp_count=len(models),
         design=design,
         design_eval_ms=list(design_ms),
         aborted=aborted,

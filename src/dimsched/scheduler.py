@@ -1,8 +1,10 @@
 """Per-dimension scheduling weights and coordinate-subset sampling.
 
-The weights come from PCA of the observed inputs: eigenvalue mass is
-projected back onto coordinates through squared loadings, then mixed
-with a uniform floor so no coordinate can starve.
+The weights are the per-coordinate sample variance of the observed
+inputs, mixed with a uniform floor so no coordinate can starve.  This is
+the PCA importance: eigenvalue mass projected back onto coordinates
+through squared loadings, sum_m lambda_m * V_jm^2, is the j-th diagonal
+of the sample covariance.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch
-from .linalg import eigen_sym
 
 
 @dataclass(frozen=True)
@@ -44,21 +45,15 @@ class DimensionSubset:
 
 
 def compute_dimension_probabilities(X, floor_eps: float = 0.1) -> ProbabilityVector:
-    """PCA-derived importance per coordinate, floored and normalized.
+    """Per-coordinate sample variance as importance, floored and normalized.
 
-    Importance s_j = sum_m lambda_m * V_jm^2, which equals the j-th
-    diagonal of the sample covariance.  Identical points (zero total
-    variance) fall back to the uniform vector.
+    Identical points (zero total variance) fall back to the uniform vector.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     n, d = X.shape
     if n < 2 or d < 2:
         raise DimensionMismatch(f"need at least 2 points and 2 dims, got {X.shape}")
-    Xc = X - X.mean(axis=0)
-    C = Xc.T @ Xc / (n - 1)
-    w, V = eigen_sym(C)
-    s = (V * V) @ w
-    np.maximum(s, 0.0, out=s)
+    s = np.var(X, axis=0, ddof=1)
     total = s.sum()
     if total <= 0.0:
         return ProbabilityVector(np.full(d, 1.0 / d))
@@ -82,7 +77,3 @@ def sample_subset(P: ProbabilityVector, k: int, rng: np.random.Generator) -> Dim
         weights[idx] = 0.0
     return DimensionSubset(tuple(picked))
 
-
-def canonical_key(Z: DimensionSubset) -> tuple[int, ...]:
-    """Order-insensitive registry key; one key per unordered subset."""
-    return Z.dims

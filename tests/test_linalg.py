@@ -7,7 +7,6 @@ from scipy.linalg import solve_triangular
 from dimsched.errors import DimensionMismatch
 from dimsched.linalg import (
     cholesky_spd,
-    eigen_sym,
     solve_chol,
     solve_tri,
     std_normal_cdf,
@@ -101,35 +100,6 @@ class TestSolveChol:
             x = solve_chol(cholesky_spd(A), b)
             x_naive = np.linalg.solve(A, b)  # LAPACK Gaussian elimination
             assert np.linalg.norm(x - x_naive) < 1e-8 * np.linalg.norm(x_naive)
-
-
-class TestEigenSym:
-    def test_diagonal(self):
-        w, V = eigen_sym(np.diag([3.0, 1.0, 2.0]))
-        assert np.allclose(w, [3.0, 2.0, 1.0])
-        assert np.allclose(np.abs(V), np.eye(3)[:, [0, 2, 1]])
-
-    def test_two_by_two_hand_oracle(self):
-        # char poly: (2-l)^2 - 1 = 0 -> l in {3, 1}
-        w, _ = eigen_sym(np.array([[2.0, 1.0], [1.0, 2.0]]))
-        assert np.allclose(w, [3.0, 1.0])
-
-    def test_identity(self):
-        w, _ = eigen_sym(np.eye(4))
-        assert np.allclose(w, np.ones(4))
-
-    def test_random_properties(self):
-        rng = np.random.default_rng(11)
-        for _ in range(20):
-            n = int(rng.integers(2, 13))
-            M = rng.normal(size=(n, n))
-            A = 0.5 * (M + M.T)
-            w, V = eigen_sym(A)
-            norm_a = np.linalg.norm(A)
-            assert np.linalg.norm(A @ V - V @ np.diag(w)) < 1e-9 * max(norm_a, 1.0)
-            assert np.abs(V.T @ V - np.eye(n)).max() < 1e-10
-            assert abs(w.sum() - np.trace(A)) < 1e-10 * max(abs(np.trace(A)), 1.0)
-            assert np.all(np.diff(w) <= 1e-12)
 
 
 class TestNormal:

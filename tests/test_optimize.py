@@ -88,6 +88,43 @@ class TestRunBo:
             assert np.array_equal(a.x, b.x)
             assert a.y == b.y
 
+    def test_draws_no_scheduler_randomness(self):
+        # The scheduler settings must not touch BO: no weights, no subset
+        # draws, no subset-size check, one full-space GP.
+        bounds = Bounds([-1.0, -1.0, -1.0], [1.0, 1.0, 1.0])
+        base = dict(n_init=5, max_iter=8, seed=3, direct_config=small_direct())
+        r1 = run_bo(sphere, bounds, RunConfig(**base))
+        r2 = run_bo(
+            sphere, bounds,
+            RunConfig(subset_size=1, pca_period=3, floor_eps=0.5, **base),
+        )
+        assert len(r1.records) == len(r2.records) == 8
+        for a, b in zip(r1.records, r2.records):
+            assert np.array_equal(a.x, b.x)
+            assert a.y == b.y
+        assert all(r.subset is None for r in r1.records + r2.records)
+        assert r1.gp_count == r2.gp_count == 1
+
+    def test_one_dim_box_default_subset_size(self):
+        config = RunConfig(n_init=4, max_iter=5, seed=0, direct_config=small_direct())
+        assert config.subset_size == 2
+        result = run_bo(sphere, Bounds([-1.0], [1.0]), config)
+        assert len(result.records) == 5
+        assert result.gp_count == 1
+
+    def test_partial_result_on_nonfinite(self):
+        calls = [0]
+
+        def objective(x):
+            calls[0] += 1
+            return float("nan") if calls[0] > 10 else sphere(x)
+
+        config = RunConfig(n_init=6, max_iter=20, seed=10, direct_config=small_direct())
+        result = run_bo(objective, Bounds([-1.0, -1.0, -1.0], [1.0, 1.0, 1.0]), config)
+        assert result.aborted
+        assert len(result.records) == 4  # 10 total calls = 6 design + 4 good iterations
+        assert [r.iter for r in result.records] == [6, 7, 8, 9]
+
 
 class TestRunDsa:
     def test_state_machine_invariants(self):

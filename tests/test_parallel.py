@@ -81,3 +81,22 @@ class TestMultiWorker:
             expected = sizes.get(rec.subset, config.n_init) + 1
             assert rec.gp_size == expected
             sizes[rec.subset] = expected
+
+
+class TestAbort:
+    def test_partial_result_on_nonfinite(self):
+        calls = [0]
+
+        def objective(x):
+            calls[0] += 1
+            return float("nan") if calls[0] > 10 else sphere(x)
+
+        config = RunConfig(
+            n_init=6, max_iter=20, subset_size=2, seed=10,
+            direct_config=DirectConfig(max_evals=150, max_iters=50),
+        )
+        bounds = Bounds([-1.0, -1.0, -1.0], [1.0, 1.0, 1.0])
+        result = run_dsa_parallel(objective, bounds, config, workers=1)
+        assert result.aborted
+        assert len(result.records) == 4  # 10 total calls = 6 design + 4 good iterations
+        assert [r.iter for r in result.records] == [6, 7, 8, 9]
