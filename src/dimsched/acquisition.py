@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -21,21 +20,30 @@ class AcquisitionContext:
     y_best: float
 
 
-def expected_improvement(ctx: AcquisitionContext, x) -> float:
-    """Expected amount by which f(x) falls below the incumbent."""
-    mu, var = gp_predict(ctx.model, x)
-    sigma = math.sqrt(var)
+def expected_improvement(ctx: AcquisitionContext, x):
+    """Expected amount by which f falls below the incumbent.
+
+    A float at a point, shape (d,); an array at the rows of an (m, d) matrix.
+    """
+    x = np.asarray(x, dtype=float)
+    mu, var = gp_predict(ctx.model, np.atleast_2d(x))
+    sigma = np.sqrt(var)
     gap = ctx.y_best - mu
-    if sigma < _SIGMA_EPS:
-        return max(gap, 0.0)
-    z = gap / sigma
-    return max(gap * std_normal_cdf(z) + sigma * std_normal_pdf(z), 0.0)
+    flat = sigma < _SIGMA_EPS
+    z = gap / np.where(flat, 1.0, sigma)
+    ei = np.where(flat, gap, gap * std_normal_cdf(z) + sigma * std_normal_pdf(z))
+    np.maximum(ei, 0.0, out=ei)
+    return ei if x.ndim == 2 else float(ei[0])
 
 
-def acquisition_objective(ctx: AcquisitionContext) -> Callable[[np.ndarray], float]:
-    """Negated EI, ready for a minimizing inner solver."""
+def acquisition_objective(ctx: AcquisitionContext) -> Callable[[np.ndarray], np.ndarray | float]:
+    """Negated EI, ready for a minimizing inner solver such as DIRECT.
 
-    def neg_ei(x) -> float:
+    Like ``expected_improvement`` it takes a point or an (m, d) matrix of
+    points, and returns a float or an array of m values.
+    """
+
+    def neg_ei(x):
         return -expected_improvement(ctx, x)
 
     return neg_ei

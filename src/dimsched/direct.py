@@ -3,8 +3,9 @@
 Works in the normalized unit cube with an affine map to the caller's
 bounds.  Rectangles are trisected along their longest sides; candidates
 for division are the potentially optimal rectangles on the lower-right
-convex hull of (diameter, center value).  Fully deterministic for a
-given objective, bounds, and configuration.
+convex hull of (diameter, center value).  The objective is vectorized
+and scores the probe points of one iteration in one call.  Fully
+deterministic for a given objective, bounds, and configuration.
 """
 
 from __future__ import annotations
@@ -89,16 +90,28 @@ class _Evaluator:
     def remaining(self) -> int:
         return self.max_evals - self.count
 
-    def __call__(self, center: np.ndarray) -> float:
-        x = self.bounds.lower + center * self.bounds.span
-        value = float(self.g(x))
-        if not np.isfinite(value):
-            raise NonFiniteObjective(f"objective returned {value} at {x}")
-        self.count += 1
-        if value < self.best_f:
-            self.best_f = value
-            self.best_x = x
-        return value
+    def __call__(self, centers: np.ndarray) -> list[float]:
+        """Values of g at the rows of centers, from one call of g.
+
+        Counted, checked and compared with the best in row order, as if
+        g had been called on one row after the other.
+        """
+        X = self.bounds.lower + centers * self.bounds.span
+        values = np.asarray(self.g(X), dtype=float)
+        if values.shape != (X.shape[0],):
+            raise DimensionMismatch(
+                f"objective returned shape {values.shape} for {X.shape[0]} points"
+            )
+        bad = ~np.isfinite(values)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise NonFiniteObjective(f"objective returned {values[i]} at {X[i]}")
+        self.count += X.shape[0]
+        i = int(np.argmin(values))  # the first row at the minimum
+        if values[i] < self.best_f:
+            self.best_f = float(values[i])
+            self.best_x = X[i]
+        return values.tolist()
 
 
 def potentially_optimal(rects: list[Rect], f_min: float, epsilon: float) -> list[int]:
@@ -157,46 +170,51 @@ def potentially_optimal(rects: list[Rect], f_min: float, epsilon: float) -> list
     return selected
 
 
-def _trisect(rect: Rect, evaluate: _Evaluator, next_index: int) -> tuple[list[Rect], int]:
-    """Split a rectangle along its longest sides, best dimensions first.
+def _probes(rect: Rect, budget: int) -> tuple[list[int], np.ndarray]:
+    """The dimensions to split rect along, and the centers to probe.
 
-    Stops probing when the evaluation budget runs out; only dimensions
-    with both probe points evaluated are divided, so the returned
-    rectangles always tile the parent exactly.
+    These are rect's longest sides, in index order, as many as budget
+    evaluations pay for.  Rows 2k and 2k + 1 of the centers step the
+    k-th dimension up and down by a third of the longest side.
     """
     sides = rect.side_lengths
     longest = sides.max()
     dims = [j for j in range(sides.shape[0]) if sides[j] >= longest * (1 - 1e-12)]
+    dims = dims[: max(budget, 0) // 2]
     delta = longest / 3.0
+    # Adding 0 leaves a coordinate as it is, and adding -delta equals
+    # subtracting delta, so each probe is exactly the center stepped once.
+    steps = np.zeros((len(dims), 2, sides.shape[0]))
+    for k, j in enumerate(dims):
+        steps[k, 0, j] = delta
+        steps[k, 1, j] = -delta
+    return dims, (rect.center + steps).reshape(-1, sides.shape[0])
 
-    probes = []  # (min_f, dim, f_plus, f_minus, c_plus, c_minus)
-    for j in dims:
-        if evaluate.remaining < 2:
-            break
-        c_plus = rect.center.copy()
-        c_plus[j] += delta
-        c_minus = rect.center.copy()
-        c_minus[j] -= delta
-        f_plus = evaluate(c_plus)
-        f_minus = evaluate(c_minus)
-        probes.append((min(f_plus, f_minus), j, f_plus, f_minus, c_plus, c_minus))
-    if not probes:
+
+def _split(
+    rect: Rect, dims: list[int], centers: np.ndarray, values: list[float], next_index: int
+) -> tuple[list[Rect], int]:
+    """Trisect rect along dims from its probes, best dimensions first.
+
+    The returned rectangles tile the parent exactly; with no dims the
+    rect comes back unchanged.
+    """
+    if not dims:
         return [rect], next_index
-
-    probes.sort(key=lambda t: (t[0], t[1]))
+    order = sorted(
+        range(len(dims)), key=lambda k: (min(values[2 * k], values[2 * k + 1]), dims[k])
+    )
     children: list[Rect] = []
-    middle_sides = sides.copy()
-    for _, j, f_plus, f_minus, c_plus, c_minus in probes:
+    middle_sides = rect.side_lengths.copy()
+    for k in order:
         middle_sides = middle_sides.copy()
-        middle_sides[j] /= 3.0
-        children.append(
-            Rect(center=c_plus, side_lengths=middle_sides.copy(), f_center=f_plus, index=next_index)
-        )
-        next_index += 1
-        children.append(
-            Rect(center=c_minus, side_lengths=middle_sides.copy(), f_center=f_minus, index=next_index)
-        )
-        next_index += 1
+        middle_sides[dims[k]] /= 3.0
+        for row in (2 * k, 2 * k + 1):
+            children.append(
+                Rect(center=centers[row], side_lengths=middle_sides.copy(),
+                     f_center=values[row], index=next_index)
+            )
+            next_index += 1
     children.append(
         Rect(center=rect.center, side_lengths=middle_sides, f_center=rect.f_center, index=next_index)
     )
@@ -205,22 +223,34 @@ def _trisect(rect: Rect, evaluate: _Evaluator, next_index: int) -> tuple[list[Re
 
 
 def trisect(rect: Rect, g: Callable, evals_budget: int) -> list[Rect]:
-    """Standalone trisection in normalized coordinates (identity bounds)."""
+    """Standalone trisection in normalized coordinates (identity bounds).
+
+    g takes an (m, d) array of points and returns their m values.
+    """
     d = rect.center.shape[0]
-    evaluator = _Evaluator(g, Bounds(np.zeros(d), np.ones(d)), evals_budget)
-    children, _ = _trisect(rect, evaluator, rect.index + 1)
+    dims, centers = _probes(rect, evals_budget)
+    if not dims:
+        return [rect]
+    evaluate = _Evaluator(g, Bounds(np.zeros(d), np.ones(d)), evals_budget)
+    children, _ = _split(rect, dims, centers, evaluate(centers), rect.index + 1)
     return children
 
 
 def direct_minimize(
     g: Callable, bounds: Bounds, config: DirectConfig = DirectConfig()
 ) -> tuple[np.ndarray, float, int]:
-    """Minimize g over bounds; returns (x_best, g_best, evaluations used)."""
+    """Minimize g over bounds; returns (x_best, g_best, evaluations used).
+
+    g takes an (m, d) array of points and returns their m values.  It is
+    called once for the center of the box and then once per iteration,
+    on every probe of the rectangles that iteration divides: DIRECT fixes
+    them all before it looks at any of their values.
+    """
     d = bounds.d
     evaluate = _Evaluator(g, bounds, config.max_evals)
 
     center = np.full(d, 0.5)
-    f0 = evaluate(center)
+    (f0,) = evaluate(center[None, :])
     rects = [Rect(center=center, side_lengths=np.ones(d), f_center=f0, index=0)]
     next_index = 1
 
@@ -232,13 +262,23 @@ def direct_minimize(
             break
         # Divide in ascending diameter order for a stable schedule.
         selected.sort(key=lambda i: (rects[i].diameter, rects[i].index))
+        budget = evaluate.remaining
+        plans = []
+        for i in selected:
+            # Once the budget runs out a rect gets no probes and stays
+            # whole, so the partition stays exact.
+            dims, centers = _probes(rects[i], budget)
+            budget -= centers.shape[0]
+            plans.append((rects[i], dims, centers))
+        values = evaluate(np.vstack([centers for _, _, centers in plans]))
         chosen = set(selected)
         divided: list[Rect] = []
-        for i in selected:
-            # On budget exhaustion _trisect returns the rect unchanged,
-            # so the partition stays exact.
-            children, next_index = _trisect(rects[i], evaluate, next_index)
+        start = 0
+        for rect, dims, centers in plans:
+            stop = start + centers.shape[0]
+            children, next_index = _split(rect, dims, centers, values[start:stop], next_index)
             divided.extend(children)
+            start = stop
         rects = [r for i, r in enumerate(rects) if i not in chosen] + divided
     assert evaluate.best_x is not None
     return evaluate.best_x, evaluate.best_f, evaluate.count

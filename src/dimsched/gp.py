@@ -199,21 +199,30 @@ def gp_fit(data: Dataset, hyper: KernelHyperparams) -> GpModel:
     return GpModel(data=data, hyper=hyper, factor=factor, alpha=alpha, mean_shift=mean_shift)
 
 
-def gp_predict(model: GpModel, x_star) -> tuple[float, float]:
-    """Posterior mean and (clamped nonnegative) variance at a test point."""
-    x_star = np.asarray_chkfinite(x_star, dtype=float).ravel()
-    if x_star.shape[0] != model.d:
-        raise DimensionMismatch(f"test point dim {x_star.shape[0]} != {model.d}")
+def gp_predict(model: GpModel, x_star):
+    """Posterior mean and (clamped nonnegative) variance.
+
+    At a point, shape (d,), both are floats; at the rows of an (m, d)
+    matrix they are arrays of length m.
+    """
+    x_star = np.asarray_chkfinite(x_star, dtype=float)
+    point = x_star.ndim < 2
+    X = x_star.reshape(1, -1) if point else x_star
+    if X.ndim != 2 or X.shape[1] != model.d:
+        raise DimensionMismatch(f"test points of shape {x_star.shape} for a {model.d}-d model")
     hyper = model.hyper
-    diff = model.data.X - x_star
+    diff = model.data.X - X[:, None, :]
     diff /= hyper.lengthscales
     diff *= diff
-    k_star = np.exp(-0.5 * np.add.reduce(diff, axis=1))
+    k_star = np.exp(-0.5 * np.add.reduce(diff, axis=2))
     k_star *= hyper.signal_variance
-    mean = model.mean_shift + float(k_star @ model.alpha)
-    v = solve_tri(model.factor.L, k_star, lower=True)
-    var = hyper.signal_variance - float(v @ v)
-    return mean, max(var, 0.0)
+    mean = model.mean_shift + k_star @ model.alpha
+    v = solve_tri(model.factor.L, k_star.T, lower=True)
+    var = hyper.signal_variance - np.add.reduce(v * v, axis=0)
+    np.maximum(var, 0.0, out=var)
+    if point:
+        return float(mean[0]), float(var[0])
+    return mean, var
 
 
 _FLOAT_MAX = np.finfo(float).max

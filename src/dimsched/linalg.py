@@ -1,4 +1,4 @@
-"""Small dense linear algebra and scalar normal-distribution helpers.
+"""Small dense linear algebra and normal-distribution helpers.
 
 Everything here operates on plain numpy arrays.  Matrices are small
 (GP kernel matrices up to a few hundred rows), so clarity wins over
@@ -98,10 +98,16 @@ def solve_chol(factor: CholFactor, b) -> np.ndarray:
     return solve_tri(factor.L.T, z, lower=False)
 
 
-def std_normal_pdf(z: float) -> float:
-    return math.exp(-0.5 * z * z) / _SQRT_2PI
+# Elementwise math.erfc: numpy has none, and scipy.special is slow to import.
+_erfc = np.frompyfunc(math.erfc, 1, 1)
 
 
-def std_normal_cdf(z: float) -> float:
+def std_normal_pdf(z):
+    """Standard normal density, elementwise."""
+    return np.exp(-0.5 * z * z) / _SQRT_2PI
+
+
+def std_normal_cdf(z):
+    """Standard normal distribution function, elementwise."""
     # erfc form keeps full accuracy in the left tail.
-    return 0.5 * math.erfc(-z / _SQRT_2)
+    return 0.5 * np.asarray(_erfc(-z / _SQRT_2), dtype=float)

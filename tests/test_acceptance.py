@@ -29,6 +29,7 @@ from dimsched.optimize import (
     run_dsa_parallel,
     run_bo,
 )
+from test_direct import rowwise
 
 
 def verdict(criterion: int, ok: bool, detail: str) -> None:
@@ -155,7 +156,7 @@ def test_criterion_4_direct_quality():
     grid_opt = float(grid.min())
 
     _, f_camel, evals_camel = direct_minimize(
-        six_hump_camel, bounds2, DirectConfig(max_evals=1000, max_iters=200)
+        rowwise(six_hump_camel), bounds2, DirectConfig(max_evals=1000, max_iters=200)
     )
     camel_ok = f_camel <= grid_opt + 1e-2 and evals_camel <= 1000
 
@@ -166,7 +167,7 @@ def test_criterion_4_direct_quality():
 
     bounds4 = Bounds(np.full(4, -2.0), np.full(4, 2.0))
     _, f_quad, evals_quad = direct_minimize(
-        quad, bounds4, DirectConfig(max_evals=1500, max_iters=300)
+        rowwise(quad), bounds4, DirectConfig(max_evals=1500, max_iters=300)
     )
     quad_ok = f_quad <= 1e-3 and evals_quad <= 1500
 
@@ -178,7 +179,7 @@ def test_criterion_4_direct_quality():
             seq.append((tuple(np.asarray(x)), y))
             return y
 
-        direct_minimize(wrapped, bounds2, DirectConfig(max_evals=400, max_iters=100))
+        direct_minimize(rowwise(wrapped), bounds2, DirectConfig(max_evals=400, max_iters=100))
         return seq
 
     deterministic = record_seq(six_hump_camel) == record_seq(six_hump_camel)

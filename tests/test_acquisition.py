@@ -76,6 +76,11 @@ class TestOnGp:
         for _ in range(50):
             x = rng.uniform(-2, 2, size=2)
             assert neg(x) == -expected_improvement(ctx, x)
+        # On a matrix, row by row: the values of the scalar calls.
+        X = rng.uniform(-2, 2, size=(50, 2))
+        np.testing.assert_allclose(
+            neg(X), [-expected_improvement(ctx, x) for x in X], rtol=1e-12, atol=1e-15
+        )
 
     def test_argmin_matches_argmax_on_grid(self):
         ctx = toy_context()

@@ -116,19 +116,25 @@ class TestFitPredict:
                 if X2.shape[0] == n:
                     assert np.all(np.diag(K) == sf2)
             # gp_predict builds k* itself; check it against the dense oracle
-            # at a training row and at a fresh point of the box.
+            # at a training row and at a fresh point of the box, one point at
+            # a time and both as the rows of one matrix.
             Y = y_rng.normal(size=n)
             model = gp_fit(Dataset(X, Y), h)
             K = np.array([[se_kernel(a, b, h) for b in X] for a in X])
             K += (h.noise_variance + model.factor.jitter_used) * np.eye(n)
             yc = Y - np.mean(Y)
-            for x in (x_star, offset + y_rng.uniform(-width, width, size=d)):
+            points = (x_star, offset + y_rng.uniform(-width, width, size=d))
+            means, variances = gp_predict(model, np.vstack(points))
+            assert means.shape == variances.shape == (2,)
+            for x, row_mean, row_var in zip(points, means, variances):
                 k_star = np.array([se_kernel(a, x, h) for a in X])
                 mean_o = np.mean(Y) + k_star @ np.linalg.solve(K, yc)
                 var_o = sf2 - k_star @ np.linalg.solve(K, k_star)
-                mean, var = gp_predict(model, x)
-                assert abs(mean - mean_o) <= 1e-8
-                assert abs(var - max(var_o, 0.0)) <= 1e-12 * sf2
+                for mean, var in (gp_predict(model, x), (row_mean, row_var)):
+                    assert abs(mean - mean_o) <= 1e-8
+                    assert abs(var - max(var_o, 0.0)) <= 1e-12 * sf2
+            one_mean, one_var = gp_predict(model, x_star[None, :])
+            assert one_mean.shape == one_var.shape == (1,)
 
     def test_noise_free_interpolation(self):
         rng = np.random.default_rng(1)
