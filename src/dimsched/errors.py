@@ -17,6 +17,10 @@ class NonFiniteObjective(DimschedError):
     """Objective callback returned NaN or infinity."""
 
 
+class NonFiniteAcquisition(DimschedError):
+    """The acquisition function took a non-finite value inside the EI search."""
+
+
 class NonFiniteState(DimschedError):
     """ODE integration produced a non-finite state.
 

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.linalg import lapack
 
 from .errors import DimensionMismatch, NotPositiveDefinite
-from .linalg import CholFactor, cholesky_spd, solve_chol, solve_tri
+from .linalg import CholFactor, chol_append, cholesky_spd, solve_chol, solve_tri
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -136,53 +136,15 @@ def se_kernel(x, x2, hyper: KernelHyperparams) -> float:
     return hyper.signal_variance * math.exp(-0.5 * float(diff @ diff))
 
 
-# |a|^2 + |b|^2 - 2a.b, with a and b scaled by 1/ell, is off by at most
-# (d + 4) * eps * (|a|^2 + |b|^2) to first order; this is twice that rate.
-_EXPANSION_ERR = 2.0 * np.finfo(float).eps
-# Twice the largest error, in units of sigma_f^2, left in a kernel entry
-# computed from that expansion.
-_KERNEL_ERR = 1e-10
-
-
 def kernel_matrix(X, X2, hyper: KernelHyperparams) -> np.ndarray:
-    """Cross-covariance matrix k(X, X2), vectorized.
-
-    Every entry agrees with ``se_kernel`` to within 1e-10 * sigma_f^2 at
-    any hyperparameters, and the diagonal of k(X, X) is exactly sigma_f^2.
-    """
+    """Cross-covariance matrix k(X, X2), from direct coordinate differences."""
     X = np.asarray(X, dtype=float)
-    X2 = np.asarray(X2, dtype=float)
-    ells = hyper.lengthscales
-    Xs = X / ells
-    X2s = X2 / ells
-    norms = np.add.reduce(Xs * Xs, axis=1)
-    norms2 = np.add.reduce(X2s * X2s, axis=1)
-    sq = norms[:, None] + norms2[None, :]
-    sq -= (2.0 * Xs) @ X2s.T
-    # The expansion is off by at most err, which swamps the distance of
-    # close pairs once tiny lengthscales blow the scaled norms up.  When err
-    # exceeds _KERNEL_ERR, pairs whose expanded distance is below
-    # err + 2 log(err / _KERNEL_ERR) are recomputed from direct differences;
-    # beyond that the kernel is so small that err moves it by less than
-    # _KERNEL_ERR / 2.  A smaller err stays under that bound once clamped at
-    # zero.  On the diagonal of k(X, X) the difference is zero, so it is set.
-    err = _EXPANSION_ERR * (X.shape[1] + 4) * (norms.max() + norms2.max())
-    square = X2 is X or (X2.shape == X.shape and np.array_equal(X2, X))
-    if square:
-        np.fill_diagonal(sq, 0.0)
-    if err > _KERNEL_ERR:
-        near = sq <= err + 2.0 * math.log(err / _KERNEL_ERR)
-        if np.count_nonzero(near) > square * X.shape[0]:  # more than the diagonal
-            near = np.flatnonzero(near)
-            rows, cols = np.divmod(near, sq.shape[1])
-            diff = X[rows] - X2[cols]
-            diff /= ells
-            sq.flat[near] = np.add.reduce(diff * diff, axis=1)
-    np.maximum(sq, 0.0, out=sq)
-    sq *= -0.5
-    np.exp(sq, out=sq)
-    sq *= hyper.signal_variance
-    return sq
+    diff = np.asarray(X2, dtype=float) - X[:, None, :]
+    diff /= hyper.lengthscales
+    diff *= diff
+    K = np.exp(-0.5 * np.add.reduce(diff, axis=2))
+    K *= hyper.signal_variance
+    return K
 
 
 def gp_fit(data: Dataset, hyper: KernelHyperparams) -> GpModel:
@@ -190,9 +152,8 @@ def gp_fit(data: Dataset, hyper: KernelHyperparams) -> GpModel:
         raise DimensionMismatch("need at least one observation")
     if hyper.d != data.d:
         raise DimensionMismatch(f"hyper dim {hyper.d} != data dim {data.d}")
-    K = kernel_matrix(data.X, data.X, hyper)
-    K = 0.5 * (K + K.T)
-    K[np.diag_indices_from(K)] += hyper.noise_variance
+    K, _ = _training_kernel(data, hyper)
+    K.flat[:: data.n + 1] += hyper.noise_variance
     factor = cholesky_spd(K)
     mean_shift = float(np.mean(data.Y))
     alpha = solve_chol(factor, data.Y - mean_shift)
@@ -210,15 +171,10 @@ def gp_predict(model: GpModel, x_star):
     X = x_star.reshape(1, -1) if point else x_star
     if X.ndim != 2 or X.shape[1] != model.d:
         raise DimensionMismatch(f"test points of shape {x_star.shape} for a {model.d}-d model")
-    hyper = model.hyper
-    diff = model.data.X - X[:, None, :]
-    diff /= hyper.lengthscales
-    diff *= diff
-    k_star = np.exp(-0.5 * np.add.reduce(diff, axis=2))
-    k_star *= hyper.signal_variance
+    k_star = kernel_matrix(X, model.data.X, model.hyper)
     mean = model.mean_shift + k_star @ model.alpha
     v = solve_tri(model.factor.L, k_star.T, lower=True)
-    var = hyper.signal_variance - np.add.reduce(v * v, axis=0)
+    var = model.hyper.signal_variance - np.add.reduce(v * v, axis=0)
     np.maximum(var, 0.0, out=var)
     if point:
         return float(mean[0]), float(var[0])
@@ -431,10 +387,13 @@ def gp_augment(
     rng: np.random.Generator | None = None,
     retrain_max_iter: int = 50,
 ) -> GpModel:
-    """Add one observation and rebuild the factorization.
+    """Add one observation to the model.
 
-    With retrain=True the hyperparameters are re-optimized, warm-started
-    from the current values plus one random restart.
+    With retrain=False the hyperparameters are kept and the Cholesky factor
+    grows by one row, in O(n^2).  Only when the new pivot is not positive
+    is the model refitted, through gp_fit's jitter ladder.  With
+    retrain=True the hyperparameters are re-optimized, warm-started from
+    the current values plus one random restart, and the model is refitted.
     """
     data = model.data.append(x, y)
     hyper = model.hyper
@@ -446,4 +405,14 @@ def gp_augment(
             warm_start=model.hyper,
             max_iter=retrain_max_iter,
         )
-    return gp_fit(data, hyper)
+        return gp_fit(data, hyper)
+    k_new = kernel_matrix(data.X[-1:], model.data.X, hyper)[0]
+    try:
+        factor = chol_append(
+            model.factor, k_new, hyper.signal_variance + hyper.noise_variance
+        )
+    except NotPositiveDefinite:
+        return gp_fit(data, hyper)
+    mean_shift = float(np.mean(data.Y))
+    alpha = solve_chol(factor, data.Y - mean_shift)
+    return GpModel(data=data, hyper=hyper, factor=factor, alpha=alpha, mean_shift=mean_shift)

@@ -1,8 +1,8 @@
 """Small dense linear algebra and normal-distribution helpers.
 
 Everything here operates on plain numpy arrays.  Matrices are small
-(GP kernel matrices up to a few hundred rows), so clarity wins over
-asymptotics.
+(GP kernel matrices up to a few hundred rows).  A factor is computed
+once in O(n^3) and then grown by one row at a time in O(n^2).
 """
 
 from __future__ import annotations
@@ -87,6 +87,25 @@ def solve_tri(T: np.ndarray, b: np.ndarray, lower: bool) -> np.ndarray:
     if info != 0:
         raise np.linalg.LinAlgError(f"triangular solve failed (info={info})")
     return x
+
+
+def chol_append(factor: CholFactor, col, diag: float) -> CholFactor:
+    """Factor of A bordered by one row and column, from the factor of A.
+
+    The bordered matrix is [[A, col], [col^T, diag]].  Its factor keeps L
+    and gains the row l = L^-1 col with pivot sqrt(diag + jitter - l.l), so
+    it still factors the bordered matrix plus the same jitter*I.
+    """
+    n = factor.n
+    row = solve_tri(factor.L, np.asarray(col, dtype=float), lower=True)
+    pivot = diag + factor.jitter_used - float(row @ row)
+    if not pivot > 0.0:
+        raise NotPositiveDefinite(f"appended pivot {pivot:g} is not positive (n={n + 1})")
+    L = np.zeros((n + 1, n + 1))
+    L[:n, :n] = factor.L
+    L[n, :n] = row
+    L[n, n] = math.sqrt(pivot)
+    return CholFactor(L=L, jitter_used=factor.jitter_used)
 
 
 def solve_chol(factor: CholFactor, b) -> np.ndarray:

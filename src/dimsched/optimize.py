@@ -23,7 +23,7 @@ import numpy as np
 
 from .acquisition import AcquisitionContext, acquisition_objective
 from .direct import Bounds, DirectConfig, direct_minimize
-from .errors import DimensionMismatch, NonFiniteObjective
+from .errors import DimensionMismatch, NonFiniteAcquisition, NonFiniteObjective
 from .gp import Dataset, GpModel, gp_augment, gp_fit, train_hyperparams
 from .scheduler import ProbabilityVector, compute_dimension_probabilities, sample_subset
 
@@ -185,11 +185,16 @@ def _run(
                 return key
         return None
 
-    def propose(model: GpModel, y_best: float, sub_bounds: Bounds):
+    def propose(key: tuple[int, ...], model: GpModel, y_best: float, sub_bounds: Bounds):
         ctx = AcquisitionContext(model=model, y_best=y_best)
-        x_sub, _, _ = direct_minimize(
-            acquisition_objective(ctx), sub_bounds, config.direct_config
-        )
+        try:
+            x_sub, _, _ = direct_minimize(
+                acquisition_objective(ctx), sub_bounds, config.direct_config
+            )
+        except NonFiniteObjective as exc:
+            raise NonFiniteAcquisition(
+                f"EI of the GP on subset {key} (n={model.n}) is not finite"
+            ) from exc
         return x_sub
 
     with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
@@ -210,7 +215,7 @@ def _run(
                         max_iter=config.train_max_iter,
                     )
                     models[key] = gp_fit(proj, hyper)
-                args = (models[key], incumbent.value, bounds.subset(dims))
+                args = (key, models[key], incumbent.value, bounds.subset(dims))
                 if workers == 1:
                     # Inline: handing each proposal to a pool thread made the
                     # median st10 proposal 3-8% slower (2-core x86 host).

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_triangular
 
+import dimsched.gp as gp_module
 from dimsched.errors import DimensionMismatch
 from dimsched.gp import (
     _MAX_HALVINGS,
@@ -51,6 +52,19 @@ def naive_predict(data, h, x_star):
     mean = shift + k_star @ K_inv @ (data.Y - shift)
     var = h.signal_variance - k_star @ K_inv @ k_star
     return float(mean), float(var)
+
+
+def count_calls(monkeypatch, name):
+    """Wrap gp's ``name`` to record the arguments of each call."""
+    calls = []
+    original = getattr(gp_module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(gp_module, name, counted)
+    return calls
 
 
 class TestSeKernel:
@@ -453,3 +467,64 @@ class TestAugment:
         model = gp_fit(data, hyper(1))
         model2 = gp_augment(model, [2.0], 2.0, retrain=False)
         assert np.array_equal(model.hyper.to_vector(), model2.hyper.to_vector())
+
+    def test_append_matches_refit(self, monkeypatch):
+        # The grown factor and a refit factor the same matrix, so they agree
+        # to within the conditioning of that matrix.  Growing it never calls
+        # cholesky_spd.
+        calls = count_calls(monkeypatch, "cholesky_spd")
+        eps = np.finfo(float).eps
+        rng = np.random.default_rng(23)
+        for case in range(120):
+            n = int(rng.integers(1, 61))
+            d = int(rng.integers(1, 11))
+            X = rng.uniform(-2.0, 2.0, size=(n, d))
+            log_sf2 = float(rng.uniform(-3.0, 3.0))
+            h = KernelHyperparams(
+                log_lengthscales=rng.uniform(-30.0, 15.0, size=d) if case % 2
+                else rng.uniform(-1.0, 2.0, size=d),
+                log_signal_variance=log_sf2,
+                log_noise_variance=log_sf2 + float(rng.uniform(-25.0, -2.0)),
+            )
+            model = gp_fit(Dataset(X, rng.normal(size=n)), h)
+            x_new = X[int(rng.integers(n))] if case % 3 == 0 else rng.uniform(-2.0, 2.0, size=d)
+            y_new = float(rng.normal())
+            calls.clear()
+            grown = gp_augment(model, x_new, y_new, retrain=False)
+            assert calls == []
+            refit = gp_fit(model.data.append(x_new, y_new), h)
+            assert grown.factor.jitter_used == refit.factor.jitter_used
+            assert grown.mean_shift == refit.mean_shift
+            tol = 8.0 * eps * np.linalg.cond(refit.factor.L @ refit.factor.L.T)
+            alpha_norm = np.linalg.norm(refit.alpha)
+            assert np.linalg.norm(grown.alpha - refit.alpha) <= tol * alpha_norm
+            X_star = rng.uniform(-2.0, 2.0, size=(5, d))
+            k_norms = np.linalg.norm(kernel_matrix(X_star, refit.data.X, h), axis=1)
+            mean_g, var_g = gp_predict(grown, X_star)
+            mean_r, var_r = gp_predict(refit, X_star)
+            assert np.all(np.abs(mean_g - mean_r) <= tol * k_norms * alpha_norm)
+            assert np.all(np.abs(var_g - var_r) <= tol * h.signal_variance)
+
+    def test_duplicate_point_falls_back_to_refit(self, monkeypatch):
+        # Tiny lengthscales make k(X, X) the identity, and the noise is below
+        # rounding, so a repeated training point gives a zero pivot.  The
+        # refit that follows needs the jitter ladder.
+        calls = count_calls(monkeypatch, "cholesky_spd")
+        rng = np.random.default_rng(24)
+        for _ in range(20):
+            n = int(rng.integers(1, 61))
+            d = int(rng.integers(1, 11))
+            X = rng.uniform(-2.0, 2.0, size=(n, d))
+            h = hyper(d, ls=1e-9, sn2=1e-20)
+            model = gp_fit(Dataset(X, rng.normal(size=n)), h)
+            assert model.factor.jitter_used == 0.0
+            x_dup, y_new = X[int(rng.integers(n))], float(rng.normal())
+            calls.clear()
+            grown = gp_augment(model, x_dup, y_new, retrain=False)
+            assert len(calls) == 1
+            refit = gp_fit(model.data.append(x_dup, y_new), h)
+            assert refit.factor.jitter_used > 0.0
+            assert grown.factor.jitter_used == refit.factor.jitter_used
+            assert np.array_equal(grown.factor.L, refit.factor.L)
+            assert np.array_equal(grown.alpha, refit.alpha)
+            assert grown.mean_shift == refit.mean_shift

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_triangular
 
-from dimsched.errors import DimensionMismatch
+from dimsched.errors import DimensionMismatch, NotPositiveDefinite
 from dimsched.linalg import (
+    chol_append,
     cholesky_spd,
     solve_chol,
     solve_tri,
@@ -51,6 +52,46 @@ class TestCholesky:
         F = cholesky_spd(A)
         assert F.jitter_used > 0.0
         assert np.array_equal(A, np.ones((2, 2)))
+
+
+class TestCholAppend:
+    def test_matches_factor_of_bordered_matrix(self):
+        rng = np.random.default_rng(21)
+        for _ in range(50):
+            n = int(rng.integers(1, 40))
+            M = rng.normal(size=(n + 1, n + 1))
+            A = M @ M.T + 0.1 * np.eye(n + 1)
+            grown = chol_append(cholesky_spd(A[:n, :n]), A[:n, n], A[n, n])
+            whole = cholesky_spd(A)
+            assert grown.jitter_used == whole.jitter_used == 0.0
+            assert np.allclose(grown.L, whole.L, rtol=0.0, atol=1e-10 * np.abs(whole.L).max())
+            assert np.array_equal(np.triu(grown.L, 1), np.zeros((n + 1, n + 1)))
+
+    def test_carries_parent_jitter(self):
+        # The all-ones parent is singular, so it needs jitter; the grown
+        # factor must factor the bordered matrix plus that same jitter.
+        rng = np.random.default_rng(22)
+        for _ in range(20):
+            n = int(rng.integers(2, 30))
+            A = np.ones((n + 1, n + 1))
+            A[:n, n] = A[n, :n] = rng.uniform(0.5, 1.5)
+            A[n, n] = A[0, n] ** 2 + rng.uniform(0.1, 2.0)
+            parent = cholesky_spd(A[:n, :n])
+            assert parent.jitter_used > 0.0
+            grown = chol_append(parent, A[:n, n], A[n, n])
+            assert grown.jitter_used == parent.jitter_used
+            shifted = A + parent.jitter_used * np.eye(n + 1)
+            whole = cholesky_spd(shifted)
+            assert whole.jitter_used == 0.0
+            assert np.allclose(grown.L, whole.L, rtol=0.0, atol=1e-8 * np.abs(whole.L).max())
+            # The jitter (about 1e-10 here) must be on the new diagonal entry too.
+            assert np.allclose(grown.L @ grown.L.T, shifted, rtol=0.0, atol=1e-13)
+
+    def test_nonpositive_pivot_raises(self):
+        parent = cholesky_spd(np.eye(1))
+        for diag in (1.0, 0.5):  # pivots 0 and -0.5
+            with pytest.raises(NotPositiveDefinite):
+                chol_append(parent, [1.0], diag)
 
 
 class TestSolveTri:

@@ -1,10 +1,12 @@
+import re
 from math import comb
 
 import numpy as np
 import pytest
 
+from dimsched import acquisition
 from dimsched.direct import Bounds, DirectConfig
-from dimsched.errors import DimensionMismatch
+from dimsched.errors import DimensionMismatch, NonFiniteAcquisition, NonFiniteObjective
 from dimsched.objectives import benchmark_catalog
 from dimsched.optimize import (
     RunConfig,
@@ -265,3 +267,37 @@ class TestRunDsa:
         result = run_dsa(spec.evaluator, spec.bounds, config, initial=initial)
         assert not result.aborted
         assert len(result.records) == 200
+
+
+class TestNonFiniteAcquisition:
+    """A NaN inside the EI search is reported as such, not as the objective's."""
+
+    @staticmethod
+    def nan_from(monkeypatch, n_min):
+        original = acquisition.gp_predict
+
+        def predict(model, x):
+            mean, var = original(model, x)
+            return (mean * np.nan if model.n >= n_min else mean), var
+
+        monkeypatch.setattr(acquisition, "gp_predict", predict)
+
+    def test_bo_names_subset_and_size(self, monkeypatch):
+        self.nan_from(monkeypatch, n_min=9)
+        config = RunConfig(n_init=6, max_iter=20, seed=10, direct_config=small_direct())
+        with pytest.raises(NonFiniteAcquisition) as info:
+            run_bo(sphere, Bounds([-1.0] * 3, [1.0] * 3), config)
+        assert not isinstance(info.value, NonFiniteObjective)
+        assert isinstance(info.value.__cause__, NonFiniteObjective)
+        assert "subset (0, 1, 2)" in str(info.value)
+        assert "n=9" in str(info.value)
+
+    def test_dsa_names_subset_and_size(self, monkeypatch):
+        self.nan_from(monkeypatch, n_min=0)
+        config = RunConfig(
+            n_init=6, max_iter=20, subset_size=2, seed=10, direct_config=small_direct()
+        )
+        with pytest.raises(NonFiniteAcquisition) as info:
+            run_dsa(sphere, Bounds([-1.0] * 3, [1.0] * 3), config)
+        assert isinstance(info.value.__cause__, NonFiniteObjective)
+        assert re.search(r"subset \(\d, \d\) \(n=6\)", str(info.value))
