@@ -126,6 +126,9 @@ def load_campaign_config(path: str) -> CampaignConfig:
     runs = _parse_typed("campaign", "runs", camp.get("runs", "4"), int)
     if runs < 1:
         raise ConfigError("[campaign] runs must be >= 1")
+    workers = _parse_typed("campaign", "workers", camp.get("workers", "1"), int)
+    if workers < 1:
+        raise ConfigError("[campaign] workers must be >= 1")
 
     run_kwargs = {}
     if "run" in parser:
@@ -140,6 +143,13 @@ def load_campaign_config(path: str) -> CampaignConfig:
             kind = float if key == "epsilon" else int
             direct_kwargs[key] = _parse_typed("direct", key, sec[key], kind)
     run_config = RunConfig(direct_config=DirectConfig(**direct_kwargs), **run_kwargs)
+    # Smaller values crash the loop: a zero modulus, no training start,
+    # or a design too small to train a GP on.
+    for key, least in (
+        ("n_init", 2), ("pca_period", 1), ("retrain_period", 1), ("train_restarts", 1),
+    ):
+        if getattr(run_config, key) < least:
+            raise ConfigError(f"[run] {key} must be >= {least}")
 
     return CampaignConfig(
         objective_name=objective,
@@ -147,7 +157,7 @@ def load_campaign_config(path: str) -> CampaignConfig:
         runs=runs,
         run_config=run_config,
         output_dir=camp.get("output_dir", "out"),
-        workers=_parse_typed("campaign", "workers", camp.get("workers", "1"), int),
+        workers=workers,
         base_seed=_parse_typed("campaign", "base_seed", camp.get("base_seed", "0"), int),
     )
 

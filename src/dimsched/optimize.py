@@ -1,5 +1,5 @@
 """Optimizer loops: classical BO, dimension-scheduled BO, and the
-manager/worker parallel variant of the latter.
+latter with several proposals in flight.
 
 All three are entry points of one manager loop.  At each iteration the
 manager picks a coordinate subset, proposes a point by maximizing EI
@@ -11,11 +11,19 @@ case where the subset is always every coordinate, so it keeps a single
 full-space GP.  The manager keeps a registry of GP models keyed by the
 sorted subset; each model is spawned lazily from the initial design's
 projection and only ever grows through its own subset's proposals.
+
+``run_dsa_parallel`` keeps up to ``workers`` proposals pending in a FIFO.
+Each is computed in the calling thread when it is assigned, and the
+oldest is completed first, as in a pool whose workers finish in
+submission order; runs stay deterministic given the seed.  There is no
+pool because proposals are Python (DIRECT and EI) that holds the GIL: a
+thread pool took 1.32-1.47 s at 2 workers and 1.66-1.88 s at 4, against
+1.14-1.34 s for ``run_dsa`` (styblinski_tang-10, 200 iterations, 2-core
+x86 host, BLAS on one thread), and its traces varied between runs.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import time
 from dataclasses import dataclass, field
 
@@ -126,13 +134,15 @@ def run_dsa(
 def run_dsa_parallel(
     objective, bounds: Bounds, config: RunConfig, workers: int = 1, initial=None
 ) -> RunResult:
-    """Manager/worker variant: subspace proposals run concurrently.
+    """Dimension scheduling with up to ``workers`` proposals in flight.
 
-    Workers only search acquisition surfaces over snapshots of a model;
-    the manager owns the RNG, the objective, the registry, and the
-    incumbent, so every mutation stays serialized.  Each subspace model
-    is checked out by at most one in-flight task; contended subsets are
-    resampled (up to 10 attempts) before the manager blocks.
+    A proposal is made when it is assigned, against the incumbent value
+    of that moment, and waits in a FIFO.  A subset with a pending proposal
+    is resampled (up to 10 times).  When the FIFO is full or every draw is
+    pending, the oldest proposal is completed: evaluated, added to its
+    model and compared with the incumbent.  One worker is ``run_dsa``'s
+    schedule.  ``wall_time_ms`` spans a record's proposal to its
+    completion, so with ``workers > 1`` it includes later proposals.
     """
     return _run(objective, bounds, config, workers, initial, scheduled=True)
 
@@ -167,7 +177,8 @@ def _run(
     aborted = False
     assigned = 0
     completed = 0
-    inflight: list[tuple[tuple[int, ...], concurrent.futures.Future, float]] = []
+    # Assigned, not yet completed proposals, oldest first: (key, x_sub, t_iter).
+    pending: list[tuple[tuple[int, ...], np.ndarray, float]] = []
 
     def schedule() -> tuple[int, ...] | None:
         """The next key to propose on, or None if every draw is checked out."""
@@ -178,94 +189,72 @@ def _run(
             probs = compute_dimension_probabilities(
                 np.asarray(observed_x), config.floor_eps
             )
-        checked_out = {key for key, _, _ in inflight}
+        checked_out = {key for key, _, _ in pending}
         for _ in range(11):  # one draw, then up to 10 resamples
             key = sample_subset(probs, config.subset_size, rng).dims
             if key not in checked_out:
                 return key
         return None
 
-    def propose(key: tuple[int, ...], model: GpModel, y_best: float, sub_bounds: Bounds):
-        ctx = AcquisitionContext(model=model, y_best=y_best)
+    while completed < config.max_iter:
+        while assigned < config.max_iter and len(pending) < workers:
+            t_iter = time.perf_counter()
+            key = schedule()
+            if key is None:
+                break  # every draw is checked out; complete the oldest first
+            dims = list(key)
+            if key not in models:
+                proj = Dataset(np.ascontiguousarray(design.X[:, dims]), design.Y)
+                hyper = train_hyperparams(
+                    proj,
+                    restarts=config.train_restarts,
+                    rng=rng,
+                    bounds_ranges=bounds.span[dims],
+                    max_iter=config.train_max_iter,
+                )
+                models[key] = gp_fit(proj, hyper)
+            ctx = AcquisitionContext(model=models[key], y_best=incumbent.value)
+            try:
+                x_sub, _, _ = direct_minimize(
+                    acquisition_objective(ctx), bounds.subset(dims), config.direct_config
+                )
+            except NonFiniteObjective as exc:
+                raise NonFiniteAcquisition(
+                    f"EI of the GP on subset {key} (n={ctx.model.n}) is not finite"
+                ) from exc
+            pending.append((key, x_sub, t_iter))
+            assigned += 1
+        key, x_sub, t_iter = pending.pop(0)
+        x_new = incumbent.point.copy()
+        x_new[list(key)] = x_sub
         try:
-            x_sub, _, _ = direct_minimize(
-                acquisition_objective(ctx), sub_bounds, config.direct_config
+            y_new, eval_ms = _timed_eval(objective, x_new)
+        except NonFiniteObjective:
+            aborted = True
+            break
+        model = models[key]
+        # One retrain per retrain_period points added to this model.
+        retrain = (model.n + 1 - design.n) % config.retrain_period == 0
+        models[key] = gp_augment(
+            model, x_sub, y_new, retrain=retrain, rng=rng,
+            retrain_max_iter=config.retrain_max_iter,
+        )
+        observed_x.append(x_new.copy())
+        if y_new < incumbent.value:
+            incumbent = Incumbent(point=x_new.copy(), value=y_new)
+        records.append(
+            IterationRecord(
+                iter=config.n_init + completed,
+                subset=key if scheduled else None,
+                x=x_new,
+                y=y_new,
+                y_best=incumbent.value,
+                wall_time_ms=(time.perf_counter() - t_iter) * 1e3,
+                eval_time_ms=eval_ms,
+                gp_size=models[key].n,
             )
-        except NonFiniteObjective as exc:
-            raise NonFiniteAcquisition(
-                f"EI of the GP on subset {key} (n={model.n}) is not finite"
-            ) from exc
-        return x_sub
-
-    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-        while completed < config.max_iter and not aborted:
-            while assigned < config.max_iter and len(inflight) < workers:
-                t_iter = time.perf_counter()
-                key = schedule()
-                if key is None:
-                    break  # everything sampled is busy; wait for completions
-                dims = list(key)
-                if key not in models:
-                    proj = Dataset(np.ascontiguousarray(design.X[:, dims]), design.Y)
-                    hyper = train_hyperparams(
-                        proj,
-                        restarts=config.train_restarts,
-                        rng=rng,
-                        bounds_ranges=bounds.span[dims],
-                        max_iter=config.train_max_iter,
-                    )
-                    models[key] = gp_fit(proj, hyper)
-                args = (key, models[key], incumbent.value, bounds.subset(dims))
-                if workers == 1:
-                    # Inline: handing each proposal to a pool thread made the
-                    # median st10 proposal 3-8% slower (2-core x86 host).
-                    future = concurrent.futures.Future()
-                    future.set_result(propose(*args))
-                else:
-                    future = pool.submit(propose, *args)
-                inflight.append((key, future, t_iter))
-                assigned += 1
-            concurrent.futures.wait(
-                [f for _, f, _ in inflight],
-                return_when=concurrent.futures.FIRST_COMPLETED,
-            )
-            still_inflight = []
-            for key, future, t_iter in inflight:
-                if not future.done():
-                    still_inflight.append((key, future, t_iter))
-                    continue
-                x_sub = future.result()
-                x_new = incumbent.point.copy()
-                x_new[list(key)] = x_sub
-                try:
-                    y_new, eval_ms = _timed_eval(objective, x_new)
-                except NonFiniteObjective:
-                    aborted = True
-                    continue
-                model = models[key]
-                # One retrain per retrain_period points added to this model.
-                retrain = (model.n + 1 - design.n) % config.retrain_period == 0
-                models[key] = gp_augment(
-                    model, x_sub, y_new, retrain=retrain, rng=rng,
-                    retrain_max_iter=config.retrain_max_iter,
-                )
-                observed_x.append(x_new.copy())
-                if y_new < incumbent.value:
-                    incumbent = Incumbent(point=x_new.copy(), value=y_new)
-                records.append(
-                    IterationRecord(
-                        iter=config.n_init + completed,
-                        subset=key if scheduled else None,
-                        x=x_new,
-                        y=y_new,
-                        y_best=incumbent.value,
-                        wall_time_ms=(time.perf_counter() - t_iter) * 1e3,
-                        eval_time_ms=eval_ms,
-                        gp_size=models[key].n,
-                    )
-                )
-                completed += 1
-            inflight = still_inflight
+        )
+        completed += 1
     return RunResult(
         records=records,
         incumbent=incumbent,

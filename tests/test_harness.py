@@ -81,6 +81,22 @@ class TestConfigLoading:
         with pytest.raises(ConfigError, match="expected int"):
             load_campaign_config(write_config(tmp_path, text))
 
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("base_seed = 7", "base_seed = 7\nworkers = 0", "workers must be >= 1"),
+            ("n_init = 4", "n_init = 4\npca_period = 0", "pca_period must be >= 1"),
+            ("n_init = 4", "n_init = 4\nretrain_period = 0", "retrain_period must be >= 1"),
+            ("n_init = 4", "n_init = 4\ntrain_restarts = 0", "train_restarts must be >= 1"),
+            ("n_init = 4", "n_init = 1", "n_init must be >= 2"),
+        ],
+        ids=["workers", "pca_period", "retrain_period", "train_restarts", "n_init"],
+    )
+    def test_out_of_range_rejected(self, tmp_path, old, new, message):
+        text = FAST_CONFIG.replace(old, new)
+        with pytest.raises(ConfigError, match=message):
+            load_campaign_config(write_config(tmp_path, text))
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
             load_campaign_config(str(tmp_path / "nope.ini"))
@@ -273,6 +289,14 @@ class TestCli:
         bad = write_config(tmp_path, FAST_CONFIG.replace("sphere-2", "nope"))
         assert cli.main(["run", "--config", bad]) == 2
         assert "config error" in capsys.readouterr().err
+
+    def test_out_of_range_config_exit(self, tmp_path, capsys):
+        bad = write_config(
+            tmp_path, FAST_CONFIG.replace("n_init = 4", "n_init = 4\nretrain_period = 0")
+        )
+        assert cli.main(["run", "--config", bad, "--out", str(tmp_path / "out")]) == 2
+        assert "retrain_period must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_io_error_exit(self, tmp_path, capsys):
         missing = str(tmp_path / "missing.csv")

@@ -22,6 +22,10 @@ def make_config(seed):
 BOUNDS = Bounds(np.full(4, -2.0), np.full(4, 2.0))
 
 
+def nontiming(r):
+    return (r.iter, r.subset, tuple(r.x), r.y, r.y_best, r.gp_size)
+
+
 class TestSingleWorkerEquivalence:
     def test_matches_sequential_loop(self):
         """With one worker the manager replays the sequential schedule:
@@ -72,6 +76,29 @@ class TestMultiWorker:
             assert np.all(rec.x >= BOUNDS.lower - 1e-12)
             assert np.all(rec.x <= BOUNDS.upper + 1e-12)
 
+    def test_seed_deterministic(self):
+        config = make_config(14)
+        a = run_dsa_parallel(sphere, BOUNDS, config, workers=4)
+        b = run_dsa_parallel(sphere, BOUNDS, config, workers=4)
+        assert [nontiming(r) for r in a.records] == [nontiming(r) for r in b.records]
+        assert np.array_equal(a.incumbent.point, b.incumbent.point)
+        assert a.incumbent.value == b.incumbent.value
+
+    def test_single_key_runs_full_budget(self):
+        """With d == subset_size every draw after the first is checked out,
+        so each proposal is completed before the next is made."""
+        config = RunConfig(
+            n_init=4, max_iter=12, subset_size=2, seed=15,
+            direct_config=DirectConfig(max_evals=60, max_iters=20),
+        )
+        bounds = Bounds([-2.0, -2.0], [2.0, 2.0])
+        result = run_dsa_parallel(sphere, bounds, config, workers=3)
+        assert not result.aborted
+        assert len(result.records) == config.max_iter
+        assert [r.gp_size for r in result.records] == list(
+            range(config.n_init + 1, config.n_init + config.max_iter + 1)
+        )
+
     def test_no_subset_checked_out_twice(self):
         """Each model only grows by one point per proposal it produced."""
         config = make_config(13)
@@ -85,18 +112,21 @@ class TestMultiWorker:
 
 class TestAbort:
     def test_partial_result_on_nonfinite(self):
-        calls = [0]
-
-        def objective(x):
-            calls[0] += 1
-            return float("nan") if calls[0] > 10 else sphere(x)
-
+        """The objective is not called after a NaN, and only the good
+        iterations are kept, whatever the number of pending proposals."""
         config = RunConfig(
             n_init=6, max_iter=20, subset_size=2, seed=10,
             direct_config=DirectConfig(max_evals=150, max_iters=50),
         )
         bounds = Bounds([-1.0, -1.0, -1.0], [1.0, 1.0, 1.0])
-        result = run_dsa_parallel(objective, bounds, config, workers=1)
-        assert result.aborted
-        assert len(result.records) == 4  # 10 total calls = 6 design + 4 good iterations
-        assert [r.iter for r in result.records] == [6, 7, 8, 9]
+        for workers in (1, 4):
+            calls = [0]
+
+            def objective(x):
+                calls[0] += 1
+                return float("nan") if calls[0] == 11 else sphere(x)
+
+            result = run_dsa_parallel(objective, bounds, config, workers=workers)
+            assert result.aborted
+            assert calls[0] == 11  # 6 design + 4 good iterations + the NaN
+            assert [r.iter for r in result.records] == [6, 7, 8, 9]
