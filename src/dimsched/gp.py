@@ -4,7 +4,9 @@ Targets are centered on their empirical mean before fitting; the shift
 is re-added at prediction time.  Hyperparameters live on the log scale
 and are fitted by best-of-restarts gradient ascent on the log marginal
 likelihood with an Armijo line search that starts from the step it
-accepted last.
+accepted last.  ``gp_fit`` alone factorizes K + sigma_n^2 I: the LML and
+its gradient are read off a fitted model, so training factorizes each
+hyperparameter point once.
 """
 
 from __future__ import annotations
@@ -197,37 +199,34 @@ def _training_kernel(data: Dataset, hyper: KernelHyperparams):
     return K.reshape(data.n, data.n), inv_ell2
 
 
+def _lml(model: GpModel) -> float:
+    """Log marginal likelihood of a fitted model's data."""
+    log_det = 2.0 * float(np.sum(np.log(np.diag(model.factor.L))))
+    yc = model.data.Y - model.mean_shift
+    return -0.5 * (float(yc @ model.alpha) + log_det + model.n * _LOG_2PI)
+
+
 def log_marginal_likelihood(data: Dataset, hyper: KernelHyperparams) -> float:
-    K, _ = _training_kernel(data, hyper)
-    K.flat[:: data.n + 1] += hyper.noise_variance
-    factor = cholesky_spd(K)
-    yc = data.Y - np.mean(data.Y)
-    alpha = solve_chol(factor, yc)
-    log_det = 2.0 * float(np.sum(np.log(np.diag(factor.L))))
-    return -0.5 * (float(yc @ alpha) + log_det + data.n * _LOG_2PI)
+    return _lml(gp_fit(data, hyper))
 
 
-def lml_gradient(data: Dataset, hyper: KernelHyperparams) -> np.ndarray:
+def _lml_gradient(model: GpModel) -> np.ndarray:
     """Gradient of the LML w.r.t. [log ell_1..d, log sigma_f^2, log sigma_n^2].
 
     Uses the trace identity 0.5 * tr((alpha alpha^T - K^-1) dK/dtheta)
-    (Rasmussen & Williams 2006, eq. 5.9).  With W = (alpha alpha^T - K^-1) o K,
-    every lengthscale component comes from one product with ``data.sq_diffs``.
+    (Rasmussen & Williams 2006, eq. 5.9), with K^-1 from the model's factor.
+    With W = (alpha alpha^T - K^-1) o K, every lengthscale component comes
+    from one product with ``data.sq_diffs``.
     """
-    n = data.n
+    data, hyper, n = model.data, model.hyper, model.n
     K_sig, inv_ell2 = _training_kernel(data, hyper)
-    K_noisy = K_sig.copy()
-    K_noisy.flat[:: n + 1] += hyper.noise_variance
-    factor = cholesky_spd(K_noisy)
-    yc = data.Y - np.mean(data.Y)
-    alpha = solve_chol(factor, yc)
     # potri fills the lower triangle of K^-1 and keeps L's zero upper one.
-    K_inv, info = lapack.dpotri(factor.L, lower=1)
+    K_inv, info = lapack.dpotri(model.factor.L, lower=1)
     if info != 0:
         raise NotPositiveDefinite(f"inverse from the Cholesky factor failed (info={info})")
     K_inv += K_inv.T
     K_inv.flat[:: n + 1] *= 0.5
-    W = np.outer(alpha, alpha)
+    W = np.outer(model.alpha, model.alpha)
     W -= K_inv
     trace_m = float(np.trace(W))
     W *= K_sig
@@ -239,6 +238,10 @@ def lml_gradient(data: Dataset, hyper: KernelHyperparams) -> np.ndarray:
     return grad
 
 
+def lml_gradient(data: Dataset, hyper: KernelHyperparams) -> np.ndarray:
+    return _lml_gradient(gp_fit(data, hyper))
+
+
 # Log-hyperparameters are clipped here during optimization so exp() can
 # neither overflow nor underflow to zero lengthscales.
 _LOG_CLIP = 300.0
@@ -246,13 +249,15 @@ _LOG_CLIP = 300.0
 _MAX_HALVINGS = 40
 
 
-def _safe_lml(data: Dataset, hyper: KernelHyperparams) -> float:
+def _safe_fit(data: Dataset, hyper: KernelHyperparams) -> tuple[float, GpModel | None]:
+    """The LML at hyper and the model fitted there, or (-inf, None)."""
     try:
         with np.errstate(all="ignore"):
-            val = log_marginal_likelihood(data, hyper)
+            model = gp_fit(data, hyper)
+            val = _lml(model)
     except (NotPositiveDefinite, DimensionMismatch, FloatingPointError):
-        return -np.inf
-    return val if np.isfinite(val) else -np.inf
+        return -np.inf, None
+    return (val, model) if np.isfinite(val) else (-np.inf, None)
 
 
 def _bracket_step(passes, k0: int) -> int | None:
@@ -275,45 +280,38 @@ def _bracket_step(passes, k0: int) -> int | None:
 
 
 def _ascend(
-    data: Dataset,
-    start: KernelHyperparams,
-    f: float,
-    max_iter: int,
-    grad_tol: float = 1e-5,
+    f: float, model: GpModel, max_iter: int, grad_tol: float = 1e-5
 ) -> tuple[float, KernelHyperparams]:
-    """Gradient ascent with an Armijo line search from one start point.
+    """Gradient ascent with an Armijo line search from a fitted start model.
 
-    f is the LML at start, as ``_safe_lml`` returns it.
+    f is the model's LML, as ``_safe_fit`` returns it.  Each trial point is
+    fitted once, and the accepted trial's model gives the next gradient.
     """
-    if not np.isfinite(f):
-        return f, start
-    theta = start.to_vector()
     k = 0
     for _ in range(max_iter):
-        hyper = KernelHyperparams.from_vector(theta)
         try:
-            g = lml_gradient(data, hyper)
+            g = _lml_gradient(model)
         except NotPositiveDefinite:
             break
         if not np.isfinite(g).all():
             break
         if np.max(np.abs(g)) < grad_tol:
             break
+        theta = model.hyper.to_vector()
         g_sq = float(g @ g)
         trials = {}
 
         def passes(j: int) -> bool:
             step = 0.5**j
             cand = np.clip(theta + step * g, -_LOG_CLIP, _LOG_CLIP)
-            f_cand = _safe_lml(data, KernelHyperparams.from_vector(cand))
-            trials[j] = cand, f_cand
-            return f_cand >= f + 1e-4 * step * g_sq
+            trials[j] = _safe_fit(model.data, KernelHyperparams.from_vector(cand))
+            return trials[j][0] >= f + 1e-4 * step * g_sq
 
         k = _bracket_step(passes, k)
         if k is None:
             break
-        theta, f = trials[k]
-    return f, KernelHyperparams.from_vector(theta)
+        f, model = trials[k]
+    return f, model.hyper
 
 
 def _random_start(
@@ -366,10 +364,12 @@ def train_hyperparams(
     best_f = -np.inf
     best_hyper = starts[0]
     for start in starts:
-        f_start = _safe_lml(data, start)
+        f_start, model = _safe_fit(data, start)
+        if model is None:
+            continue
         if f_start > best_f:
             best_f, best_hyper = f_start, start
-        f_end, hyper_end = _ascend(data, start, f_start, max_iter=max_iter)
+        f_end, hyper_end = _ascend(f_start, model, max_iter=max_iter)
         if f_end > best_f:
             best_f, best_hyper = f_end, hyper_end
 

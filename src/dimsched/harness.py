@@ -142,14 +142,10 @@ def load_campaign_config(path: str) -> CampaignConfig:
         for key in sec:
             kind = float if key == "epsilon" else int
             direct_kwargs[key] = _parse_typed("direct", key, sec[key], kind)
-    run_config = RunConfig(direct_config=DirectConfig(**direct_kwargs), **run_kwargs)
-    # Smaller values crash the loop: a zero modulus, no training start,
-    # or a design too small to train a GP on.
-    for key, least in (
-        ("n_init", 2), ("pca_period", 1), ("retrain_period", 1), ("train_restarts", 1),
-    ):
-        if getattr(run_config, key) < least:
-            raise ConfigError(f"[run] {key} must be >= {least}")
+    try:
+        run_config = RunConfig(direct_config=DirectConfig(**direct_kwargs), **run_kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"[run] {exc}") from exc
 
     return CampaignConfig(
         objective_name=objective,

@@ -56,6 +56,15 @@ class RunConfig:
     train_max_iter: int = 200
     retrain_max_iter: int = 50
 
+    def __post_init__(self):
+        # Smaller values crash the loop: a design too small to train a GP
+        # on, a zero modulus, or no training start.
+        for key, least in (
+            ("n_init", 2), ("pca_period", 1), ("retrain_period", 1), ("train_restarts", 1),
+        ):
+            if getattr(self, key) < least:
+                raise ValueError(f"{key} must be >= {least}")
+
 
 @dataclass(frozen=True)
 class IterationRecord:
@@ -158,6 +167,10 @@ def _run(
     """
     if workers < 1:
         raise DimensionMismatch("workers must be >= 1")
+    if scheduled and bounds.d < 2:
+        raise DimensionMismatch(
+            f"dimension scheduling needs at least 2 coordinates, got a {bounds.d}-d box"
+        )
     if scheduled and not 1 <= config.subset_size <= bounds.d:
         raise DimensionMismatch(
             f"subset size {config.subset_size} outside [1, {bounds.d}]"
@@ -244,7 +257,7 @@ def _run(
             incumbent = Incumbent(point=x_new.copy(), value=y_new)
         records.append(
             IterationRecord(
-                iter=config.n_init + completed,
+                iter=design.n + completed,
                 subset=key if scheduled else None,
                 x=x_new,
                 y=y_new,

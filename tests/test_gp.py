@@ -445,6 +445,19 @@ class TestTraining:
                 assert lml_trained >= log_marginal_likelihood(data, start) - 1e-9
 
 
+    @pytest.mark.parametrize("n, d", [(25, 2), (80, 10)], ids=["dsa-like", "bo-like"])
+    def test_no_matrix_factorized_twice(self, monkeypatch, n, d):
+        # The LML and its gradient at a point share one factorization.
+        calls = count_calls(monkeypatch, "cholesky_spd")
+        rng = np.random.default_rng(25)
+        X = rng.uniform(-5.0, 5.0, size=(n, d))
+        Y = np.sum(X**4 - 16.0 * X**2 + 5.0 * X, axis=1) / 2.0
+        train_hyperparams(Dataset(X, Y), restarts=3, rng=rng, max_iter=100)
+        factorized = [args[0].tobytes() for args in calls]
+        assert len(factorized) > 10
+        assert len(set(factorized)) == len(factorized)
+
+
 class TestAugment:
     def test_interpolates_new_point(self):
         rng = np.random.default_rng(13)

@@ -17,7 +17,11 @@ from dimsched.harness import (
     write_trace,
 )
 from dimsched.direct import Bounds, DirectConfig
-from dimsched.optimize import RunConfig, run_bo
+from dimsched.optimize import RunConfig, initial_design, run_bo
+
+
+def sphere(x):
+    return float(np.sum(np.asarray(x) ** 2))
 
 
 FAST_CONFIG = """
@@ -135,6 +139,17 @@ class TestTracePersistence:
             assert np.array_equal(row.x, rec.x)
             assert row.y == rec.y
             assert row.y_best == rec.y_best
+
+    def test_design_smaller_than_n_init_leaves_no_gap(self, tmp_path):
+        bounds = Bounds([-1.0, -1.0], [1.0, 1.0])
+        initial = initial_design(sphere, bounds, 7, np.random.default_rng(0))
+        config = RunConfig(
+            n_init=20, max_iter=3, seed=0,
+            direct_config=DirectConfig(max_evals=60, max_iters=20),
+        )
+        path = str(tmp_path / "trace.csv")
+        write_trace(path, run_bo(sphere, bounds, config, initial=initial))
+        assert [row.iter for row in read_trace(path)] == list(range(7 + 3))
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -13,6 +13,7 @@ from dimsched.optimize import (
     initial_design,
     run_bo,
     run_dsa,
+    run_dsa_parallel,
 )
 
 
@@ -54,6 +55,19 @@ class TestInitialDesign:
         bounds = Bounds([-1.0], [1.0])
         design, _ = initial_design(sphere, bounds, 5, np.random.default_rng(2))
         assert design.Y.min() == min(sphere(x) for x in design.X)
+
+
+class TestRunConfig:
+    @pytest.mark.parametrize(
+        "key, least",
+        [("n_init", 2), ("pca_period", 1), ("retrain_period", 1), ("train_restarts", 1)],
+    )
+    def test_out_of_range_rejected(self, key, least):
+        # Each of these values used to crash the loop deep inside a run
+        # (ZeroDivisionError, IndexError); the config now refuses it.
+        with pytest.raises(ValueError, match=f"{key} must be >= {least}"):
+            RunConfig(**{key: least - 1})
+        assert getattr(RunConfig(**{key: least}), key) == least
 
 
 class TestRunBo:
@@ -236,6 +250,14 @@ class TestRunDsa:
         config = RunConfig(subset_size=5)
         with pytest.raises(DimensionMismatch):
             run_dsa(sphere, Bounds([-1.0, -1.0], [1.0, 1.0]), config)
+
+    @pytest.mark.parametrize("run", [run_dsa, run_dsa_parallel])
+    def test_one_dim_box_rejected_before_design(self, run):
+        objective = CountingObjective(sphere)
+        config = RunConfig(subset_size=1, direct_config=small_direct())
+        with pytest.raises(DimensionMismatch, match="at least 2 coordinates"):
+            run(objective, Bounds([-1.0], [1.0]), config)
+        assert objective.calls == 0
 
     def test_partial_result_on_nonfinite(self):
         calls = [0]
