@@ -3,13 +3,21 @@
 Works in the normalized unit cube with an affine map to the caller's
 bounds.  Rectangles are trisected along their longest sides; candidates
 for division are the potentially optimal rectangles on the lower-right
-convex hull of (diameter, center value).  The objective is vectorized
-and scores the probe points of one iteration in one call.  Fully
-deterministic for a given objective, bounds, and configuration.
+convex hull of (diameter, center value).  A rectangle stores how often
+each side was trisected, and its diameter is cached by these levels.
+Live rectangles sit in one min-heap per diameter class, ordered by
+(center value, creation index) as in Gablonsky & Kelley (J. Global
+Optim. 2001): only a class's best rectangle can be potentially optimal,
+so each iteration reads the hull off the class heads alone.  The
+objective is vectorized and scores the probe points of one iteration in
+one call.  Deterministic for a given objective, bounds and configuration.
 """
 
 from __future__ import annotations
 
+import functools
+import heapq
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -52,27 +60,51 @@ class DirectConfig:
     max_iters: int = 100
     epsilon: float = 1e-4
 
+    def __post_init__(self):
+        if self.max_evals < 1:
+            raise ValueError("max_evals must be >= 1")
+        if self.max_iters < 0:
+            raise ValueError("max_iters must be >= 0")
+        if not (math.isfinite(self.epsilon) and self.epsilon >= 0):
+            raise ValueError(f"epsilon must be finite and >= 0, got {self.epsilon}")
+
+
+@functools.lru_cache(maxsize=None)
+def _side(level: int) -> float:
+    """A side of the unit cube trisected level times: 1.0 / 3.0 / ... / 3.0."""
+    return functools.reduce(lambda side, _: side / 3.0, range(level), 1.0)
+
+
+@functools.lru_cache(maxsize=1 << 16)
+def _diameter(levels: tuple[int, ...]) -> float:
+    # Sorted, so equal geometries give the identical float the hull groups by.
+    return 0.5 * float(np.linalg.norm(np.sort([_side(k) for k in levels])))
+
 
 @dataclass
 class Rect:
     center: np.ndarray        # in [0,1]^d
-    side_lengths: np.ndarray  # powers of 1/3
+    levels: tuple[int, ...]   # side j is _side(levels[j])
     f_center: float
     index: int                # creation order, used for tie-breaking
 
     def __post_init__(self):
-        # Computed once: potentially_optimal reads it for every rect on
-        # every iteration.  Sorting makes the float identical for rects of
-        # equal geometry, so the diameter grouping there stays exact.
-        self._diameter = 0.5 * float(np.linalg.norm(np.sort(self.side_lengths)))
-
-    @property
-    def diameter(self) -> float:
-        return self._diameter
+        self.diameter = _diameter(self.levels)
 
     @property
     def measure(self) -> float:
-        return float(np.prod(self.side_lengths))
+        return float(np.prod([_side(k) for k in self.levels]))
+
+
+class _Classes(dict):
+    """Live rects by diameter, each class a min-heap of (f_center, index, rect)."""
+
+    def push(self, rects: list[Rect]) -> None:
+        for r in rects:
+            heapq.heappush(self.setdefault(r.diameter, []), (r.f_center, r.index, r))
+
+    def heads(self) -> list[Rect]:
+        return [heap[0][2] for heap in self.values() if heap]
 
 
 class _Evaluator:
@@ -177,23 +209,21 @@ def _probes(rect: Rect, budget: int) -> tuple[list[int], np.ndarray]:
     evaluations pay for.  Rows 2k and 2k + 1 of the centers step the
     k-th dimension up and down by a third of the longest side.
     """
-    sides = rect.side_lengths
-    longest = sides.max()
-    dims = [j for j in range(sides.shape[0]) if sides[j] >= longest * (1 - 1e-12)]
-    dims = dims[: max(budget, 0) // 2]
-    delta = longest / 3.0
+    levels = rect.levels
+    top = min(levels)
+    dims = [j for j, k in enumerate(levels) if k == top][: max(budget, 0) // 2]
+    delta = _side(top + 1)  # a third of the longest side
     # Adding 0 leaves a coordinate as it is, and adding -delta equals
     # subtracting delta, so each probe is exactly the center stepped once.
-    steps = np.zeros((len(dims), 2, sides.shape[0]))
+    steps = np.zeros((len(dims), 2, len(levels)))
     for k, j in enumerate(dims):
         steps[k, 0, j] = delta
         steps[k, 1, j] = -delta
-    return dims, (rect.center + steps).reshape(-1, sides.shape[0])
+    return dims, (rect.center + steps).reshape(-1, len(levels))
 
 
-def _split(
-    rect: Rect, dims: list[int], centers: np.ndarray, values: list[float], next_index: int
-) -> tuple[list[Rect], int]:
+def _split(rect: Rect, dims: list[int], centers: np.ndarray, values: list[float],
+           next_index: int) -> tuple[list[Rect], int]:
     """Trisect rect along dims from its probes, best dimensions first.
 
     The returned rectangles tile the parent exactly; with no dims the
@@ -201,23 +231,16 @@ def _split(
     """
     if not dims:
         return [rect], next_index
-    order = sorted(
-        range(len(dims)), key=lambda k: (min(values[2 * k], values[2 * k + 1]), dims[k])
-    )
+    order = sorted(range(len(dims)), key=lambda k: (min(values[2 * k : 2 * k + 2]), dims[k]))
     children: list[Rect] = []
-    middle_sides = rect.side_lengths.copy()
+    levels = list(rect.levels)
     for k in order:
-        middle_sides = middle_sides.copy()
-        middle_sides[dims[k]] /= 3.0
+        levels[dims[k]] += 1
+        child_levels = tuple(levels)
         for row in (2 * k, 2 * k + 1):
-            children.append(
-                Rect(center=centers[row], side_lengths=middle_sides.copy(),
-                     f_center=values[row], index=next_index)
-            )
+            children.append(Rect(centers[row], child_levels, values[row], next_index))
             next_index += 1
-    children.append(
-        Rect(center=rect.center, side_lengths=middle_sides, f_center=rect.f_center, index=next_index)
-    )
+    children.append(Rect(rect.center, tuple(levels), rect.f_center, next_index))
     next_index += 1
     return children, next_index
 
@@ -227,13 +250,10 @@ def trisect(rect: Rect, g: Callable, evals_budget: int) -> list[Rect]:
 
     g takes an (m, d) array of points and returns their m values.
     """
-    d = rect.center.shape[0]
     dims, centers = _probes(rect, evals_budget)
-    if not dims:
-        return [rect]
-    evaluate = _Evaluator(g, Bounds(np.zeros(d), np.ones(d)), evals_budget)
-    children, _ = _split(rect, dims, centers, evaluate(centers), rect.index + 1)
-    return children
+    unit = Bounds(np.zeros(len(rect.levels)), np.ones(len(rect.levels)))
+    values = _Evaluator(g, unit, evals_budget)(centers) if dims else []
+    return _split(rect, dims, centers, values, rect.index + 1)[0]
 
 
 def direct_minimize(
@@ -246,39 +266,35 @@ def direct_minimize(
     on every probe of the rectangles that iteration divides: DIRECT fixes
     them all before it looks at any of their values.
     """
-    d = bounds.d
     evaluate = _Evaluator(g, bounds, config.max_evals)
-
-    center = np.full(d, 0.5)
+    center = np.full(bounds.d, 0.5)
     (f0,) = evaluate(center[None, :])
-    rects = [Rect(center=center, side_lengths=np.ones(d), f_center=f0, index=0)]
+    live = _Classes()
+    live.push([Rect(center, (0,) * bounds.d, f0, 0)])
     next_index = 1
 
     for _ in range(config.max_iters):
         if evaluate.remaining < 2:
             break
-        selected = potentially_optimal(rects, evaluate.best_f, config.epsilon)
+        heads = live.heads()
+        selected = potentially_optimal(heads, evaluate.best_f, config.epsilon)
         if not selected:
             break
         # Divide in ascending diameter order for a stable schedule.
-        selected.sort(key=lambda i: (rects[i].diameter, rects[i].index))
+        chosen = sorted((heads[i] for i in selected), key=lambda r: (r.diameter, r.index))
         budget = evaluate.remaining
         plans = []
-        for i in selected:
+        for rect in chosen:
+            heapq.heappop(live[rect.diameter])  # rect heads its class
             # Once the budget runs out a rect gets no probes and stays
             # whole, so the partition stays exact.
-            dims, centers = _probes(rects[i], budget)
+            dims, centers = _probes(rect, budget)
             budget -= centers.shape[0]
-            plans.append((rects[i], dims, centers))
+            plans.append((rect, dims, centers))
         values = evaluate(np.vstack([centers for _, _, centers in plans]))
-        chosen = set(selected)
-        divided: list[Rect] = []
-        start = 0
         for rect, dims, centers in plans:
-            stop = start + centers.shape[0]
-            children, next_index = _split(rect, dims, centers, values[start:stop], next_index)
-            divided.extend(children)
-            start = stop
-        rects = [r for i, r in enumerate(rects) if i not in chosen] + divided
+            children, next_index = _split(rect, dims, centers, values[: len(centers)], next_index)
+            values = values[len(centers) :]
+            live.push(children)
     assert evaluate.best_x is not None
     return evaluate.best_x, evaluate.best_f, evaluate.count

@@ -143,7 +143,11 @@ def load_campaign_config(path: str) -> CampaignConfig:
             kind = float if key == "epsilon" else int
             direct_kwargs[key] = _parse_typed("direct", key, sec[key], kind)
     try:
-        run_config = RunConfig(direct_config=DirectConfig(**direct_kwargs), **run_kwargs)
+        direct_config = DirectConfig(**direct_kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"[direct] {exc}") from exc
+    try:
+        run_config = RunConfig(direct_config=direct_config, **run_kwargs)
     except ValueError as exc:
         raise ConfigError(f"[run] {exc}") from exc
 

@@ -7,6 +7,7 @@ from dimsched.direct import (
     Bounds,
     DirectConfig,
     Rect,
+    _Classes,
     direct_minimize,
     potentially_optimal,
     trisect,
@@ -26,6 +27,28 @@ def six_hump_camel(x):
         + x1 * x2
         + (-4.0 + 4.0 * x2**2) * x2**2
     )
+
+
+def bump(c):
+    """-max(0, 1 - 4|x - c|^2): flat at exactly 0 beyond distance 1/2 of c."""
+    c = np.asarray(c)
+    return lambda x: -max(0.0, 1.0 - 4.0 * float(np.sum((x - c) ** 2)))
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"max_evals": 0},
+        {"max_evals": -3},
+        {"max_iters": -1},
+        {"epsilon": -1e-4},
+        {"epsilon": float("nan")},
+        {"epsilon": float("inf")},
+    ],
+)
+def test_direct_config_rejects_out_of_range(kwargs):
+    with pytest.raises(ValueError, match=next(iter(kwargs))):
+        DirectConfig(**kwargs)
 
 
 class TestDirectMinimize:
@@ -113,17 +136,17 @@ class TestDirectMinimize:
             )
 
     def test_partition_invariant(self):
-        # Measures of all rectangles sum to 1 after every iteration.
+        # Measures of all live rectangles sum to 1 after every iteration.
         from dimsched import direct as mod
 
         measured = []
-        orig_po = mod.potentially_optimal
+        orig_heads = mod._Classes.heads
 
-        def spy(rects, f_min, eps):
-            measured.append(sum(r.measure for r in rects))
-            return orig_po(rects, f_min, eps)
+        def spy(live):
+            measured.append(sum(r.measure for heap in live.values() for _, _, r in heap))
+            return orig_heads(live)
 
-        mod.potentially_optimal = spy
+        mod._Classes.heads = spy
         try:
             direct_minimize(
                 rowwise(lambda x: six_hump_camel(x)),
@@ -131,11 +154,10 @@ class TestDirectMinimize:
                 DirectConfig(max_evals=500),
             )
         finally:
-            mod.potentially_optimal = orig_po
-        assert measured
+            mod._Classes.heads = orig_heads
+        assert len(measured) > 10
         for total in measured:
             assert abs(total - 1.0) < 1e-12
-
 
     @pytest.mark.parametrize(
         "objective, bounds, config, count, sha256",
@@ -155,8 +177,32 @@ class TestDirectMinimize:
                 149,
                 "ce840abd1b139b26ef97ba947db6b50c011e1692fe60f566ee58bb2e12fffde5",
             ),
+            # A bump that is exactly 0 on a quarter to a third of the probes,
+            # as EI is where it underflows: the creation-index tie-break
+            # decides which of the tied rectangles DIRECT divides.
+            (
+                bump([0.7]),
+                Bounds([-1.0], [1.0]),
+                DirectConfig(max_evals=150, max_iters=50),
+                149,
+                "e12a76896cecb7f84cbf4dbb4334391aabd19b3eb554b409962287ca7af43069",
+            ),
+            (
+                bump([0.2, -0.35]),
+                Bounds(-np.ones(2), np.ones(2)),
+                DirectConfig(max_evals=150, max_iters=50),
+                149,
+                "a69b050e4077462fbd760e730d9abcb80b59fb77b576e16039f5fa8468a4118b",
+            ),
+            (
+                bump([0.1, -0.2, 0.3, 0.05]),
+                Bounds(-np.ones(4), np.ones(4)),
+                DirectConfig(max_evals=150, max_iters=50),
+                149,
+                "92e57250db39db4c5ea7c6991570555224db2af715b4c85b14d6a93b10033282",
+            ),
         ],
-        ids=["six_hump_camel", "quadratic_10d"],
+        ids=["six_hump_camel", "quadratic_10d", "ties_1d", "ties_2d", "ties_4d"],
     )
     def test_evaluation_order_pinned(self, objective, bounds, config, count, sha256):
         # Count and SHA-256 of the points in evaluation order, from a DIRECT
@@ -191,9 +237,9 @@ class TestDirectMinimize:
 
 
 class TestPotentiallyOptimal:
-    def rect(self, sides, f, index):
-        sides = np.asarray(sides, dtype=float)
-        return Rect(center=np.full(sides.shape[0], 0.5), side_lengths=sides, f_center=f, index=index)
+    def rect(self, levels, f, index):
+        levels = tuple(int(k) for k in levels)
+        return Rect(center=np.full(len(levels), 0.5), levels=levels, f_center=f, index=index)
 
     def oracle(self, rects, f_min, eps):
         """Brute force over a dense K grid."""
@@ -209,20 +255,20 @@ class TestPotentiallyOptimal:
         return selected
 
     def test_single_rect_selected(self):
-        r = self.rect([1.0], 3.0, 0)
+        r = self.rect([0], 3.0, 0)
         assert potentially_optimal([r], 3.0, 1e-4) == [0]
 
     def test_equal_diameter_dominance(self):
-        rects = [self.rect([1.0, 1.0], 2.0, 0), self.rect([1.0, 1.0], 1.0, 1)]
+        rects = [self.rect([0, 0], 2.0, 0), self.rect([0, 0], 1.0, 1)]
         assert potentially_optimal(rects, 1.0, 1e-4) == [1]
 
     def test_hand_built_config_matches_k_sweep(self):
         # Four rects across three diameters; hull membership vs K-sweep.
         rects = [
-            self.rect([1.0, 1.0], 5.0, 0),
-            self.rect([1.0 / 3, 1.0], 4.0, 1),
-            self.rect([1.0 / 3, 1.0 / 3], 4.5, 2),
-            self.rect([1.0 / 3, 1.0 / 3], 6.0, 3),
+            self.rect([0, 0], 5.0, 0),
+            self.rect([1, 0], 4.0, 1),
+            self.rect([1, 1], 4.5, 2),
+            self.rect([1, 1], 6.0, 3),
         ]
         got = set(potentially_optimal(rects, 4.0, 1e-4))
         expected = self.oracle(rects, 4.0, 1e-4)
@@ -234,17 +280,36 @@ class TestPotentiallyOptimal:
             rects = []
             for i in range(8):
                 depth = rng.integers(0, 4, size=2)
-                sides = (1.0 / 3.0) ** depth
-                rects.append(self.rect(sides, float(rng.uniform(0, 10)), i))
+                rects.append(self.rect(depth, float(rng.uniform(0, 10)), i))
             f_min = min(r.f_center for r in rects)
             got = set(potentially_optimal(rects, f_min, 1e-4))
             expected = self.oracle(rects, f_min, 1e-4)
             assert got == expected
 
+    def test_class_heads_select_as_full_set(self):
+        # direct_minimize passes the hull only the head of each diameter
+        # class; it must pick the same rects as the full set would.  Values
+        # on a coarse grid tie often, so the index tie-break is exercised.
+        rng = np.random.default_rng(13)
+        for _ in range(200):
+            n = int(rng.integers(1, 16))
+            rects = [
+                self.rect(rng.integers(0, 4, size=3), float(rng.integers(0, 6)), i)
+                for i in rng.permutation(n)
+            ]
+            live = _Classes()
+            live.push(rects)
+            heads = live.heads()
+            f_min = min(r.f_center for r in rects) - float(rng.uniform(0, 1))
+            full = [rects[i] for i in potentially_optimal(rects, f_min, 1e-4)]
+            from_heads = [heads[i] for i in potentially_optimal(heads, f_min, 1e-4)]
+            assert {r.index for r in from_heads} == {r.index for r in full}
+            assert len(heads) == len({r.diameter for r in rects})
+
 
 class TestTrisect:
     def test_unit_square_constant(self):
-        rect = Rect(np.array([0.5, 0.5]), np.array([1.0, 1.0]), 1.0, 0)
+        rect = Rect(np.array([0.5, 0.5]), (0, 0), 1.0, 0)
         evals = []
 
         def g(x):
@@ -257,14 +322,14 @@ class TestTrisect:
         assert abs(sum(c.measure for c in children) - rect.measure) < 1e-12
 
     def test_one_dim_centers(self):
-        rect = Rect(np.array([0.5]), np.array([1.0]), 0.0, 0)
+        rect = Rect(np.array([0.5]), (0,), 0.0, 0)
         children = trisect(rect, rowwise(lambda x: float(x[0])), 100)
         centers = sorted(c.center[0] for c in children)
         assert np.allclose(centers, [1.0 / 6.0, 0.5, 5.0 / 6.0])
-        assert all(np.allclose(c.side_lengths, 1.0 / 3.0) for c in children)
+        assert all(c.levels == (1,) and c.measure == 1.0 / 3.0 for c in children)
 
     def test_single_longest_side(self):
-        rect = Rect(np.array([0.5, 0.5]), np.array([1.0, 1.0 / 3.0]), 0.0, 0)
+        rect = Rect(np.array([0.5, 0.5]), (0, 1), 0.0, 0)
         evals = []
 
         def g(x):
@@ -276,6 +341,6 @@ class TestTrisect:
         assert len(children) == 3
 
     def test_budget_exhaustion_keeps_partition(self):
-        rect = Rect(np.array([0.5, 0.5, 0.5]), np.ones(3), 0.0, 0)
+        rect = Rect(np.array([0.5, 0.5, 0.5]), (0, 0, 0), 0.0, 0)
         children = trisect(rect, rowwise(lambda x: float(np.sum(x))), 4)  # room for 2 of 3 dims
         assert abs(sum(c.measure for c in children) - 1.0) < 1e-12

@@ -313,6 +313,12 @@ class TestCli:
         assert "retrain_period must be >= 1" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_out_of_range_direct_config_exit(self, tmp_path, capsys):
+        bad = write_config(tmp_path, FAST_CONFIG.replace("max_evals = 60", "max_evals = 0"))
+        assert cli.main(["run", "--config", bad, "--out", str(tmp_path / "out")]) == 2
+        assert "[direct] max_evals must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_io_error_exit(self, tmp_path, capsys):
         missing = str(tmp_path / "missing.csv")
         out = str(tmp_path / "plot.svg")
