@@ -187,7 +187,7 @@ def potentially_optimal(rects: list[Rect], f_min: float, epsilon: float) -> list
 
     # K >= 0 restricts the hull to diameters at or beyond the min-f vertex.
     fs = [rects[i].f_center for _, i in hull]
-    start = int(np.argmin(fs))
+    start = min(range(len(fs)), key=fs.__getitem__)  # the first minimum
     hull = hull[start:]
 
     selected: list[int] = []

@@ -4,16 +4,22 @@ Targets are centered on their empirical mean before fitting; the shift
 is re-added at prediction time.  Hyperparameters live on the log scale
 and are fitted by best-of-restarts gradient ascent on the log marginal
 likelihood with an Armijo line search that starts from the step it
-accepted last.  ``gp_fit`` alone factorizes K + sigma_n^2 I: the LML and
-its gradient are read off a fitted model, so training factorizes each
-hyperparameter point once.
+accepted last.
+
+One fit core, ``_fit``, builds K + sigma_n^2 I from a log-hyperparameter
+vector theta, factorizes it and solves for alpha; it returns the LML and
+keeps the noise-free K for the gradient.  ``gp_fit``, the public LML and
+its gradient wrap it, and training calls it directly on theta vectors:
+the targets are centred once per dataset, each trial point is fitted
+once, and a ``KernelHyperparams`` is built only for the value returned.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import lapack
@@ -150,16 +156,10 @@ def kernel_matrix(X, X2, hyper: KernelHyperparams) -> np.ndarray:
 
 
 def gp_fit(data: Dataset, hyper: KernelHyperparams) -> GpModel:
-    if data.n < 1:
-        raise DimensionMismatch("need at least one observation")
-    if hyper.d != data.d:
-        raise DimensionMismatch(f"hyper dim {hyper.d} != data dim {data.d}")
-    K, _ = _training_kernel(data, hyper)
-    K.flat[:: data.n + 1] += hyper.noise_variance
-    factor = cholesky_spd(K)
-    mean_shift = float(np.mean(data.Y))
-    alpha = solve_chol(factor, data.Y - mean_shift)
-    return GpModel(data=data, hyper=hyper, factor=factor, alpha=alpha, mean_shift=mean_shift)
+    fit, mean_shift = _fit_hyper(data, hyper)
+    return GpModel(
+        data=data, hyper=hyper, factor=fit.factor, alpha=fit.alpha, mean_shift=mean_shift
+    )
 
 
 def gp_predict(model: GpModel, x_star):
@@ -186,60 +186,82 @@ def gp_predict(model: GpModel, x_star):
 _FLOAT_MAX = np.finfo(float).max
 
 
-def _training_kernel(data: Dataset, hyper: KernelHyperparams):
-    """Noise-free k(X, X) from ``data.sq_diffs``, and the weights 1/ell^2.
+class _Fit(NamedTuple):
+    """A fit at one log-hyperparameter vector theta."""
 
-    The weights are capped at the largest float, so a zero difference times
-    an overflowed 1/ell^2 is 0, never nan.
+    lml: float
+    factor: CholFactor
+    alpha: np.ndarray
+    K: np.ndarray  # noise-free k(X, X)
+    inv_ell2: np.ndarray
+
+
+def _fit(data: Dataset, yc: np.ndarray, theta: np.ndarray) -> _Fit:
+    """The one fit core: K + sigma_n^2 I at theta, its factor, alpha and the LML.
+
+    theta is [log ell_1..d, log sigma_f^2, log sigma_n^2] and yc the
+    centred targets.  K is built from ``data.sq_diffs``.  The weights
+    1/ell^2 are capped at the largest float, so a zero difference times an
+    overflowed 1/ell^2 is 0, never nan.
     """
-    inv_ell2 = np.minimum(np.exp(-2.0 * hyper.log_lengthscales), _FLOAT_MAX)
+    n = data.n
+    inv_ell2 = np.minimum(np.exp(-2.0 * theta[:-2]), _FLOAT_MAX)
     K = data.sq_diffs @ (-0.5 * inv_ell2)
     np.exp(K, out=K)
-    K *= hyper.signal_variance
-    return K.reshape(data.n, data.n), inv_ell2
+    K *= math.exp(theta[-2])
+    K = K.reshape(n, n)
+    K_noisy = K.copy()
+    K_noisy.flat[:: n + 1] += math.exp(theta[-1])
+    factor = cholesky_spd(K_noisy)
+    alpha = solve_chol(factor, yc)
+    log_det = 2.0 * float(np.log(factor.L.diagonal()).sum())
+    lml = -0.5 * (float(yc @ alpha) + log_det + n * _LOG_2PI)
+    return _Fit(lml, factor, alpha, K, inv_ell2)
 
 
-def _lml(model: GpModel) -> float:
-    """Log marginal likelihood of a fitted model's data."""
-    log_det = 2.0 * float(np.sum(np.log(np.diag(model.factor.L))))
-    yc = model.data.Y - model.mean_shift
-    return -0.5 * (float(yc @ model.alpha) + log_det + model.n * _LOG_2PI)
+def _fit_hyper(data: Dataset, hyper: KernelHyperparams) -> tuple[_Fit, float]:
+    """The fit at hyper to the targets centred on their mean, and that mean."""
+    if data.n < 1:
+        raise DimensionMismatch("need at least one observation")
+    if hyper.d != data.d:
+        raise DimensionMismatch(f"hyper dim {hyper.d} != data dim {data.d}")
+    mean_shift = float(np.mean(data.Y))
+    return _fit(data, data.Y - mean_shift, hyper.to_vector()), mean_shift
 
 
 def log_marginal_likelihood(data: Dataset, hyper: KernelHyperparams) -> float:
-    return _lml(gp_fit(data, hyper))
+    return _fit_hyper(data, hyper)[0].lml
 
 
-def _lml_gradient(model: GpModel) -> np.ndarray:
+def _lml_gradient(data: Dataset, fit: _Fit, noise_variance: float) -> np.ndarray:
     """Gradient of the LML w.r.t. [log ell_1..d, log sigma_f^2, log sigma_n^2].
 
     Uses the trace identity 0.5 * tr((alpha alpha^T - K^-1) dK/dtheta)
-    (Rasmussen & Williams 2006, eq. 5.9), with K^-1 from the model's factor.
+    (Rasmussen & Williams 2006, eq. 5.9), with K^-1 from the fit's factor.
     With W = (alpha alpha^T - K^-1) o K, every lengthscale component comes
     from one product with ``data.sq_diffs``.
     """
-    data, hyper, n = model.data, model.hyper, model.n
-    K_sig, inv_ell2 = _training_kernel(data, hyper)
+    n, d = data.n, data.d
     # potri fills the lower triangle of K^-1 and keeps L's zero upper one.
-    K_inv, info = lapack.dpotri(model.factor.L, lower=1)
+    K_inv, info = lapack.dpotri(fit.factor.L, lower=1)
     if info != 0:
         raise NotPositiveDefinite(f"inverse from the Cholesky factor failed (info={info})")
     K_inv += K_inv.T
     K_inv.flat[:: n + 1] *= 0.5
-    W = np.outer(model.alpha, model.alpha)
+    W = np.outer(fit.alpha, fit.alpha)
     W -= K_inv
     trace_m = float(np.trace(W))
-    W *= K_sig
+    W *= fit.K
 
-    grad = np.empty(data.d + 2)
-    grad[: data.d] = 0.5 * (W.ravel() @ data.sq_diffs) * inv_ell2
-    grad[data.d] = 0.5 * float(W.sum())
-    grad[data.d + 1] = 0.5 * hyper.noise_variance * trace_m
+    grad = np.empty(d + 2)
+    grad[:d] = 0.5 * (W.ravel() @ data.sq_diffs) * fit.inv_ell2
+    grad[d] = 0.5 * float(W.sum())
+    grad[d + 1] = 0.5 * noise_variance * trace_m
     return grad
 
 
 def lml_gradient(data: Dataset, hyper: KernelHyperparams) -> np.ndarray:
-    return _lml_gradient(gp_fit(data, hyper))
+    return _lml_gradient(data, _fit_hyper(data, hyper)[0], hyper.noise_variance)
 
 
 # Log-hyperparameters are clipped here during optimization so exp() can
@@ -249,15 +271,14 @@ _LOG_CLIP = 300.0
 _MAX_HALVINGS = 40
 
 
-def _safe_fit(data: Dataset, hyper: KernelHyperparams) -> tuple[float, GpModel | None]:
-    """The LML at hyper and the model fitted there, or (-inf, None)."""
+def _safe_fit(data: Dataset, yc: np.ndarray, theta: np.ndarray) -> _Fit | None:
+    """The fit at theta, or None if it fails or its LML is not finite."""
     try:
         with np.errstate(all="ignore"):
-            model = gp_fit(data, hyper)
-            val = _lml(model)
+            fit = _fit(data, yc, theta)
     except (NotPositiveDefinite, DimensionMismatch, FloatingPointError):
-        return -np.inf, None
-    return (val, model) if np.isfinite(val) else (-np.inf, None)
+        return None
+    return fit if math.isfinite(fit.lml) else None
 
 
 def _bracket_step(passes, k0: int) -> int | None:
@@ -280,49 +301,45 @@ def _bracket_step(passes, k0: int) -> int | None:
 
 
 def _ascend(
-    f: float, model: GpModel, max_iter: int, grad_tol: float = 1e-5
-) -> tuple[float, KernelHyperparams]:
-    """Gradient ascent with an Armijo line search from a fitted start model.
+    data: Dataset, yc: np.ndarray, theta: np.ndarray, fit: _Fit, max_iter: int, grad_tol=1e-5
+) -> tuple[float, np.ndarray]:
+    """Gradient ascent with an Armijo line search from theta and its fit.
 
-    f is the model's LML, as ``_safe_fit`` returns it.  Each trial point is
-    fitted once, and the accepted trial's model gives the next gradient.
+    Each trial point is fitted once, and the accepted trial's fit gives the
+    next gradient.  Returns the last accepted point and its LML.
     """
+    f = fit.lml
     k = 0
     for _ in range(max_iter):
         try:
-            g = _lml_gradient(model)
+            g = _lml_gradient(data, fit, math.exp(theta[-1]))
         except NotPositiveDefinite:
             break
-        if not np.isfinite(g).all():
+        g_max = float(np.abs(g).max())  # nan or inf if any component is
+        if not (math.isfinite(g_max) and g_max >= grad_tol):
             break
-        if np.max(np.abs(g)) < grad_tol:
-            break
-        theta = model.hyper.to_vector()
         g_sq = float(g @ g)
         trials = {}
 
         def passes(j: int) -> bool:
             step = 0.5**j
             cand = np.clip(theta + step * g, -_LOG_CLIP, _LOG_CLIP)
-            trials[j] = _safe_fit(model.data, KernelHyperparams.from_vector(cand))
-            return trials[j][0] >= f + 1e-4 * step * g_sq
+            trial = _safe_fit(data, yc, cand)
+            trials[j] = cand, trial
+            return trial is not None and trial.lml >= f + 1e-4 * step * g_sq
 
         k = _bracket_step(passes, k)
         if k is None:
             break
-        f, model = trials[k]
-    return f, model.hyper
+        theta, fit = trials[k]
+        f = fit.lml
+    return f, theta
 
 
-def _random_start(
-    rng: np.random.Generator, ranges: np.ndarray, var_y: float
-) -> KernelHyperparams:
+def _random_start(rng: np.random.Generator, ranges: np.ndarray, var_y: float) -> np.ndarray:
+    """A start theta: random log-lengthscales, sigma_f^2 = var_y, sigma_n^2 = var_y / 100."""
     log_ls = rng.uniform(np.log(0.1 * ranges), np.log(2.0 * ranges))
-    return KernelHyperparams(
-        log_lengthscales=log_ls,
-        log_signal_variance=math.log(var_y),
-        log_noise_variance=math.log(1e-2 * var_y),
-    )
+    return np.concatenate([log_ls, [math.log(var_y), math.log(1e-2 * var_y)]])
 
 
 def _coordinate_ranges(data: Dataset, bounds_ranges=None) -> np.ndarray:
@@ -356,27 +373,29 @@ def train_hyperparams(
     var_y = max(var_y, _NOISE_FLOOR)
     ranges = _coordinate_ranges(data, bounds_ranges)
 
-    starts: list[KernelHyperparams] = []
+    if warm_start is not None and warm_start.d != data.d:
+        raise DimensionMismatch(f"warm start dim {warm_start.d} != data dim {data.d}")
+    yc = data.Y - float(np.mean(data.Y))
+
+    starts: list[np.ndarray] = []
     if warm_start is not None:
-        starts.append(warm_start)
+        starts.append(warm_start.to_vector())
     starts.extend(_random_start(rng, ranges, var_y) for _ in range(restarts))
 
     best_f = -np.inf
-    best_hyper = starts[0]
-    for start in starts:
-        f_start, model = _safe_fit(data, start)
-        if model is None:
+    best = starts[0]
+    for theta in starts:
+        fit = _safe_fit(data, yc, theta)
+        if fit is None:
             continue
-        if f_start > best_f:
-            best_f, best_hyper = f_start, start
-        f_end, hyper_end = _ascend(f_start, model, max_iter=max_iter)
+        if fit.lml > best_f:
+            best_f, best = fit.lml, theta
+        f_end, theta_end = _ascend(data, yc, theta, fit, max_iter=max_iter)
         if f_end > best_f:
-            best_f, best_hyper = f_end, hyper_end
+            best_f, best = f_end, theta_end
 
     floor = math.log(max(_NOISE_FLOOR, _NOISE_FLOOR * var_y))
-    if best_hyper.log_noise_variance < floor:
-        best_hyper = replace(best_hyper, log_noise_variance=floor)
-    return best_hyper
+    return KernelHyperparams(best[:-2].copy(), float(best[-2]), max(float(best[-1]), floor))
 
 
 def gp_augment(

@@ -5,12 +5,16 @@ import pytest
 from scipy.linalg import solve_triangular
 
 import dimsched.gp as gp_module
-from dimsched.errors import DimensionMismatch
+from dimsched.errors import DimensionMismatch, NotPositiveDefinite
 from dimsched.gp import (
+    _LOG_CLIP,
     _MAX_HALVINGS,
+    _NOISE_FLOOR,
     Dataset,
     KernelHyperparams,
     _bracket_step,
+    _coordinate_ranges,
+    _random_start,
     gp_augment,
     gp_fit,
     gp_predict,
@@ -401,6 +405,73 @@ class TestBracketStep:
         assert bracketed(passing, 0) == (0, [0])
 
 
+def reference_train(data, restarts, rng, max_iter, warm_start=None):
+    """train_hyperparams as a plain loop over KernelHyperparams objects.
+
+    Every trial is scored with the public log_marginal_likelihood and
+    every gradient comes from the public lml_gradient, each refitting its
+    point from a KernelHyperparams.
+    """
+
+    def score(h):
+        try:
+            with np.errstate(all="ignore"):
+                f = log_marginal_likelihood(data, h)
+        except (NotPositiveDefinite, DimensionMismatch, FloatingPointError):
+            return -np.inf
+        return f if np.isfinite(f) else -np.inf
+
+    def ascend(f, h):
+        k = 0
+        for _ in range(max_iter):
+            try:
+                with np.errstate(all="ignore"):
+                    g = lml_gradient(data, h)
+            except NotPositiveDefinite:
+                break
+            if not np.isfinite(g).all() or np.max(np.abs(g)) < 1e-5:
+                break
+            theta = h.to_vector()
+            g_sq = float(g @ g)
+            trials = {}
+
+            def passes(j):
+                step = 0.5**j
+                cand = np.clip(theta + step * g, -_LOG_CLIP, _LOG_CLIP)
+                trials[j] = score(KernelHyperparams.from_vector(cand)), cand
+                return trials[j][0] >= f + 1e-4 * step * g_sq
+
+            k = _bracket_step(passes, k)
+            if k is None:
+                break
+            f, cand = trials[k]
+            h = KernelHyperparams.from_vector(cand)
+        return f, h
+
+    var_y = max(float(np.var(data.Y)), _NOISE_FLOOR)
+    ranges = _coordinate_ranges(data)
+    starts = [] if warm_start is None else [warm_start]
+    starts += [KernelHyperparams.from_vector(_random_start(rng, ranges, var_y)) for _ in range(restarts)]
+    best_f, best = -np.inf, starts[0]
+    for h in starts:
+        f = score(h)
+        if f == -np.inf:
+            continue
+        if f > best_f:
+            best_f, best = f, h
+        f_end, h_end = ascend(f, h)
+        if f_end > best_f:
+            best_f, best = f_end, h_end
+    floor = math.log(max(_NOISE_FLOOR, _NOISE_FLOOR * var_y))
+    return np.append(best.to_vector()[:-1], max(best.log_noise_variance, floor))
+
+
+def styblinski_tang_data(rng, n, d, duplicates=0):
+    X = rng.uniform(-5.0, 5.0, size=(n - duplicates, d))
+    X = np.vstack([X, X[:duplicates]])
+    return Dataset(X, np.sum(X**4 - 16.0 * X**2 + 5.0 * X, axis=1) / 2.0)
+
+
 class TestTraining:
     def test_generate_and_recover_lengthscale(self):
         rng = np.random.default_rng(9)
@@ -441,7 +512,7 @@ class TestTraining:
             var_y = max(float(np.var(data.Y)), 1e-8)
             ranges = _coordinate_ranges(data)
             for _ in range(3):
-                start = _random_start(rng2, ranges, var_y)
+                start = KernelHyperparams.from_vector(_random_start(rng2, ranges, var_y))
                 assert lml_trained >= log_marginal_likelihood(data, start) - 1e-9
 
 
@@ -456,6 +527,41 @@ class TestTraining:
         factorized = [args[0].tobytes() for args in calls]
         assert len(factorized) > 10
         assert len(set(factorized)) == len(factorized)
+
+    @pytest.mark.parametrize(
+        "n, d, duplicates, restarts, max_iter, warm",
+        [(20, 2, 0, 3, 100, False), (80, 10, 0, 1, 50, True), (20, 2, 8, 3, 100, False)],
+        ids=["dsa-like", "bo-like", "duplicates"],
+    )
+    def test_bitwise_equal_to_reference(
+        self, monkeypatch, n, d, duplicates, restarts, max_iter, warm
+    ):
+        # Bits depend on the BLAS build, so both sides run here, on one machine.
+        rng = np.random.default_rng(26)
+        data = styblinski_tang_data(rng, n, d, duplicates)
+        warm_start = hyper(d, ls=2.0, sf2=float(np.var(data.Y))) if warm else None
+        seed = int(rng.integers(2**32))
+        jitters = []
+        original = gp_module.cholesky_spd
+
+        def recorded(A):
+            factor = original(A)
+            jitters.append(factor.jitter_used)
+            return factor
+
+        monkeypatch.setattr(gp_module, "cholesky_spd", recorded)
+        trained = train_hyperparams(
+            data, restarts=restarts, rng=np.random.default_rng(seed),
+            max_iter=max_iter, warm_start=warm_start,
+        )
+        monkeypatch.undo()
+        expected = reference_train(
+            data, restarts, np.random.default_rng(seed), max_iter, warm_start
+        )
+        assert np.array_equal(trained.to_vector(), expected)
+        assert len(jitters) > 50
+        if duplicates:  # the duplicated rows make the jitter ladder engage
+            assert any(j > 0.0 for j in jitters)
 
 
 class TestAugment:

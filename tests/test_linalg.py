@@ -6,6 +6,7 @@ from scipy.linalg import solve_triangular
 
 from dimsched.errors import DimensionMismatch, NotPositiveDefinite
 from dimsched.linalg import (
+    _JITTER_SCALES,
     chol_append,
     cholesky_spd,
     solve_chol,
@@ -34,6 +35,38 @@ class TestCholesky:
         F = cholesky_spd(A)
         assert F.jitter_used > 0.0
         assert np.all(np.diag(F.L) > 0)
+        # The jitter is the first rung of the ladder that factorizes.
+        base = np.trace(A) / 2
+        for scale in _JITTER_SCALES:
+            try:
+                np.linalg.cholesky(A + scale * base * np.eye(2))
+            except np.linalg.LinAlgError:
+                continue
+            break
+        assert F.jitter_used == scale * base
+
+    def test_spd_takes_one_cholesky_call(self, monkeypatch):
+        calls = []
+        original = np.linalg.cholesky
+
+        def counted(A):
+            calls.append(A)
+            return original(A)
+
+        monkeypatch.setattr(np.linalg, "cholesky", counted)
+        M = np.random.default_rng(4).normal(size=(8, 8))
+        F = cholesky_spd(M @ M.T + np.eye(8))
+        assert len(calls) == 1
+        assert F.jitter_used == 0.0
+
+    @pytest.mark.parametrize(
+        "A",
+        [[[np.inf, 1.0], [1.0, 4.0]], [[4.0, 1.0], [3.0, np.nan]], [[np.inf, 1.0], [3.0, 4.0]]],
+        ids=["inf-symmetric", "nan-asymmetric", "inf-asymmetric"],
+    )
+    def test_non_finite_rejected(self, A):
+        with pytest.raises(DimensionMismatch, match="non-finite"):
+            cholesky_spd(np.array(A))
 
     def test_factor_reproduces_input(self):
         rng = np.random.default_rng(3)
