@@ -8,9 +8,12 @@ each side was trisected, and its diameter is cached by these levels.
 Live rectangles sit in one min-heap per diameter class, ordered by
 (center value, creation index) as in Gablonsky & Kelley (J. Global
 Optim. 2001): only a class's best rectangle can be potentially optimal,
-so each iteration reads the hull off the class heads alone.  The
-objective is vectorized and scores the probe points of one iteration in
-one call.  Deterministic for a given objective, bounds and configuration.
+so each iteration reads the hull off the class heads alone.  The classes
+alone decide grouping and order: they hand the hull one head per
+diameter, in ascending diameter, and the heads it selects are divided in
+that order.  The objective is vectorized and scores the probe points of
+one iteration in one call.  Deterministic for a given objective, bounds
+and configuration.
 """
 
 from __future__ import annotations
@@ -104,7 +107,8 @@ class _Classes(dict):
             heapq.heappush(self.setdefault(r.diameter, []), (r.f_center, r.index, r))
 
     def heads(self) -> list[Rect]:
-        return [heap[0][2] for heap in self.values() if heap]
+        """The best rect of each nonempty class, in ascending diameter."""
+        return [heap[0][2] for _, heap in sorted(self.items()) if heap]
 
 
 class _Evaluator:
@@ -146,60 +150,39 @@ class _Evaluator:
         return values.tolist()
 
 
-def potentially_optimal(rects: list[Rect], f_min: float, epsilon: float) -> list[int]:
-    """Indices of rectangles on the lower-right hull of (diameter, f_center).
+def potentially_optimal(heads: list[Rect], f_min: float, epsilon: float) -> list[int]:
+    """Indices of the heads on the lower-right hull of (diameter, f_center).
 
-    A rectangle qualifies if some slope K >= 0 makes it the minimizer of
+    heads holds one rect per diameter class, in ascending diameter, as
+    _Classes.heads() returns them; the indices come in that order.  A head
+    qualifies if some slope K >= 0 makes it the minimizer of
     f_center - K * diameter and achieves the epsilon improvement
-    f_center - K * diameter <= f_min - epsilon * |f_min|.
+    f_center - K * diameter <= f_min - epsilon * |f_min|.  The last hull
+    vertex always qualifies.
     """
-    if not rects:
-        return []
-    # One candidate per distinct diameter: lowest f, ties by creation index.
-    best_at: dict[float, int] = {}
-    for i, r in enumerate(rects):
-        d = r.diameter
-        j = best_at.get(d)
-        if (
-            j is None
-            or r.f_center < rects[j].f_center
-            or (r.f_center == rects[j].f_center and r.index < rects[j].index)
-        ):
-            best_at[d] = i
-    cands = sorted(best_at.items())  # ascending diameter
-    if len(cands) == 1:
-        return [cands[0][1]]
-
     # Lower convex hull over (diameter, f) by monotone chain.
-    hull: list[tuple[float, int]] = []
-    for d, i in cands:
-        f = rects[i].f_center
+    hull: list[tuple[float, float, int]] = []  # (diameter, f_center, index)
+    for i, r in enumerate(heads):
+        d, f = r.diameter, r.f_center
         while len(hull) >= 2:
-            d1, i1 = hull[-2]
-            d2, i2 = hull[-1]
-            f1, f2 = rects[i1].f_center, rects[i2].f_center
+            (d1, f1, _), (d2, f2, _) = hull[-2], hull[-1]
             # Drop the middle point unless it lies strictly below the chord.
             if (f2 - f1) * (d - d1) >= (f - f1) * (d2 - d1):
                 hull.pop()
             else:
                 break
-        hull.append((d, i))
+        hull.append((d, f, i))
 
     # K >= 0 restricts the hull to diameters at or beyond the min-f vertex.
-    fs = [rects[i].f_center for _, i in hull]
-    start = min(range(len(fs)), key=fs.__getitem__)  # the first minimum
+    start = min(range(len(hull)), key=lambda p: hull[p][1], default=0)  # the first minimum
     hull = hull[start:]
 
     selected: list[int] = []
-    for pos, (d, i) in enumerate(hull):
-        f = rects[i].f_center
-        if pos + 1 < len(hull):
-            d_next, i_next = hull[pos + 1]
-            k_max = (rects[i_next].f_center - f) / (d_next - d)
-            if f - k_max * d > f_min - epsilon * abs(f_min):
-                continue
-        selected.append(i)
-    return selected
+    for (d, f, i), (d_next, f_next, _) in zip(hull, hull[1:]):
+        k_max = (f_next - f) / (d_next - d)
+        if f - k_max * d <= f_min - epsilon * abs(f_min):
+            selected.append(i)
+    return selected + [i for _, _, i in hull[-1:]]
 
 
 def _probes(rect: Rect, budget: int) -> tuple[list[int], np.ndarray]:
@@ -277,14 +260,11 @@ def direct_minimize(
         if evaluate.remaining < 2:
             break
         heads = live.heads()
-        selected = potentially_optimal(heads, evaluate.best_f, config.epsilon)
-        if not selected:
-            break
-        # Divide in ascending diameter order for a stable schedule.
-        chosen = sorted((heads[i] for i in selected), key=lambda r: (r.diameter, r.index))
         budget = evaluate.remaining
         plans = []
-        for rect in chosen:
+        # In ascending diameter, as the hull returns them.
+        for i in potentially_optimal(heads, evaluate.best_f, config.epsilon):
+            rect = heads[i]
             heapq.heappop(live[rect.diameter])  # rect heads its class
             # Once the budget runs out a rect gets no probes and stays
             # whole, so the partition stays exact.

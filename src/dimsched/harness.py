@@ -169,6 +169,14 @@ def _format_subset(subset) -> str:
     return "-" if subset is None else "|".join(str(j) for j in subset)
 
 
+def _trace_row(iter_: int, subset, x, y, y_best, wall_ms, eval_ms, gp_size: int) -> str:
+    # repr(float(v)): a numpy scalar's repr reads "np.float64(...)".
+    floats = [*x, y, y_best, wall_ms, eval_ms]
+    return ",".join(
+        [str(iter_), _format_subset(subset)] + [repr(float(v)) for v in floats] + [str(gp_size)]
+    )
+
+
 def write_trace(path: str, result: RunResult) -> None:
     d = result.design.d
     header = (
@@ -181,25 +189,14 @@ def write_trace(path: str, result: RunResult) -> None:
     for i in range(result.design.n):
         y = float(result.design.Y[i])
         y_best = min(y_best, y)
-        row = (
-            [str(i), "-"]
-            + [repr(float(v)) for v in result.design.X[i]]
-            + [repr(y), repr(y_best), repr(0.0), repr(result.design_eval_ms[i]), str(i + 1)]
+        lines.append(
+            _trace_row(i, None, result.design.X[i], y, y_best, 0.0, result.design_eval_ms[i], i + 1)
         )
-        lines.append(",".join(row))
     for rec in result.records:
-        row = (
-            [str(rec.iter), _format_subset(rec.subset)]
-            + [repr(float(v)) for v in rec.x]
-            + [
-                repr(float(rec.y)),
-                repr(float(rec.y_best)),
-                repr(float(rec.wall_time_ms)),
-                repr(float(rec.eval_time_ms)),
-                str(rec.gp_size),
-            ]
+        lines.append(
+            _trace_row(rec.iter, rec.subset, rec.x, rec.y, rec.y_best,
+                       rec.wall_time_ms, rec.eval_time_ms, rec.gp_size)
         )
-        lines.append(",".join(row))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -181,10 +181,15 @@ def _run(
         design, design_ms = initial_design(objective, bounds, config.n_init, rng)
     else:
         design, design_ms = initial
+        if design.d != bounds.d:
+            raise DimensionMismatch(f"initial design is {design.d}-d, the box is {bounds.d}-d")
+        if len(design_ms) != design.n:
+            raise DimensionMismatch(
+                f"{len(design_ms)} eval times for an initial design of {design.n} points"
+            )
     incumbent = _design_incumbent(design)
 
     models: dict[tuple[int, ...], GpModel] = {}
-    observed_x = [row.copy() for row in design.X]
     probs: ProbabilityVector | None = None
     records: list[IterationRecord] = []
     aborted = False
@@ -200,7 +205,7 @@ def _run(
             return tuple(range(bounds.d))
         if assigned % config.pca_period == 0:
             probs = compute_dimension_probabilities(
-                np.asarray(observed_x), config.floor_eps
+                np.vstack([design.X, *(r.x for r in records)]), config.floor_eps
             )
         checked_out = {key for key, _, _ in pending}
         for _ in range(11):  # one draw, then up to 10 resamples
@@ -252,7 +257,6 @@ def _run(
             model, x_sub, y_new, retrain=retrain, rng=rng,
             retrain_max_iter=config.retrain_max_iter,
         )
-        observed_x.append(x_new.copy())
         if y_new < incumbent.value:
             incumbent = Incumbent(point=x_new.copy(), value=y_new)
         records.append(

@@ -242,7 +242,7 @@ class TestPotentiallyOptimal:
         return Rect(center=np.full(len(levels), 0.5), levels=levels, f_center=f, index=index)
 
     def oracle(self, rects, f_min, eps):
-        """Brute force over a dense K grid."""
+        """Brute force over a dense K grid: the indices of the selected rects."""
         selected = set()
         diams = [r.diameter for r in rects]
         fs = [r.f_center for r in rects]
@@ -251,8 +251,15 @@ class TestPotentiallyOptimal:
             m = min(scores)
             for j, s in enumerate(scores):
                 if abs(s - m) < 1e-12 and s <= f_min - eps * abs(f_min) + 1e-12:
-                    selected.add(j)
+                    selected.add(rects[j].index)
         return selected
+
+    def select(self, rects, f_min, eps):
+        """The indices of the rects the hull selects from rects' class heads."""
+        live = _Classes()
+        live.push(rects)
+        heads = live.heads()
+        return [heads[i].index for i in potentially_optimal(heads, f_min, eps)]
 
     def test_single_rect_selected(self):
         r = self.rect([0], 3.0, 0)
@@ -260,7 +267,8 @@ class TestPotentiallyOptimal:
 
     def test_equal_diameter_dominance(self):
         rects = [self.rect([0, 0], 2.0, 0), self.rect([0, 0], 1.0, 1)]
-        assert potentially_optimal(rects, 1.0, 1e-4) == [1]
+        assert self.select(rects, 1.0, 1e-4) == [1]
+        assert self.oracle(rects, 1.0, 1e-4) == {1}
 
     def test_hand_built_config_matches_k_sweep(self):
         # Four rects across three diameters; hull membership vs K-sweep.
@@ -270,7 +278,7 @@ class TestPotentiallyOptimal:
             self.rect([1, 1], 4.5, 2),
             self.rect([1, 1], 6.0, 3),
         ]
-        got = set(potentially_optimal(rects, 4.0, 1e-4))
+        got = set(self.select(rects, 4.0, 1e-4))
         expected = self.oracle(rects, 4.0, 1e-4)
         assert got == expected
 
@@ -282,14 +290,18 @@ class TestPotentiallyOptimal:
                 depth = rng.integers(0, 4, size=2)
                 rects.append(self.rect(depth, float(rng.uniform(0, 10)), i))
             f_min = min(r.f_center for r in rects)
-            got = set(potentially_optimal(rects, f_min, 1e-4))
+            got = self.select(rects, f_min, 1e-4)
             expected = self.oracle(rects, f_min, 1e-4)
-            assert got == expected
+            assert set(got) == expected
+            # The selection comes in ascending diameter, the order DIRECT divides in.
+            diameters = [rects[i].diameter for i in got]
+            assert diameters == sorted(set(diameters))
 
     def test_class_heads_select_as_full_set(self):
-        # direct_minimize passes the hull only the head of each diameter
-        # class; it must pick the same rects as the full set would.  Values
-        # on a coarse grid tie often, so the index tie-break is exercised.
+        # The hull sees only the class heads, so they must be the rects the
+        # full set would offer it: one per diameter, the least
+        # (f_center, index), in strictly ascending diameter.  Values on a
+        # coarse grid tie often, so the index tie-break is exercised.
         rng = np.random.default_rng(13)
         for _ in range(200):
             n = int(rng.integers(1, 16))
@@ -300,11 +312,16 @@ class TestPotentiallyOptimal:
             live = _Classes()
             live.push(rects)
             heads = live.heads()
+            best: dict[float, Rect] = {}
+            for r in rects:
+                b = best.get(r.diameter)
+                if b is None or (r.f_center, r.index) < (b.f_center, b.index):
+                    best[r.diameter] = r
+            assert [r.index for r in heads] == [best[d].index for d in sorted(best)]
+            # The last hull vertex, the largest head, is always selected.
             f_min = min(r.f_center for r in rects) - float(rng.uniform(0, 1))
-            full = [rects[i] for i in potentially_optimal(rects, f_min, 1e-4)]
-            from_heads = [heads[i] for i in potentially_optimal(heads, f_min, 1e-4)]
-            assert {r.index for r in from_heads} == {r.index for r in full}
-            assert len(heads) == len({r.diameter for r in rects})
+            selected = potentially_optimal(heads, f_min, 1e-4)
+            assert selected == sorted(set(selected)) and selected[-1] == len(heads) - 1
 
 
 class TestTrisect:

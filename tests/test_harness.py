@@ -151,6 +151,22 @@ class TestTracePersistence:
         write_trace(path, run_bo(sphere, bounds, config, initial=initial))
         assert [row.iter for row in read_trace(path)] == list(range(7 + 3))
 
+    def test_round_trip_numpy_eval_times(self, tmp_path):
+        # Eval times as numpy floats must be written as plain floats, not
+        # as their repr "np.float64(0.25)", which read_trace rejects.
+        bounds = Bounds([-1.0, -1.0], [1.0, 1.0])
+        design, _ = initial_design(sphere, bounds, 4, np.random.default_rng(0))
+        config = RunConfig(
+            n_init=4, max_iter=2, seed=0,
+            direct_config=DirectConfig(max_evals=60, max_iters=20),
+        )
+        result = run_bo(sphere, bounds, config, initial=(design, np.full(4, 0.25)))
+        path = str(tmp_path / "trace.csv")
+        write_trace(path, result)
+        rows = read_trace(path)
+        assert [row.eval_ms for row in rows[:4]] == [0.25] * 4
+        assert [row.eval_ms for row in rows[4:]] == [r.eval_time_ms for r in result.records]
+
     def test_bad_header(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("step,subset,x0,y,y_best,wall_ms,eval_ms,gp_size\n")

@@ -56,6 +56,27 @@ class TestInitialDesign:
         design, _ = initial_design(sphere, bounds, 5, np.random.default_rng(2))
         assert design.Y.min() == min(sphere(x) for x in design.X)
 
+    @pytest.mark.parametrize("run", [run_bo, run_dsa])
+    def test_design_of_other_dimension_rejected(self, run):
+        # A 3-d design on a 2-d box is refused before any evaluation, not
+        # run on 3-d points (run_bo) or failed with an IndexError (run_dsa).
+        initial = initial_design(sphere, Bounds([-1.0] * 3, [1.0] * 3), 5, np.random.default_rng(0))
+        objective = CountingObjective(sphere)
+        config = RunConfig(n_init=5, max_iter=2, direct_config=small_direct())
+        with pytest.raises(DimensionMismatch, match="initial design is 3-d, the box is 2-d"):
+            run(objective, Bounds([-1.0, -1.0], [1.0, 1.0]), config, initial=initial)
+        assert objective.calls == 0
+
+    def test_eval_times_of_other_length_rejected(self):
+        # Too few eval times would fail only later, in write_trace.
+        bounds = Bounds([-1.0, -1.0], [1.0, 1.0])
+        design, eval_ms = initial_design(sphere, bounds, 5, np.random.default_rng(0))
+        objective = CountingObjective(sphere)
+        config = RunConfig(n_init=5, max_iter=2, direct_config=small_direct())
+        with pytest.raises(DimensionMismatch, match="4 eval times for an initial design of 5"):
+            run_bo(objective, bounds, config, initial=(design, eval_ms[:4]))
+        assert objective.calls == 0
+
 
 class TestRunConfig:
     @pytest.mark.parametrize(
