@@ -30,8 +30,11 @@ def expected_improvement(ctx: AcquisitionContext, x):
     sigma = np.sqrt(var)
     gap = ctx.y_best - mu
     flat = sigma < _SIGMA_EPS
-    z = gap / np.where(flat, 1.0, sigma)
-    ei = np.where(flat, gap, gap * std_normal_cdf(z) + sigma * std_normal_pdf(z))
+    any_flat = flat.any()
+    z = gap / (np.where(flat, 1.0, sigma) if any_flat else sigma)
+    ei = gap * std_normal_cdf(z) + sigma * std_normal_pdf(z)
+    if any_flat:
+        ei = np.where(flat, gap, ei)
     np.maximum(ei, 0.0, out=ei)
     return ei if x.ndim == 2 else float(ei[0])
 

@@ -59,6 +59,16 @@ class Dataset:
         return self.X.shape[1]
 
     @cached_property
+    def columns(self) -> np.ndarray:
+        """X's coordinate columns, (d, n): a C-contiguous, read-only copy of X.T.
+
+        Every cross-covariance against this dataset is built from it.
+        """
+        Xt = np.ascontiguousarray(self.X.T)
+        Xt.flags.writeable = False
+        return Xt
+
+    @cached_property
     def sq_diffs(self) -> np.ndarray:
         """Squared coordinate differences, (n*n, d): row i*n + j is (x_i - x_j)**2.
 
@@ -66,7 +76,7 @@ class Dataset:
         kernel it needs is exp(sq_diffs @ w) for some weights w.  The array
         is in Fortran order, which halves the time of those products.
         """
-        Xt = np.ascontiguousarray(self.X.T)
+        Xt = self.columns
         diff = Xt[:, :, None] - Xt[:, None, :]
         diff *= diff
         return diff.reshape(self.d, -1).T
@@ -85,22 +95,26 @@ class KernelHyperparams:
     log_noise_variance: float
 
     def __post_init__(self):
-        ls = np.asarray(self.log_lengthscales, dtype=float).ravel()
+        # A read-only copy, so the values cached from it cannot go stale.
+        ls = np.array(self.log_lengthscales, dtype=float).ravel()
+        ls.flags.writeable = False
         object.__setattr__(self, "log_lengthscales", ls)
 
     @property
     def d(self) -> int:
         return self.log_lengthscales.shape[0]
 
-    @property
+    @cached_property
     def lengthscales(self) -> np.ndarray:
-        return np.exp(self.log_lengthscales)
+        ls = np.exp(self.log_lengthscales)
+        ls.flags.writeable = False
+        return ls
 
-    @property
+    @cached_property
     def signal_variance(self) -> float:
         return math.exp(self.log_signal_variance)
 
-    @property
+    @cached_property
     def noise_variance(self) -> float:
         return math.exp(self.log_noise_variance)
 
@@ -144,15 +158,64 @@ def se_kernel(x, x2, hyper: KernelHyperparams) -> float:
     return hyper.signal_variance * math.exp(-0.5 * float(diff @ diff))
 
 
-def kernel_matrix(X, X2, hyper: KernelHyperparams) -> np.ndarray:
-    """Cross-covariance matrix k(X, X2), from direct coordinate differences."""
-    X = np.asarray(X, dtype=float)
-    diff = np.asarray(X2, dtype=float) - X[:, None, :]
-    diff /= hyper.lengthscales
+def _coordinate_sum(sq: np.ndarray) -> np.ndarray:
+    """Sum of a (d, ...) array over its first axis, in place in sq.
+
+    The terms are added in the order in which ``np.add.reduce`` sums a
+    contiguous last axis of length d, so the result is bit-identical to
+    that reduction over a (..., d) layout.  Below 8 terms that order is
+    sequential.  From 8 to 128 terms, eight running sums r0..r7 take every
+    eighth term, are combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), and
+    the d mod 8 terms left are added in sequence.  Longer sums split in
+    two, the first part a multiple of 8 long.
+    """
+    d = sq.shape[0]
+    if d < 8:
+        for k in range(1, d):
+            sq[0] += sq[k]
+        return sq[0]
+    if d > 128:
+        half = d // 2
+        half -= half % 8
+        head = _coordinate_sum(sq[:half])
+        head += _coordinate_sum(sq[half:])
+        return head
+    blocked = d - d % 8
+    r = sq[:8]
+    for i in range(8, blocked, 8):
+        r += sq[i : i + 8]
+    r[0::2] += r[1::2]
+    r[0::4] += r[2::4]
+    r[0] += r[4]
+    for k in range(blocked, d):
+        r[0] += sq[k]
+    return r[0]
+
+
+def _cross_cov(Xt: np.ndarray, X2t: np.ndarray, hyper: KernelHyperparams) -> np.ndarray:
+    """k(X, X2), (m, n), from coordinate-major Xt (d, m) and X2t (d, n).
+
+    The differences are laid out (d, m, n), so subtracting, dividing by
+    the lengthscale and squaring each run over whole rows of n, and the
+    coordinates are summed in ``np.add.reduce``'s order (see
+    ``_coordinate_sum``): k(x, x') is bit-identical to
+    sf2 * exp(-0.5 * np.add.reduce(((x' - x) / ell)**2)).
+    """
+    diff = X2t[:, None, :] - Xt[:, :, None]
+    diff /= hyper.lengthscales[:, None, None]
     diff *= diff
-    K = np.exp(-0.5 * np.add.reduce(diff, axis=2))
+    K = _coordinate_sum(diff)
+    K *= -0.5
+    np.exp(K, out=K)
     K *= hyper.signal_variance
     return K
+
+
+def kernel_matrix(X, X2, hyper: KernelHyperparams) -> np.ndarray:
+    """Cross-covariance matrix k(X, X2), from direct coordinate differences."""
+    Xt = np.ascontiguousarray(np.asarray(X, dtype=float).T)
+    X2t = np.ascontiguousarray(np.asarray(X2, dtype=float).T)
+    return _cross_cov(Xt, X2t, hyper)
 
 
 def gp_fit(data: Dataset, hyper: KernelHyperparams) -> GpModel:
@@ -173,7 +236,7 @@ def gp_predict(model: GpModel, x_star):
     X = x_star.reshape(1, -1) if point else x_star
     if X.ndim != 2 or X.shape[1] != model.d:
         raise DimensionMismatch(f"test points of shape {x_star.shape} for a {model.d}-d model")
-    k_star = kernel_matrix(X, model.data.X, model.hyper)
+    k_star = _cross_cov(np.ascontiguousarray(X.T), model.data.columns, model.hyper)
     mean = model.mean_shift + k_star @ model.alpha
     v = solve_tri(model.factor.L, k_star.T, lower=True)
     var = model.hyper.signal_variance - np.add.reduce(v * v, axis=0)
@@ -425,7 +488,7 @@ def gp_augment(
             max_iter=retrain_max_iter,
         )
         return gp_fit(data, hyper)
-    k_new = kernel_matrix(data.X[-1:], model.data.X, hyper)[0]
+    k_new = _cross_cov(data.columns[:, -1:], model.data.columns, hyper)[0]
     try:
         factor = chol_append(
             model.factor, k_new, hyper.signal_variance + hyper.noise_variance

@@ -141,10 +141,6 @@ def solve_chol(factor: CholFactor, b) -> np.ndarray:
     return solve_tri(factor.L.T, z, lower=False)
 
 
-# Elementwise math.erfc: numpy has none, and scipy.special is slow to import.
-_erfc = np.frompyfunc(math.erfc, 1, 1)
-
-
 def std_normal_pdf(z):
     """Standard normal density, elementwise."""
     return np.exp(-0.5 * z * z) / _SQRT_2PI
@@ -152,5 +148,8 @@ def std_normal_pdf(z):
 
 def std_normal_cdf(z):
     """Standard normal distribution function, elementwise."""
-    # erfc form keeps full accuracy in the left tail.
-    return 0.5 * np.asarray(_erfc(-z / _SQRT_2), dtype=float)
+    # erfc form keeps full accuracy in the left tail.  numpy has no erfc,
+    # and scipy.special is slow to import, so math.erfc maps over the values.
+    w = np.asarray(-z / _SQRT_2, dtype=float)
+    erfc = np.fromiter(map(math.erfc, w.ravel().tolist()), dtype=float, count=w.size)
+    return 0.5 * erfc.reshape(w.shape)

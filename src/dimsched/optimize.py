@@ -64,6 +64,10 @@ class RunConfig:
         ):
             if getattr(self, key) < least:
                 raise ValueError(f"{key} must be >= {least}")
+        # Outside [0, 1] the scheduling weights can go negative; nan fails
+        # the subset draw mid-run.
+        if not 0.0 <= self.floor_eps <= 1.0:
+            raise ValueError(f"floor_eps must be in [0, 1], got {self.floor_eps}")
 
 
 @dataclass(frozen=True)
@@ -186,6 +190,13 @@ def _run(
         if len(design_ms) != design.n:
             raise DimensionMismatch(
                 f"{len(design_ms)} eval times for an initial design of {design.n} points"
+            )
+        # run_dsa copies the clamped coordinates from the incumbent.
+        outside = ~((design.X >= bounds.lower) & (design.X <= bounds.upper)).all(axis=1)
+        if outside.any():
+            raise DimensionMismatch(
+                f"initial design has {int(outside.sum())} points outside the box, "
+                f"the first at row {int(outside.argmax())}"
             )
     incumbent = _design_incumbent(design)
 

@@ -24,6 +24,7 @@ from dimsched.gp import (
     se_kernel,
     train_hyperparams,
 )
+from dimsched.linalg import solve_tri
 
 
 def hyper(d, ls=1.0, sf2=1.0, sn2=1e-2):
@@ -87,6 +88,77 @@ class TestSeKernel:
     def test_dim_mismatch(self):
         with pytest.raises(DimensionMismatch):
             se_kernel([0.0], [1.0, 2.0], hyper(1))
+
+
+def reduce_kernel(X, X2, h):
+    """k(X, X2) as one (m, n, d) broadcast summed by np.add.reduce over d."""
+    diff = np.asarray(X2, dtype=float) - np.asarray(X, dtype=float)[:, None, :]
+    diff /= np.exp(h.log_lengthscales)
+    diff *= diff
+    K = np.exp(-0.5 * np.add.reduce(diff, axis=2))
+    K *= math.exp(h.log_signal_variance)
+    return K
+
+
+class TestKernelBits:
+    """The coordinate-major kernel must reproduce the broadcast formula bit for bit."""
+
+    def test_matches_reduce_formula(self):
+        rng = np.random.default_rng(21)
+        for d in range(1, 21):  # numpy's reduction changes order at d = 8 and 16
+            for m, n in ((1, 1), (1, 17), (9, 1), (int(rng.integers(2, 30)), 40)):
+                X = rng.uniform(-5.0, 5.0, size=(m, d))
+                X2 = rng.uniform(-5.0, 5.0, size=(n, d))
+                X2[0, : d // 2] = X[0, : d // 2]  # some zero differences
+                for lo, hi in ((-0.5, 1.5), (-40.0, 20.0)):
+                    log_ls = rng.uniform(lo, hi, size=d)
+                    h = KernelHyperparams(log_ls, float(rng.uniform(-5, 5)), -3.0)
+                    K = kernel_matrix(X, X2, h)
+                    assert K.shape == (m, n)
+                    assert np.array_equal(K, reduce_kernel(X, X2, h)), (d, m, n, lo)
+
+    def test_coordinate_sum_in_reduce_order(self):
+        # Past 128 terms numpy splits the sum in two; that path is pinned too.
+        rng = np.random.default_rng(22)
+        for d in (*range(1, 41), 127, 128, 129, 200, 300):
+            terms = rng.standard_normal((3, 5, d)) * np.exp(rng.uniform(-20.0, 20.0, size=d))
+            terms *= terms
+            expected = np.add.reduce(terms, axis=2)
+            got = gp_module._coordinate_sum(np.ascontiguousarray(terms.transpose(2, 0, 1)))
+            assert np.array_equal(got, expected), d
+
+    def test_predict_and_augment_use_the_same_bits(self):
+        rng = np.random.default_rng(23)
+        data, h = random_instance(rng, n=12, d=10)
+        model = gp_fit(data, h)
+        X_star = rng.uniform(-2, 2, size=(7, 10))
+        k_star = reduce_kernel(X_star, data.X, h)
+        mean, _ = gp_predict(model, X_star)
+        assert np.array_equal(mean, model.mean_shift + k_star @ model.alpha)
+        x_new = rng.uniform(-2, 2, size=10)
+        grown = gp_augment(model, x_new, 0.3, retrain=False)
+        row = solve_tri(model.factor.L, reduce_kernel(x_new[None, :], data.X, h)[0], lower=True)
+        assert np.array_equal(grown.factor.L[-1, :-1], row)
+
+    def test_cached_constants_are_exact_and_read_only(self):
+        log_ls = np.array([-3.0, 0.25, 7.0])
+        h = KernelHyperparams(log_ls, 1.5, -4.0)
+        assert np.array_equal(h.lengthscales, np.exp(log_ls))
+        assert h.signal_variance == math.exp(1.5)
+        assert h.noise_variance == math.exp(-4.0)
+        assert h.lengthscales is h.lengthscales
+        for array in (h.lengthscales, h.log_lengthscales):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
+        log_ls[0] = 9.0  # the caller's array is not the model's
+        assert h.log_lengthscales[0] == -3.0
+        assert h.lengthscales[0] == math.exp(-3.0)
+
+    def test_dataset_columns(self):
+        data = Dataset(np.arange(12.0).reshape(4, 3), np.zeros(4))
+        assert np.array_equal(data.columns, data.X.T)
+        assert data.columns.flags.c_contiguous
+        assert not data.columns.flags.writeable
 
 
 class TestFitPredict:

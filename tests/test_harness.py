@@ -93,8 +93,13 @@ class TestConfigLoading:
             ("n_init = 4", "n_init = 4\nretrain_period = 0", "retrain_period must be >= 1"),
             ("n_init = 4", "n_init = 4\ntrain_restarts = 0", "train_restarts must be >= 1"),
             ("n_init = 4", "n_init = 1", "n_init must be >= 2"),
+            ("n_init = 4", "n_init = 4\nfloor_eps = nan", r"floor_eps must be in \[0, 1\]"),
+            ("n_init = 4", "n_init = 4\nfloor_eps = 2.0", r"floor_eps must be in \[0, 1\]"),
         ],
-        ids=["workers", "pca_period", "retrain_period", "train_restarts", "n_init"],
+        ids=[
+            "workers", "pca_period", "retrain_period", "train_restarts", "n_init",
+            "floor_eps_nan", "floor_eps_above_one",
+        ],
     )
     def test_out_of_range_rejected(self, tmp_path, old, new, message):
         text = FAST_CONFIG.replace(old, new)

@@ -1,13 +1,20 @@
-"""The attributes that perfbench's layer trace wraps by name must exist.
+"""perfbench's layer trace must find, time and put back what it wraps.
 
 ``perfbench/layertrace.py`` replaces dimsched functions by module and
-attribute name, so renaming one of them breaks ``perfbench/run.py --trace 1``
-without failing any other test.  This file only imports that module.
+attribute name, so renaming one of them, or calling a layer under another
+name, breaks ``perfbench/run.py --trace 1`` without failing any other
+test.  This file imports that module and traces two short runs.
 """
 
 import importlib.util
 import sys
 from pathlib import Path
+
+import numpy as np
+
+from dimsched.direct import DirectConfig
+from dimsched.objectives import benchmark_catalog
+from dimsched.optimize import RunConfig, initial_design, run_bo, run_dsa
 
 LAYERTRACE = Path(__file__).resolve().parent.parent / "perfbench" / "layertrace.py"
 
@@ -29,3 +36,36 @@ def test_every_traced_attribute_exists():
         if not callable(getattr(module, attr, None))
     ]
     assert missing == []
+
+
+def test_spans_record_calls_and_leave_records_unchanged():
+    # A span that reads 0 on working code (a layer called under another
+    # name) and a tracer that changes what it traces both fail here.
+    spec = benchmark_catalog()["styblinski_tang-4"]
+    config = RunConfig(
+        n_init=6, max_iter=4, retrain_period=2, train_max_iter=20, retrain_max_iter=5,
+        direct_config=DirectConfig(max_evals=40, max_iters=10),
+    )
+
+    def runs():
+        out = []
+        for run in (run_bo, run_dsa):
+            initial = initial_design(spec.evaluator, spec.bounds, 6, np.random.default_rng(0))
+            result = run(spec.evaluator, spec.bounds, config, initial=initial)
+            out.append([(r.subset, r.x.tolist(), r.y, r.y_best, r.gp_size) for r in result.records])
+        return out
+
+    untraced = runs()
+    tracer = load_layertrace().Tracer()
+    tracer.install()
+    try:
+        traced = runs()
+    finally:
+        restored = tracer.restore()
+    assert restored
+    assert traced == untraced
+    for name in (
+        "gp.predict", "acquisition.ei", "gp.augment", "linalg.cholesky", "direct",
+        "direct.potentially_optimal",
+    ):
+        assert tracer.span(name).calls > 0, name

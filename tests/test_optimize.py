@@ -7,6 +7,7 @@ import pytest
 from dimsched import acquisition
 from dimsched.direct import Bounds, DirectConfig
 from dimsched.errors import DimensionMismatch, NonFiniteAcquisition, NonFiniteObjective
+from dimsched.gp import Dataset
 from dimsched.objectives import benchmark_catalog
 from dimsched.optimize import (
     RunConfig,
@@ -67,6 +68,21 @@ class TestInitialDesign:
             run(objective, Bounds([-1.0, -1.0], [1.0, 1.0]), config, initial=initial)
         assert objective.calls == 0
 
+    @pytest.mark.parametrize("run", [run_bo, run_dsa])
+    def test_design_outside_box_rejected(self, run):
+        # A best design point outside the box would be the incumbent that
+        # run_dsa copies its clamped coordinates from.
+        bounds = Bounds([-1.0] * 3, [1.0] * 3)
+        design, eval_ms = initial_design(sphere, bounds, 5, np.random.default_rng(0))
+        X = design.X.copy()
+        X[2] = 5.0
+        initial = (Dataset(X, np.where(np.arange(5) == 2, -1.0, design.Y)), eval_ms)
+        objective = CountingObjective(sphere)
+        config = RunConfig(n_init=5, max_iter=2, direct_config=small_direct())
+        with pytest.raises(DimensionMismatch, match="1 points outside the box, the first at row 2"):
+            run(objective, bounds, config, initial=initial)
+        assert objective.calls == 0
+
     def test_eval_times_of_other_length_rejected(self):
         # Too few eval times would fail only later, in write_trace.
         bounds = Bounds([-1.0, -1.0], [1.0, 1.0])
@@ -89,6 +105,17 @@ class TestRunConfig:
         with pytest.raises(ValueError, match=f"{key} must be >= {least}"):
             RunConfig(**{key: least - 1})
         assert getattr(RunConfig(**{key: least}), key) == least
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -0.5, 2.0])
+    def test_floor_eps_outside_unit_interval_rejected(self, value):
+        # nan used to fail the subset draw mid-run; values outside [0, 1]
+        # gave negative scheduling weights.
+        with pytest.raises(ValueError, match=r"floor_eps must be in \[0, 1\]"):
+            RunConfig(floor_eps=value)
+
+    def test_floor_eps_ends_accepted(self):
+        assert RunConfig(floor_eps=0.0).floor_eps == 0.0
+        assert RunConfig(floor_eps=1.0).floor_eps == 1.0
 
 
 class TestRunBo:
