@@ -1,9 +1,16 @@
 """Experiment harness: campaign config files, trace/summary persistence,
 convergence plots, and the timing report.
 
+The [run] and [direct] config keys are the fields of ``RunConfig`` (less
+``seed``, set per run, and ``direct_config``, the [direct] section) and
+of ``DirectConfig``; each value is parsed to the type of its field's
+default.  [campaign] algorithms names loops: bo, dsa, dsa-parallel.
+
 Trace CSV schema (fixed): iter,subset,x0..x{d-1},y,y_best,wall_ms,eval_ms,gp_size
-The subset column is '-' for full-space rows (classical BO and the
-initial design); dimension-scheduled rows join the subset with '|'.
+One row per ``IterationRecord``, which ``read_trace`` returns; the
+initial design's rows come first, with zero wall time.  The subset
+column is '-' for full-space rows (classical BO and the initial
+design); dimension-scheduled rows join the subset with '|'.
 """
 
 from __future__ import annotations
@@ -12,23 +19,26 @@ import configparser
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
-from .direct import Bounds, DirectConfig
+from .direct import DirectConfig
 from .errors import ConfigError, ParseError, RunAborted
-from .objectives import ObjectiveSpec, benchmark_catalog
-from .optimize import Dataset, RunConfig, RunResult, initial_design, run_bo, run_dsa, run_dsa_parallel
+from .objectives import benchmark_catalog
+from .optimize import IterationRecord, RunConfig, RunResult, initial_design, run_bo, run_dsa, run_dsa_parallel
 
-_ALGORITHMS = ("bo", "dsa", "dsa-parallel")
+_LOOPS = {"bo": run_bo, "dsa": run_dsa, "dsa-parallel": run_dsa_parallel}
 
 _CAMPAIGN_KEYS = {"objective", "algorithms", "runs", "output_dir", "workers", "base_seed"}
-_RUN_KEYS = {
-    "n_init", "max_iter", "subset_size", "pca_period", "floor_eps",
-    "retrain_period", "train_restarts", "train_max_iter", "retrain_max_iter",
+# Each section's keys with the type their values parse to.
+_SECTION_TYPES = {
+    "run": {
+        f.name: type(f.default) for f in fields(RunConfig)
+        if f.name not in ("seed", "direct_config")
+    },
+    "direct": {f.name: type(f.default) for f in fields(DirectConfig)},
 }
-_DIRECT_KEYS = {"max_evals", "max_iters", "epsilon"}
 
 
 @dataclass(frozen=True)
@@ -40,6 +50,18 @@ class CampaignConfig:
     output_dir: str = "out"
     workers: int = 1
     base_seed: int = 0
+
+    def __post_init__(self):
+        # Checked here, not in the file loader, so that a config built in
+        # code fails before run_campaign creates or evaluates anything.
+        for a in self.algorithms:
+            if a not in _LOOPS:
+                raise ConfigError(f"unknown algorithm {a!r}")
+        if not self.algorithms:
+            raise ConfigError("[campaign] algorithms must list at least one algorithm")
+        for key in ("runs", "workers"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"[campaign] {key} must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -100,7 +122,7 @@ def load_campaign_config(path: str) -> CampaignConfig:
     if not read:
         raise ConfigError(f"config file not found: {path}")
 
-    allowed = {"campaign": _CAMPAIGN_KEYS, "run": _RUN_KEYS, "direct": _DIRECT_KEYS}
+    allowed = {"campaign": _CAMPAIGN_KEYS, **_SECTION_TYPES}
     for section in parser.sections():
         if section not in allowed:
             raise ConfigError(f"unknown section [{section}]")
@@ -118,36 +140,22 @@ def load_campaign_config(path: str) -> CampaignConfig:
         raise ConfigError(f"unknown objective {objective!r}")
     algos_raw = camp.get("algorithms", "bo, dsa")
     algorithms = tuple(a.strip() for a in algos_raw.split(",") if a.strip())
-    for a in algorithms:
-        if a not in _ALGORITHMS:
-            raise ConfigError(f"unknown algorithm {a!r}")
-    if not algorithms:
-        raise ConfigError("[campaign] algorithms must list at least one algorithm")
     runs = _parse_typed("campaign", "runs", camp.get("runs", "4"), int)
-    if runs < 1:
-        raise ConfigError("[campaign] runs must be >= 1")
     workers = _parse_typed("campaign", "workers", camp.get("workers", "1"), int)
-    if workers < 1:
-        raise ConfigError("[campaign] workers must be >= 1")
 
-    run_kwargs = {}
-    if "run" in parser:
-        sec = parser["run"]
-        for key in sec:
-            kind = float if key == "floor_eps" else int
-            run_kwargs[key] = _parse_typed("run", key, sec[key], kind)
-    direct_kwargs = {}
-    if "direct" in parser:
-        sec = parser["direct"]
-        for key in sec:
-            kind = float if key == "epsilon" else int
-            direct_kwargs[key] = _parse_typed("direct", key, sec[key], kind)
+    kwargs = {}
+    for section, types in _SECTION_TYPES.items():
+        if section in parser:
+            kwargs[section] = {
+                key: _parse_typed(section, key, raw, types[key])
+                for key, raw in parser[section].items()
+            }
     try:
-        direct_config = DirectConfig(**direct_kwargs)
+        direct_config = DirectConfig(**kwargs.get("direct", {}))
     except ValueError as exc:
         raise ConfigError(f"[direct] {exc}") from exc
     try:
-        run_config = RunConfig(direct_config=direct_config, **run_kwargs)
+        run_config = RunConfig(direct_config=direct_config, **kwargs.get("run", {}))
     except ValueError as exc:
         raise ConfigError(f"[run] {exc}") from exc
 
@@ -169,11 +177,13 @@ def _format_subset(subset) -> str:
     return "-" if subset is None else "|".join(str(j) for j in subset)
 
 
-def _trace_row(iter_: int, subset, x, y, y_best, wall_ms, eval_ms, gp_size: int) -> str:
+def _trace_row(rec: IterationRecord) -> str:
     # repr(float(v)): a numpy scalar's repr reads "np.float64(...)".
-    floats = [*x, y, y_best, wall_ms, eval_ms]
+    floats = [*rec.x, rec.y, rec.y_best, rec.wall_time_ms, rec.eval_time_ms]
     return ",".join(
-        [str(iter_), _format_subset(subset)] + [repr(float(v)) for v in floats] + [str(gp_size)]
+        [str(rec.iter), _format_subset(rec.subset)]
+        + [repr(float(v)) for v in floats]
+        + [str(rec.gp_size)]
     )
 
 
@@ -184,36 +194,24 @@ def write_trace(path: str, result: RunResult) -> None:
         + [f"x{j}" for j in range(d)]
         + ["y", "y_best", "wall_ms", "eval_ms", "gp_size"]
     )
-    lines = [",".join(header)]
+    design_rows = []
     y_best = math.inf
     for i in range(result.design.n):
         y = float(result.design.Y[i])
         y_best = min(y_best, y)
-        lines.append(
-            _trace_row(i, None, result.design.X[i], y, y_best, 0.0, result.design_eval_ms[i], i + 1)
+        design_rows.append(
+            IterationRecord(
+                iter=i, subset=None, x=result.design.X[i], y=y, y_best=y_best,
+                wall_time_ms=0.0, eval_time_ms=result.design_eval_ms[i], gp_size=i + 1,
+            )
         )
-    for rec in result.records:
-        lines.append(
-            _trace_row(rec.iter, rec.subset, rec.x, rec.y, rec.y_best,
-                       rec.wall_time_ms, rec.eval_time_ms, rec.gp_size)
-        )
+    lines = [",".join(header)] + [_trace_row(r) for r in design_rows + result.records]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
-@dataclass(frozen=True)
-class TraceRow:
-    iter: int
-    subset: tuple[int, ...] | None
-    x: np.ndarray
-    y: float
-    y_best: float
-    wall_ms: float
-    eval_ms: float
-    gp_size: int
-
-
-def read_trace(path: str) -> list[TraceRow]:
+def read_trace(path: str) -> list[IterationRecord]:
+    """The rows of a trace written by ``write_trace``, design rows first."""
     with open(path) as fh:
         lines = [ln for ln in fh.read().splitlines() if ln.strip()]
     if not lines:
@@ -236,14 +234,14 @@ def read_trace(path: str) -> list[TraceRow]:
                 int(s) for s in parts[1].split("|")
             )
             rows.append(
-                TraceRow(
+                IterationRecord(
                     iter=int(parts[0]),
                     subset=subset,
                     x=np.array([float(v) for v in parts[2 : 2 + d]]),
                     y=float(parts[2 + d]),
                     y_best=float(parts[3 + d]),
-                    wall_ms=float(parts[4 + d]),
-                    eval_ms=float(parts[5 + d]),
+                    wall_time_ms=float(parts[4 + d]),
+                    eval_time_ms=float(parts[5 + d]),
                     gp_size=int(parts[6 + d]),
                 )
             )
@@ -255,32 +253,12 @@ def read_trace(path: str) -> list[TraceRow]:
 # --- campaign --------------------------------------------------------------
 
 
-def _run_algorithm(
-    algorithm: str,
-    spec: ObjectiveSpec,
-    run_config: RunConfig,
-    workers: int,
-    initial: tuple[Dataset, list[float]],
-) -> RunResult:
-    if algorithm == "bo":
-        return run_bo(spec.evaluator, spec.bounds, run_config, initial=initial)
-    if algorithm == "dsa":
-        return run_dsa(spec.evaluator, spec.bounds, run_config, initial=initial)
-    if algorithm == "dsa-parallel":
-        return run_dsa_parallel(
-            spec.evaluator, spec.bounds, run_config, workers=workers, initial=initial
-        )
-    raise ConfigError(f"unknown algorithm {algorithm!r}")
-
-
 def run_campaign(config: CampaignConfig) -> CampaignSummary:
     """Seeded runs of each algorithm; compared runs share the initial design.
 
     Writes one trace CSV per (algorithm, run) and summary.json into
     output_dir.  Raises if any run aborts (after writing what exists).
     """
-    from dataclasses import replace
-
     spec = benchmark_catalog()[config.objective_name]
     os.makedirs(config.output_dir, exist_ok=True)
     entries = []
@@ -293,9 +271,9 @@ def run_campaign(config: CampaignConfig) -> CampaignSummary:
         )
         for algorithm in config.algorithms:
             run_config = replace(config.run_config, seed=seed)
-            result = _run_algorithm(
-                algorithm, spec, run_config, config.workers, initial
-            )
+            loop = _LOOPS[algorithm]
+            workers = {"workers": config.workers} if loop is run_dsa_parallel else {}
+            result = loop(spec.evaluator, spec.bounds, run_config, initial=initial, **workers)
             any_aborted = any_aborted or result.aborted
             trace_path = os.path.join(
                 config.output_dir,

@@ -170,7 +170,7 @@ def _run(
     coordinate set as their only key and draw no scheduler randomness.
     """
     if workers < 1:
-        raise DimensionMismatch("workers must be >= 1")
+        raise ValueError(f"workers must be >= 1, got {workers}")
     if scheduled and bounds.d < 2:
         raise DimensionMismatch(
             f"dimension scheduling needs at least 2 coordinates, got a {bounds.d}-d box"

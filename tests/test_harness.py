@@ -1,5 +1,6 @@
 import json
 import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 import dimsched.cli as cli
 from dimsched.errors import ConfigError, ParseError, RunAborted
 from dimsched.harness import (
+    CampaignConfig,
     CampaignSummary,
     SummaryEntry,
     emit_convergence_plot,
@@ -17,7 +19,18 @@ from dimsched.harness import (
     write_trace,
 )
 from dimsched.direct import Bounds, DirectConfig
-from dimsched.optimize import RunConfig, initial_design, run_bo
+from dimsched.gp import Dataset
+from dimsched.objectives import benchmark_catalog
+from dimsched.optimize import (
+    Incumbent,
+    IterationRecord,
+    RunConfig,
+    RunResult,
+    initial_design,
+    run_bo,
+    run_dsa,
+    run_dsa_parallel,
+)
 
 
 def sphere(x):
@@ -110,6 +123,98 @@ class TestConfigLoading:
         with pytest.raises(ConfigError, match="not found"):
             load_campaign_config(str(tmp_path / "nope.ini"))
 
+    def test_every_config_field_is_a_key(self, tmp_path):
+        # Each [run] and [direct] key is a config field, parsed to the type
+        # of its default; the values set differ from the defaults.
+        sections = {
+            "run": [f for f in fields(RunConfig) if f.name not in ("seed", "direct_config")],
+            "direct": list(fields(DirectConfig)),
+        }
+
+        def value(f):
+            return f.default + 1 if type(f.default) is int else f.default / 2
+
+        text = "[campaign]\nobjective = sphere-2\n" + "".join(
+            f"[{section}]\n" + "".join(f"{f.name} = {value(f)!r}\n" for f in section_fields)
+            for section, section_fields in sections.items()
+        )
+        config = load_campaign_config(write_config(tmp_path, text))
+        parsed = {"run": config.run_config, "direct": config.run_config.direct_config}
+        for section, section_fields in sections.items():
+            for f in section_fields:
+                got = getattr(parsed[section], f.name)
+                assert type(got) is type(f.default), (section, f.name)
+                assert got == value(f), (section, f.name)
+
+    @pytest.mark.parametrize(
+        "section, line",
+        [("run", "seed = 1"), ("run", "direct_config = 1"), ("direct", "budget = 5")],
+    )
+    def test_non_field_keys_rejected(self, tmp_path, section, line):
+        text = FAST_CONFIG.replace(f"[{section}]\n", f"[{section}]\n{line}\n")
+        key = line.split(" ")[0]
+        with pytest.raises(ConfigError, match=rf"unknown key '{key}' in section \[{section}\]"):
+            load_campaign_config(write_config(tmp_path, text))
+
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("runs = 2", "runs = 0", r"\[campaign\] runs must be >= 1"),
+            ("algorithms = bo, dsa", "algorithms = ,",
+             r"\[campaign\] algorithms must list at least one algorithm"),
+        ],
+        ids=["runs", "no_algorithms"],
+    )
+    def test_campaign_checks_from_file(self, tmp_path, old, new, message):
+        text = FAST_CONFIG.replace(old, new)
+        with pytest.raises(ConfigError, match=message):
+            load_campaign_config(write_config(tmp_path, text))
+
+
+class TestCampaignConfig:
+    # A config built in code is checked as one read from a file, before
+    # run_campaign creates output_dir or evaluates the initial design.
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"runs": 0}, r"\[campaign\] runs must be >= 1"),
+            ({"algorithms": ()}, r"\[campaign\] algorithms must list at least one algorithm"),
+            ({"algorithms": ("bo", "nope")}, "unknown algorithm 'nope'"),
+            ({"algorithms": ("dsa-parallel",), "workers": 0}, r"\[campaign\] workers must be >= 1"),
+        ],
+        ids=["runs", "no_algorithms", "unknown_algorithm", "workers"],
+    )
+    def test_rejected_when_built(self, tmp_path, kwargs, message):
+        out = tmp_path / "out"
+        valid = {"objective_name": "sphere-2", "algorithms": ("bo",), "output_dir": str(out)}
+        with pytest.raises(ConfigError, match=message):
+            CampaignConfig(**{**valid, **kwargs})
+        assert not out.exists()
+
+    def test_every_loop_runs(self, tmp_path):
+        run_config = RunConfig(
+            n_init=4, max_iter=3, subset_size=1,
+            direct_config=DirectConfig(max_evals=60, max_iters=20),
+        )
+        run_campaign(CampaignConfig(
+            "sphere-2", ("bo", "dsa", "dsa-parallel"), runs=1, run_config=run_config,
+            output_dir=str(tmp_path), workers=2,
+        ))
+        assert sorted(os.listdir(tmp_path)) == [
+            "sphere-2_bo_run0.csv", "sphere-2_dsa-parallel_run0.csv", "sphere-2_dsa_run0.csv",
+            "summary.json",
+        ]
+        # workers reaches run_dsa_parallel: one worker gives another trace here.
+        spec = benchmark_catalog()["sphere-2"]
+        initial = initial_design(spec.evaluator, spec.bounds, 4, np.random.default_rng(0))
+        expected = run_dsa_parallel(
+            spec.evaluator, spec.bounds, run_config, workers=2, initial=initial
+        )
+        rows = read_trace(str(tmp_path / "sphere-2_dsa-parallel_run0.csv"))
+        assert [nontiming_fields(r) for r in rows[4:]] == [
+            nontiming_fields(r) for r in expected.records
+        ]
+
 
 def nontiming_fields(row):
     return (row.iter, row.subset, tuple(row.x), row.y, row.y_best, row.gp_size)
@@ -145,6 +250,66 @@ class TestTracePersistence:
             assert row.y == rec.y
             assert row.y_best == rec.y_best
 
+    @pytest.mark.parametrize("loop", [run_bo, run_dsa])
+    def test_round_trip_every_field(self, tmp_path, loop):
+        # repr(float) round-trips exactly, so every field of every row,
+        # timings included, reads back equal.
+        config = RunConfig(
+            n_init=4, max_iter=3, seed=0,
+            direct_config=DirectConfig(max_evals=60, max_iters=20),
+        )
+        result = loop(sphere, Bounds([-1.0, -1.0, -1.0], [1.0, 1.0, 1.0]), config)
+        path = str(tmp_path / "trace.csv")
+        write_trace(path, result)
+        rows = read_trace(path)
+        design = result.design
+        expected = [
+            IterationRecord(
+                iter=i, subset=None, x=design.X[i], y=float(design.Y[i]),
+                y_best=float(design.Y[: i + 1].min()), wall_time_ms=0.0,
+                eval_time_ms=result.design_eval_ms[i], gp_size=i + 1,
+            )
+            for i in range(design.n)
+        ] + result.records
+        assert len(rows) == len(expected) == 4 + 3
+        for row, rec in zip(rows, expected):
+            assert isinstance(row, IterationRecord)
+            for f in fields(IterationRecord):
+                if f.name == "x":
+                    assert np.array_equal(row.x, rec.x)
+                else:
+                    assert getattr(row, f.name) == getattr(rec, f.name), f.name
+
+    def test_fixed_schema(self, tmp_path):
+        design = Dataset(np.array([[0.5, -1.0, 0.25], [1.5, 2.0, -0.125]]), np.array([3.0, 1.0]))
+        records = [
+            IterationRecord(
+                iter=2, subset=(0, 2), x=np.array([0.1, 2.0, -0.125]), y=np.float64(0.75),
+                y_best=0.75, wall_time_ms=1.5, eval_time_ms=0.001, gp_size=3,
+            ),
+            IterationRecord(
+                iter=3, subset=None, x=np.array([1e-300, -2.5, 3.0]), y=2.0,
+                y_best=0.75, wall_time_ms=2.0, eval_time_ms=np.float64(0.25), gp_size=4,
+            ),
+        ]
+        result = RunResult(
+            records=records,
+            incumbent=Incumbent(point=records[0].x, value=0.75),
+            total_time_ms=10.0,
+            gp_count=1,
+            design=design,
+            design_eval_ms=[0.5, np.float64(0.25)],
+        )
+        path = tmp_path / "trace.csv"
+        write_trace(str(path), result)
+        assert path.read_text() == (
+            "iter,subset,x0,x1,x2,y,y_best,wall_ms,eval_ms,gp_size\n"
+            "0,-,0.5,-1.0,0.25,3.0,3.0,0.0,0.5,1\n"
+            "1,-,1.5,2.0,-0.125,1.0,1.0,0.0,0.25,2\n"
+            "2,0|2,0.1,2.0,-0.125,0.75,0.75,1.5,0.001,3\n"
+            "3,-,1e-300,-2.5,3.0,2.0,0.75,2.0,0.25,4\n"
+        )
+
     def test_design_smaller_than_n_init_leaves_no_gap(self, tmp_path):
         bounds = Bounds([-1.0, -1.0], [1.0, 1.0])
         initial = initial_design(sphere, bounds, 7, np.random.default_rng(0))
@@ -169,8 +334,8 @@ class TestTracePersistence:
         path = str(tmp_path / "trace.csv")
         write_trace(path, result)
         rows = read_trace(path)
-        assert [row.eval_ms for row in rows[:4]] == [0.25] * 4
-        assert [row.eval_ms for row in rows[4:]] == [r.eval_time_ms for r in result.records]
+        assert [row.eval_time_ms for row in rows[:4]] == [0.25] * 4
+        assert [row.eval_time_ms for row in rows[4:]] == [r.eval_time_ms for r in result.records]
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "bad.csv"

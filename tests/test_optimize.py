@@ -307,6 +307,13 @@ class TestRunDsa:
             run(objective, Bounds([-1.0], [1.0]), config)
         assert objective.calls == 0
 
+    def test_zero_workers_rejected_before_design(self):
+        objective = CountingObjective(sphere)
+        config = RunConfig(n_init=5, max_iter=2, direct_config=small_direct())
+        with pytest.raises(ValueError, match="workers must be >= 1, got 0"):
+            run_dsa_parallel(objective, Bounds([-1.0, -1.0], [1.0, 1.0]), config, workers=0)
+        assert objective.calls == 0
+
     def test_partial_result_on_nonfinite(self):
         calls = [0]
 
