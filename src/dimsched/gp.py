@@ -6,6 +6,11 @@ and are fitted by best-of-restarts gradient ascent on the log marginal
 likelihood with an Armijo line search that starts from the step it
 accepted last.
 
+One kernel formula: k(X, X2) = sigma_f^2 * exp(w @ D), where D holds the
+squared coordinate differences coordinate-major, (d, m*n), and w the
+weights -0.5 * min(1/ell^2, max float).  The fit core, prediction and the
+O(n^2) append all build the kernel so, and so agree bit for bit.
+
 One fit core, ``_fit``, builds K + sigma_n^2 I from a log-hyperparameter
 vector theta, factorizes it and solves for alpha; it returns the LML and
 keeps the noise-free K for the gradient.  ``gp_fit``, the public LML and
@@ -70,16 +75,13 @@ class Dataset:
 
     @cached_property
     def sq_diffs(self) -> np.ndarray:
-        """Squared coordinate differences, (n*n, d): row i*n + j is (x_i - x_j)**2.
+        """Squared coordinate differences of X with itself, (d, n*n).
 
-        Training evaluates many hyperparameters on one dataset, and every
-        kernel it needs is exp(sq_diffs @ w) for some weights w.  The array
-        is in Fortran order, which halves the time of those products.
+        Column i*n + j is (x_i - x_j)**2.  Training evaluates many
+        hyperparameters on one dataset, and every kernel it needs is
+        ``_kernel(weights, sq_diffs, sigma_f^2)`` for some weights.
         """
-        Xt = self.columns
-        diff = Xt[:, :, None] - Xt[:, None, :]
-        diff *= diff
-        return diff.reshape(self.d, -1).T
+        return _sq_diffs(self.columns, self.columns)
 
     def append(self, x, y: float) -> "Dataset":
         x = np.asarray(x, dtype=float).ravel()
@@ -109,6 +111,11 @@ class KernelHyperparams:
         ls = np.exp(self.log_lengthscales)
         ls.flags.writeable = False
         return ls
+
+    @cached_property
+    def _weights(self) -> np.ndarray:
+        """``_kernel_weights`` of the log-lengthscales, for every k(x, x') from them."""
+        return _kernel_weights(self.log_lengthscales)
 
     @cached_property
     def signal_variance(self) -> float:
@@ -158,61 +165,45 @@ def se_kernel(x, x2, hyper: KernelHyperparams) -> float:
     return hyper.signal_variance * math.exp(-0.5 * float(diff @ diff))
 
 
-def _coordinate_sum(sq: np.ndarray) -> np.ndarray:
-    """Sum of a (d, ...) array over its first axis, in place in sq.
+_FLOAT_MAX = np.finfo(float).max
 
-    The terms are added in the order in which ``np.add.reduce`` sums a
-    contiguous last axis of length d, so the result is bit-identical to
-    that reduction over a (..., d) layout.  Below 8 terms that order is
-    sequential.  From 8 to 128 terms, eight running sums r0..r7 take every
-    eighth term, are combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), and
-    the d mod 8 terms left are added in sequence.  Longer sums split in
-    two, the first part a multiple of 8 long.
+
+def _sq_diffs(Xt: np.ndarray, X2t: np.ndarray) -> np.ndarray:
+    """Squared coordinate differences, (d, m*n), of coordinate-major Xt (d, m) and X2t (d, n).
+
+    Column i*n + j is (x_i - x2_j)**2, so a product with weights (d,) gives
+    the m*n kernel exponents with the rows of k(X, X2) one after another.
     """
-    d = sq.shape[0]
-    if d < 8:
-        for k in range(1, d):
-            sq[0] += sq[k]
-        return sq[0]
-    if d > 128:
-        half = d // 2
-        half -= half % 8
-        head = _coordinate_sum(sq[:half])
-        head += _coordinate_sum(sq[half:])
-        return head
-    blocked = d - d % 8
-    r = sq[:8]
-    for i in range(8, blocked, 8):
-        r += sq[i : i + 8]
-    r[0::2] += r[1::2]
-    r[0::4] += r[2::4]
-    r[0] += r[4]
-    for k in range(blocked, d):
-        r[0] += sq[k]
-    return r[0]
-
-
-def _cross_cov(Xt: np.ndarray, X2t: np.ndarray, hyper: KernelHyperparams) -> np.ndarray:
-    """k(X, X2), (m, n), from coordinate-major Xt (d, m) and X2t (d, n).
-
-    The differences are laid out (d, m, n), so subtracting, dividing by
-    the lengthscale and squaring each run over whole rows of n, and the
-    coordinates are summed in ``np.add.reduce``'s order (see
-    ``_coordinate_sum``): k(x, x') is bit-identical to
-    sf2 * exp(-0.5 * np.add.reduce(((x' - x) / ell)**2)).
-    """
-    diff = X2t[:, None, :] - Xt[:, :, None]
-    diff /= hyper.lengthscales[:, None, None]
+    diff = Xt[:, :, None] - X2t[:, None, :]
     diff *= diff
-    K = _coordinate_sum(diff)
-    K *= -0.5
+    return diff.reshape(Xt.shape[0], -1)
+
+
+def _kernel_weights(log_lengthscales: np.ndarray) -> np.ndarray:
+    """The weights -0.5/ell^2 of the squared differences.
+
+    1/ell^2 is capped at the largest float, so a zero difference times an
+    overflowed 1/ell^2 is 0, never nan.
+    """
+    return -0.5 * np.minimum(np.exp(-2.0 * log_lengthscales), _FLOAT_MAX)
+
+
+def _kernel(weights: np.ndarray, sq_diffs: np.ndarray, signal_variance: float) -> np.ndarray:
+    """The kernel values sigma_f^2 * exp(weights @ sq_diffs), flat (m*n,)."""
+    K = weights @ sq_diffs
     np.exp(K, out=K)
-    K *= hyper.signal_variance
+    K *= signal_variance
     return K
 
 
+def _cross_cov(Xt: np.ndarray, X2t: np.ndarray, hyper: KernelHyperparams) -> np.ndarray:
+    """k(X, X2), (m, n), from coordinate-major Xt (d, m) and X2t (d, n)."""
+    K = _kernel(hyper._weights, _sq_diffs(Xt, X2t), hyper.signal_variance)
+    return K.reshape(Xt.shape[1], X2t.shape[1])
+
+
 def kernel_matrix(X, X2, hyper: KernelHyperparams) -> np.ndarray:
-    """Cross-covariance matrix k(X, X2), from direct coordinate differences."""
+    """Cross-covariance matrix k(X, X2), built as the fit core builds K."""
     Xt = np.ascontiguousarray(np.asarray(X, dtype=float).T)
     X2t = np.ascontiguousarray(np.asarray(X2, dtype=float).T)
     return _cross_cov(Xt, X2t, hyper)
@@ -246,9 +237,6 @@ def gp_predict(model: GpModel, x_star):
     return mean, var
 
 
-_FLOAT_MAX = np.finfo(float).max
-
-
 class _Fit(NamedTuple):
     """A fit at one log-hyperparameter vector theta."""
 
@@ -256,30 +244,25 @@ class _Fit(NamedTuple):
     factor: CholFactor
     alpha: np.ndarray
     K: np.ndarray  # noise-free k(X, X)
-    inv_ell2: np.ndarray
+    weights: np.ndarray  # -0.5 / ell^2
 
 
 def _fit(data: Dataset, yc: np.ndarray, theta: np.ndarray) -> _Fit:
     """The one fit core: K + sigma_n^2 I at theta, its factor, alpha and the LML.
 
     theta is [log ell_1..d, log sigma_f^2, log sigma_n^2] and yc the
-    centred targets.  K is built from ``data.sq_diffs``.  The weights
-    1/ell^2 are capped at the largest float, so a zero difference times an
-    overflowed 1/ell^2 is 0, never nan.
+    centred targets.  K is built from ``data.sq_diffs``.
     """
     n = data.n
-    inv_ell2 = np.minimum(np.exp(-2.0 * theta[:-2]), _FLOAT_MAX)
-    K = data.sq_diffs @ (-0.5 * inv_ell2)
-    np.exp(K, out=K)
-    K *= math.exp(theta[-2])
-    K = K.reshape(n, n)
+    weights = _kernel_weights(theta[:-2])
+    K = _kernel(weights, data.sq_diffs, math.exp(theta[-2])).reshape(n, n)
     K_noisy = K.copy()
     K_noisy.flat[:: n + 1] += math.exp(theta[-1])
     factor = cholesky_spd(K_noisy)
     alpha = solve_chol(factor, yc)
     log_det = 2.0 * float(np.log(factor.L.diagonal()).sum())
     lml = -0.5 * (float(yc @ alpha) + log_det + n * _LOG_2PI)
-    return _Fit(lml, factor, alpha, K, inv_ell2)
+    return _Fit(lml, factor, alpha, K, weights)
 
 
 def _fit_hyper(data: Dataset, hyper: KernelHyperparams) -> tuple[_Fit, float]:
@@ -302,7 +285,7 @@ def _lml_gradient(data: Dataset, fit: _Fit, noise_variance: float) -> np.ndarray
     Uses the trace identity 0.5 * tr((alpha alpha^T - K^-1) dK/dtheta)
     (Rasmussen & Williams 2006, eq. 5.9), with K^-1 from the fit's factor.
     With W = (alpha alpha^T - K^-1) o K, every lengthscale component comes
-    from one product with ``data.sq_diffs``.
+    from one product with ``data.sq_diffs``, times 0.5/ell^2 = -weights.
     """
     n, d = data.n, data.d
     # potri fills the lower triangle of K^-1 and keeps L's zero upper one.
@@ -317,7 +300,7 @@ def _lml_gradient(data: Dataset, fit: _Fit, noise_variance: float) -> np.ndarray
     W *= fit.K
 
     grad = np.empty(d + 2)
-    grad[:d] = 0.5 * (W.ravel() @ data.sq_diffs) * fit.inv_ell2
+    grad[:d] = -(data.sq_diffs @ W.ravel()) * fit.weights
     grad[d] = 0.5 * float(W.sum())
     grad[d + 1] = 0.5 * noise_variance * trace_m
     return grad

@@ -54,6 +54,8 @@ class CampaignConfig:
     def __post_init__(self):
         # Checked here, not in the file loader, so that a config built in
         # code fails before run_campaign creates or evaluates anything.
+        if self.objective_name not in benchmark_catalog():
+            raise ConfigError(f"unknown objective {self.objective_name!r}")
         for a in self.algorithms:
             if a not in _LOOPS:
                 raise ConfigError(f"unknown algorithm {a!r}")
@@ -136,8 +138,6 @@ def load_campaign_config(path: str) -> CampaignConfig:
     objective = camp.get("objective")
     if not objective:
         raise ConfigError("[campaign] objective is required")
-    if objective not in benchmark_catalog():
-        raise ConfigError(f"unknown objective {objective!r}")
     algos_raw = camp.get("algorithms", "bo, dsa")
     algorithms = tuple(a.strip() for a in algos_raw.split(",") if a.strip())
     runs = _parse_typed("campaign", "runs", camp.get("runs", "4"), int)

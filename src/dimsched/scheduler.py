@@ -62,17 +62,25 @@ def compute_dimension_probabilities(X, floor_eps: float = 0.1) -> ProbabilityVec
 
 
 def sample_subset(P: ProbabilityVector, k: int, rng: np.random.Generator) -> DimensionSubset:
-    """k weighted draws without replacement, renormalizing after each."""
+    """k weighted draws without replacement, renormalizing after each.
+
+    Once the weight left is all zero, the rest are drawn uniformly among
+    the coordinates not yet picked.  Each pick takes one ``rng.random()``.
+    """
     d = P.d
     if not 1 <= k <= d:
         raise DimensionMismatch(f"subset size {k} outside [1, {d}]")
     weights = P.p.copy()
     picked: list[int] = []
     for _ in range(k):
-        # Inverse-CDF draw; side='right' skips zeroed-out entries.
         cum = np.cumsum(weights)
-        u = rng.random() * cum[-1]
-        idx = min(int(np.searchsorted(cum, u, side="right")), d - 1)
+        u = rng.random()
+        if cum[-1] > 0.0:
+            # Inverse-CDF draw; side='right' skips zeroed-out entries.
+            idx = min(int(np.searchsorted(cum, u * cum[-1], side="right")), d - 1)
+        else:
+            left = [j for j in range(d) if j not in picked]
+            idx = left[int(u * len(left))]
         picked.append(idx)
         weights[idx] = 0.0
     return DimensionSubset(tuple(picked))

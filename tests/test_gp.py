@@ -90,54 +90,40 @@ class TestSeKernel:
             se_kernel([0.0], [1.0, 2.0], hyper(1))
 
 
-def reduce_kernel(X, X2, h):
-    """k(X, X2) as one (m, n, d) broadcast summed by np.add.reduce over d."""
-    diff = np.asarray(X2, dtype=float) - np.asarray(X, dtype=float)[:, None, :]
-    diff /= np.exp(h.log_lengthscales)
-    diff *= diff
-    K = np.exp(-0.5 * np.add.reduce(diff, axis=2))
-    K *= math.exp(h.log_signal_variance)
-    return K
-
-
 class TestKernelBits:
-    """The coordinate-major kernel must reproduce the broadcast formula bit for bit."""
+    """Prediction and the append build k(x, x') as the fit core builds K."""
 
-    def test_matches_reduce_formula(self):
+    def test_kernel_matrix_is_the_fit_core_K(self):
         rng = np.random.default_rng(21)
-        for d in range(1, 21):  # numpy's reduction changes order at d = 8 and 16
-            for m, n in ((1, 1), (1, 17), (9, 1), (int(rng.integers(2, 30)), 40)):
-                X = rng.uniform(-5.0, 5.0, size=(m, d))
-                X2 = rng.uniform(-5.0, 5.0, size=(n, d))
-                X2[0, : d // 2] = X[0, : d // 2]  # some zero differences
+        for d in range(1, 21):
+            for n in (1, 2, 3, 5, 7, 9, 17, 40, 120):
+                X = rng.uniform(-5.0, 5.0, size=(n, d))
+                X[-1, : d // 2] = X[0, : d // 2]  # some zero differences
+                data = Dataset(X, rng.normal(size=n))
                 for lo, hi in ((-0.5, 1.5), (-40.0, 20.0)):
                     log_ls = rng.uniform(lo, hi, size=d)
                     h = KernelHyperparams(log_ls, float(rng.uniform(-5, 5)), -3.0)
-                    K = kernel_matrix(X, X2, h)
-                    assert K.shape == (m, n)
-                    assert np.array_equal(K, reduce_kernel(X, X2, h)), (d, m, n, lo)
-
-    def test_coordinate_sum_in_reduce_order(self):
-        # Past 128 terms numpy splits the sum in two; that path is pinned too.
-        rng = np.random.default_rng(22)
-        for d in (*range(1, 41), 127, 128, 129, 200, 300):
-            terms = rng.standard_normal((3, 5, d)) * np.exp(rng.uniform(-20.0, 20.0, size=d))
-            terms *= terms
-            expected = np.add.reduce(terms, axis=2)
-            got = gp_module._coordinate_sum(np.ascontiguousarray(terms.transpose(2, 0, 1)))
-            assert np.array_equal(got, expected), d
+                    fit = gp_module._fit(data, data.Y - np.mean(data.Y), h.to_vector())
+                    K = kernel_matrix(X, X, h)
+                    assert K.shape == (n, n)
+                    assert np.array_equal(K, fit.K), (d, n, lo)
 
     def test_predict_and_augment_use_the_same_bits(self):
         rng = np.random.default_rng(23)
         data, h = random_instance(rng, n=12, d=10)
         model = gp_fit(data, h)
         X_star = rng.uniform(-2, 2, size=(7, 10))
-        k_star = reduce_kernel(X_star, data.X, h)
-        mean, _ = gp_predict(model, X_star)
+        k_star = kernel_matrix(X_star, data.X, h)
+        mean, var = gp_predict(model, X_star)
         assert np.array_equal(mean, model.mean_shift + k_star @ model.alpha)
+        v = solve_tri(model.factor.L, k_star.T, lower=True)
+        expected_var = np.maximum(h.signal_variance - np.add.reduce(v * v, axis=0), 0.0)
+        assert np.array_equal(var, expected_var)
         x_new = rng.uniform(-2, 2, size=10)
+        k_new = kernel_matrix(x_new[None, :], data.X, h)
+        assert gp_predict(model, x_new)[0] == model.mean_shift + float((k_new @ model.alpha)[0])
         grown = gp_augment(model, x_new, 0.3, retrain=False)
-        row = solve_tri(model.factor.L, reduce_kernel(x_new[None, :], data.X, h)[0], lower=True)
+        row = solve_tri(model.factor.L, k_new[0], lower=True)
         assert np.array_equal(grown.factor.L[-1, :-1], row)
 
     def test_cached_constants_are_exact_and_read_only(self):

@@ -181,8 +181,9 @@ class TestCampaignConfig:
             ({"algorithms": ()}, r"\[campaign\] algorithms must list at least one algorithm"),
             ({"algorithms": ("bo", "nope")}, "unknown algorithm 'nope'"),
             ({"algorithms": ("dsa-parallel",), "workers": 0}, r"\[campaign\] workers must be >= 1"),
+            ({"objective_name": "paraboloid-3"}, "unknown objective 'paraboloid-3'"),
         ],
-        ids=["runs", "no_algorithms", "unknown_algorithm", "workers"],
+        ids=["runs", "no_algorithms", "unknown_algorithm", "workers", "unknown_objective"],
     )
     def test_rejected_when_built(self, tmp_path, kwargs, message):
         out = tmp_path / "out"
@@ -438,7 +439,8 @@ class TestPlotAndReport:
         paths = self.make_traces(tmp_path, 3)
         out = str(tmp_path / "plot.svg")
         emit_convergence_plot(paths, out)
-        svg = open(out).read()
+        with open(out) as fh:
+            svg = fh.read()
         assert svg.count("<polyline") == 3
         assert svg.startswith("<svg")
         assert svg.count("trace0.csv") == 1
@@ -447,7 +449,8 @@ class TestPlotAndReport:
         paths = self.make_traces(tmp_path, 1)
         out = str(tmp_path / "plot.svg")
         emit_convergence_plot(paths, out, log_scale=True)
-        assert "<polyline" in open(out).read()
+        with open(out) as fh:
+            assert "<polyline" in fh.read()
 
     def test_empty_trace_list(self, tmp_path):
         with pytest.raises(ParseError):

@@ -117,6 +117,18 @@ class TestRunConfig:
         assert RunConfig(floor_eps=0.0).floor_eps == 0.0
         assert RunConfig(floor_eps=1.0).floor_eps == 1.0
 
+    def test_floor_eps_zero_with_constant_coordinates(self):
+        # With no floor, coordinates 0 and 1 get zero weight; the second
+        # pick of a pair is then uniform over them, never a repeat of 2.
+        bounds = Bounds([-1.0] * 3, [1.0] * 3)
+        X = np.zeros((5, 3))
+        X[:, 2] = np.linspace(-1.0, 1.0, 5)
+        initial = (Dataset(X, [sphere(x) for x in X]), [0.0] * 5)
+        config = RunConfig(n_init=5, max_iter=6, floor_eps=0.0, direct_config=small_direct())
+        result = run_dsa(sphere, bounds, config, initial=initial)
+        assert len(result.records) == 6
+        assert all(len(r.subset) == 2 and 2 in r.subset for r in result.records)
+
 
 class TestRunBo:
     def test_constant_objective(self):
