@@ -26,7 +26,7 @@ def expected_improvement(ctx: AcquisitionContext, x):
     A float at a point, shape (d,); an array at the rows of an (m, d) matrix.
     """
     x = np.asarray(x, dtype=float)
-    mu, var = gp_predict(ctx.model, np.atleast_2d(x))
+    mu, var = gp_predict(ctx.model, x if x.ndim > 1 else x.reshape(1, -1))
     sigma = np.sqrt(var)
     gap = ctx.y_best - mu
     flat = sigma < _SIGMA_EPS

@@ -116,7 +116,7 @@ class _Evaluator:
 
     def __init__(self, g: Callable, bounds: Bounds, max_evals: int):
         self.g = g
-        self.bounds = bounds
+        self.lower, self.span = bounds.lower, bounds.span
         self.max_evals = max_evals
         self.count = 0
         self.best_x: np.ndarray | None = None
@@ -132,15 +132,15 @@ class _Evaluator:
         Counted, checked and compared with the best in row order, as if
         g had been called on one row after the other.
         """
-        X = self.bounds.lower + centers * self.bounds.span
+        X = self.lower + centers * self.span
         values = np.asarray(self.g(X), dtype=float)
         if values.shape != (X.shape[0],):
             raise DimensionMismatch(
                 f"objective returned shape {values.shape} for {X.shape[0]} points"
             )
-        bad = ~np.isfinite(values)
-        if bad.any():
-            i = int(np.argmax(bad))
+        finite = np.isfinite(values)
+        if not finite.all():
+            i = int(np.argmin(finite))
             raise NonFiniteObjective(f"objective returned {values[i]} at {X[i]}")
         self.count += X.shape[0]
         i = int(np.argmin(values))  # the first row at the minimum

@@ -150,6 +150,6 @@ def std_normal_cdf(z):
     """Standard normal distribution function, elementwise."""
     # erfc form keeps full accuracy in the left tail.  numpy has no erfc,
     # and scipy.special is slow to import, so math.erfc maps over the values.
-    w = np.asarray(-z / _SQRT_2, dtype=float)
+    w = np.asarray(z, dtype=float) / -_SQRT_2
     erfc = np.fromiter(map(math.erfc, w.ravel().tolist()), dtype=float, count=w.size)
     return 0.5 * erfc.reshape(w.shape)

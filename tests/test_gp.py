@@ -147,6 +147,52 @@ class TestKernelBits:
         assert not data.columns.flags.writeable
 
 
+class TestKernelFloor:
+    """Kernel values below eps^2 * sigma_f^2 are exactly 0."""
+
+    def test_values_are_zero_or_above_the_floor(self):
+        # The cases of test_kernel_matrix_matches_oracle_at_extreme_hyperparams.
+        floor = np.finfo(float).eps ** 2
+        rng = np.random.default_rng(14)
+        for case in range(400):
+            d = int(rng.integers(1, 11))
+            n = int(rng.integers(2, 16))
+            offset = rng.uniform(-1000.0, 1000.0, size=d) if case % 2 else np.zeros(d)
+            width = 10.0 ** rng.uniform(-3.0, 1.0)
+            X = offset + rng.uniform(-width, width, size=(n, d))
+            X[-1] = X[0]
+            h = KernelHyperparams(
+                log_lengthscales=rng.uniform(-40.0, 20.0, size=d),
+                log_signal_variance=float(rng.uniform(-5.0, 10.0)),
+                log_noise_variance=-5.0,
+            )
+            sf2 = h.signal_variance
+            x_star = X[int(rng.integers(n))]
+            assert np.all(np.diag(kernel_matrix(X, X, h)) == sf2)
+            for X2 in (X, x_star[None, :]):
+                K = kernel_matrix(X, X2, h)
+                oracle = np.array([[se_kernel(a, b, h) for b in X2] for a in X])
+                assert np.all((K == 0.0) | (K >= floor * sf2)), case
+                assert np.all(K[oracle < 0.5 * floor * sf2] == 0.0), case
+
+    def test_no_subnormal_kernel_on_styblinski_tang(self):
+        # Before the floor, this kernel held 324 subnormal entries and its
+        # Cholesky factor 443.  Elimination can still make a few in the
+        # factor, so only the kernel is checked.
+        X = np.random.default_rng(0).uniform(-5.0, 5.0, size=(200, 10))
+        Y = 0.5 * np.sum(X**4 - 16.0 * X**2 + 5.0 * X, axis=1)
+        var_y = float(np.var(Y))
+        h = KernelHyperparams(
+            np.random.default_rng(1).uniform(-3.0, 3.0, size=10),
+            math.log(var_y),
+            math.log(1e-6 * var_y),
+        )
+        K = kernel_matrix(X, X, h)
+        assert not np.any((K != 0.0) & (K < np.finfo(float).tiny))
+        model = gp_fit(Dataset(X, Y), h)
+        assert np.isfinite(model.alpha).all()
+
+
 class TestFitPredict:
     def test_single_point_alpha_zero(self):
         model = gp_fit(Dataset([[0.5]], [3.0]), hyper(1))
@@ -556,6 +602,16 @@ class TestTraining:
         mean, _ = gp_predict(model, [0.0, 0.0])
         assert abs(mean - 2.0) < 1e-6
         assert trained.log_noise_variance >= math.log(1e-8) - 1e-12
+
+    def test_non_finite_centred_targets_rejected(self):
+        # Finite targets whose mean overflows centre to -inf.
+        X = np.random.default_rng(12).uniform(-1, 1, size=(3, 2))
+        data = Dataset(X, [1.7e308, 1.7e308, 0.0])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="infs or NaNs"):
+                gp_fit(data, hyper(2))
+            with pytest.raises(ValueError, match="infs or NaNs"):
+                train_hyperparams(data, restarts=1, seed=0)
 
     def test_never_below_best_start(self):
         rng = np.random.default_rng(12)
