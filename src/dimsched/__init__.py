@@ -18,7 +18,6 @@ from .objectives import (
     ObjectiveSpec,
     TimeSeriesData,
     benchmark_catalog,
-    eval_benchmark,
     make_lotka_volterra_objective,
     rk4_integrate,
     weighted_sse,
@@ -35,7 +34,6 @@ from .optimize import (
 )
 from .scheduler import (
     DimensionSubset,
-    ProbabilityVector,
     compute_dimension_probabilities,
     sample_subset,
 )
@@ -51,7 +49,6 @@ __all__ = [
     "IterationRecord",
     "KernelHyperparams",
     "ObjectiveSpec",
-    "ProbabilityVector",
     "RunConfig",
     "RunResult",
     "TimeSeriesData",
@@ -59,7 +56,6 @@ __all__ = [
     "benchmark_catalog",
     "compute_dimension_probabilities",
     "direct_minimize",
-    "eval_benchmark",
     "expected_improvement",
     "gp_augment",
     "gp_fit",

@@ -113,7 +113,6 @@ def main(argv=None) -> int:
     try:
         return handlers[args.command](args)
     except ConfigError as exc:
-        log.error("config error: %s", exc)
         sys.stderr.write(f"config error: {exc}\n")
         return EXIT_CONFIG
     except (OSError, ParseError) as exc:

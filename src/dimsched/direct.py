@@ -94,10 +94,6 @@ class Rect:
     def __post_init__(self):
         self.diameter = _diameter(self.levels)
 
-    @property
-    def measure(self) -> float:
-        return float(np.prod([_side(k) for k in self.levels]))
-
 
 class _Classes(dict):
     """Live rects by diameter, each class a min-heap of (f_center, index, rect)."""
@@ -226,17 +222,6 @@ def _split(rect: Rect, dims: list[int], centers: np.ndarray, values: list[float]
     children.append(Rect(rect.center, tuple(levels), rect.f_center, next_index))
     next_index += 1
     return children, next_index
-
-
-def trisect(rect: Rect, g: Callable, evals_budget: int) -> list[Rect]:
-    """Standalone trisection in normalized coordinates (identity bounds).
-
-    g takes an (m, d) array of points and returns their m values.
-    """
-    dims, centers = _probes(rect, evals_budget)
-    unit = Bounds(np.zeros(len(rect.levels)), np.ones(len(rect.levels)))
-    values = _Evaluator(g, unit, evals_budget)(centers) if dims else []
-    return _split(rect, dims, centers, values, rect.index + 1)[0]
 
 
 def direct_minimize(

@@ -33,10 +33,6 @@ class NonFiniteState(DimschedError):
         self.fraction_completed = fraction_completed
 
 
-class UnknownBenchmark(DimschedError):
-    """Benchmark name not in the catalog."""
-
-
 class ChannelMismatch(DimschedError):
     """Time-series channels or time grids do not align."""
 

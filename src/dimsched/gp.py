@@ -410,22 +410,23 @@ def _coordinate_ranges(data: Dataset, bounds_ranges=None) -> np.ndarray:
 def train_hyperparams(
     data: Dataset,
     restarts: int = 3,
-    rng: np.random.Generator | None = None,
-    seed: int | None = None,
+    rng: np.random.Generator | int | None = None,
     bounds_ranges=None,
     max_iter: int = 200,
     warm_start: KernelHyperparams | None = None,
 ) -> KernelHyperparams:
     """Best-of-restarts maximum-likelihood hyperparameters.
 
-    Falls back to the best start point if every ascent stalls.  When
+    rng is what ``np.random.default_rng`` takes: None, a seed, or a
+    Generator, which is used as it is.  An ascent ends at a point whose
+    LML is at least its start's and returns the start if it accepts no
+    step, so the best start is kept if every ascent stalls.  When
     bounds_ranges is omitted, per-coordinate data ranges seed the
     lengthscale initialization.
     """
     if data.n < 2:
         raise DimensionMismatch("training needs at least two observations")
-    if rng is None:
-        rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(rng)
     var_y = float(np.var(data.Y))
     var_y = max(var_y, _NOISE_FLOOR)
     ranges = _coordinate_ranges(data, bounds_ranges)
@@ -445,8 +446,6 @@ def train_hyperparams(
         fit = _safe_fit(data, yc, theta)
         if fit is None:
             continue
-        if fit.lml > best_f:
-            best_f, best = fit.lml, theta
         f_end, theta_end = _ascend(data, yc, theta, fit, max_iter=max_iter)
         if f_end > best_f:
             best_f, best = f_end, theta_end

@@ -19,6 +19,7 @@ import configparser
 import json
 import math
 import os
+from collections import Counter
 from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
@@ -61,9 +62,9 @@ class CampaignConfig:
                 raise ConfigError(f"unknown algorithm {a!r}")
         if not self.algorithms:
             raise ConfigError("[campaign] algorithms must list at least one algorithm")
-        for key in ("runs", "workers"):
-            if getattr(self, key) < 1:
-                raise ConfigError(f"[campaign] {key} must be >= 1")
+        for key, least in (("runs", 1), ("workers", 1), ("base_seed", 0)):
+            if getattr(self, key) < least:
+                raise ConfigError(f"[campaign] {key} must be >= {least}")
 
 
 @dataclass(frozen=True)
@@ -253,6 +254,20 @@ def read_trace(path: str) -> list[IterationRecord]:
 # --- campaign --------------------------------------------------------------
 
 
+def _algorithm_means(entries: list[SummaryEntry]) -> dict[str, dict[str, float]]:
+    """Per algorithm, the mean of each measured field of its entries, as mean_<field>."""
+    groups: dict[str, list[SummaryEntry]] = {}
+    for entry in entries:
+        groups.setdefault(entry.algorithm, []).append(entry)
+    return {
+        algorithm: {
+            f"mean_{name}": float(np.mean([getattr(e, name) for e in group]))
+            for name in ("best_objective", "total_wall_ms", "computation_ms", "gp_count")
+        }
+        for algorithm, group in groups.items()
+    }
+
+
 def run_campaign(config: CampaignConfig) -> CampaignSummary:
     """Seeded runs of each algorithm; compared runs share the initial design.
 
@@ -291,26 +306,11 @@ def run_campaign(config: CampaignConfig) -> CampaignSummary:
                 )
             )
 
-    aggregates = {}
-    for algorithm in config.algorithms:
-        algo_entries = [e for e in entries if e.algorithm == algorithm]
-        aggregates[algorithm] = {
-            "mean_best_objective": float(
-                np.mean([e.best_objective for e in algo_entries])
-            ),
-            "mean_total_wall_ms": float(
-                np.mean([e.total_wall_ms for e in algo_entries])
-            ),
-            "mean_computation_ms": float(
-                np.mean([e.computation_ms for e in algo_entries])
-            ),
-            "mean_gp_count": float(np.mean([e.gp_count for e in algo_entries])),
-        }
     summary = CampaignSummary(
         objective=config.objective_name,
         runs=config.runs,
         entries=tuple(entries),
-        aggregates=aggregates,
+        aggregates=_algorithm_means(entries),
     )
     with open(os.path.join(config.output_dir, "summary.json"), "w") as fh:
         fh.write(summary.to_json() + "\n")
@@ -390,31 +390,19 @@ def emit_timing_report(summaries: list[CampaignSummary]) -> tuple[str, str]:
     """
     if not summaries:
         raise ParseError("no summaries given")
-    by_algo: dict[str, list[SummaryEntry]] = {}
-    for summary in summaries:
-        for entry in summary.entries:
-            by_algo.setdefault(entry.algorithm, []).append(entry)
-
-    rows = []
-    for algorithm in sorted(by_algo):
-        entries = by_algo[algorithm]
-        rows.append(
-            (
-                algorithm,
-                float(np.mean([e.computation_ms for e in entries])),
-                float(np.mean([e.best_objective for e in entries])),
-                len(entries),
-            )
-        )
+    entries = [entry for summary in summaries for entry in summary.entries]
+    means = _algorithm_means(entries)
+    runs = Counter(entry.algorithm for entry in entries)
     text_lines = [f"{'algorithm':<14}{'mean_comp_ms':>16}{'mean_best':>16}{'runs':>8}"]
     csv_lines = ["algorithm,mean_computation_ms,mean_best_objective,runs"]
-    for algorithm, comp, best, count in rows:
-        text_lines.append(f"{algorithm:<14}{comp:>16.2f}{best:>16.6g}{count:>8}")
-        csv_lines.append(f"{algorithm},{comp!r},{best!r},{count}")
-    means = {algorithm: comp for algorithm, comp, _, _ in rows}
+    for algorithm in sorted(means):
+        comp, best = means[algorithm]["mean_computation_ms"], means[algorithm]["mean_best_objective"]
+        text_lines.append(f"{algorithm:<14}{comp:>16.2f}{best:>16.6g}{runs[algorithm]:>8}")
+        csv_lines.append(f"{algorithm},{comp!r},{best!r},{runs[algorithm]}")
     dsa_key = "dsa" if "dsa" in means else ("dsa-parallel" if "dsa-parallel" in means else None)
-    if dsa_key and "bo" in means and means["bo"] > 0:
-        ratio = means[dsa_key] / means["bo"]
+    bo_ms = means.get("bo", {}).get("mean_computation_ms", 0.0)
+    if dsa_key and bo_ms > 0:
+        ratio = means[dsa_key]["mean_computation_ms"] / bo_ms
         text_lines.append(f"computation-time ratio {dsa_key}/bo: {ratio:.4f}")
         csv_lines.append(f"ratio_{dsa_key}_over_bo,{ratio!r},,")
     return "\n".join(text_lines) + "\n", "\n".join(csv_lines) + "\n"

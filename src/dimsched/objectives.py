@@ -8,7 +8,6 @@ with different magnitudes contribute comparably.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -16,13 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .direct import Bounds
-from .errors import (
-    ChannelMismatch,
-    DimensionMismatch,
-    NonFiniteState,
-    ParseError,
-    UnknownBenchmark,
-)
+from .errors import ChannelMismatch, DimensionMismatch, NonFiniteState
 
 # Finite, rankable penalty for parameter vectors whose simulation blows up.
 _BLOWUP_PENALTY = 1e9
@@ -61,45 +54,12 @@ class TimeSeriesData:
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "channels", tuple(chans))
 
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        names = [name for name, _ in self.channels]
-        buf.write(",".join(["time"] + names) + "\n")
-        for i, t in enumerate(self.times):
-            row = [repr(float(t))] + [repr(float(v[i])) for _, v in self.channels]
-            buf.write(",".join(row) + "\n")
-        return buf.getvalue()
-
-    @classmethod
-    def from_csv(cls, text: str) -> "TimeSeriesData":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if not lines:
-            raise ParseError("empty time-series CSV")
-        header = lines[0].split(",")
-        if header[0] != "time" or len(header) < 2:
-            raise ParseError(f"bad time-series header: {lines[0]!r}")
-        rows = []
-        for ln in lines[1:]:
-            parts = ln.split(",")
-            if len(parts) != len(header):
-                raise ParseError(f"malformed row: {ln!r}")
-            try:
-                rows.append([float(p) for p in parts])
-            except ValueError as exc:
-                raise ParseError(f"malformed row: {ln!r}") from exc
-        arr = np.asarray(rows)
-        channels = tuple(
-            (name, arr[:, j + 1]) for j, name in enumerate(header[1:])
-        )
-        return cls(times=arr[:, 0], channels=channels)
-
 
 @dataclass(frozen=True)
 class OdeProblem:
     state_dim: int
     rhs: Callable[[float, np.ndarray, np.ndarray], np.ndarray]
     y0: np.ndarray
-    param_dim: int
     param_bounds: Bounds
     channel_names: tuple[str, ...] = field(default=())
 
@@ -153,15 +113,6 @@ _BENCHMARK_BOUNDS = {
 }
 
 _MIN_DIMS = {"rosenbrock": 2, "additive_sphere_rosenbrock": 4}
-
-
-def eval_benchmark(name: str, x) -> float:
-    if name not in _BENCHMARKS:
-        raise UnknownBenchmark(f"unknown benchmark {name!r}")
-    x = np.asarray(x, dtype=float).ravel()
-    if x.shape[0] < _MIN_DIMS.get(name, 1):
-        raise DimensionMismatch(f"{name} needs dimension >= {_MIN_DIMS[name]}")
-    return _BENCHMARKS[name](x)
 
 
 def _benchmark_optimum(name: str, d: int) -> float:
@@ -269,7 +220,6 @@ def lotka_volterra_problem() -> OdeProblem:
         state_dim=2,
         rhs=_lv_rhs,
         y0=_LV_Y0,
-        param_dim=4,
         param_bounds=Bounds(np.full(4, 0.1), np.full(4, 5.0)),
         channel_names=("prey", "predator"),
     )

@@ -33,7 +33,7 @@ from .acquisition import AcquisitionContext, acquisition_objective
 from .direct import Bounds, DirectConfig, direct_minimize
 from .errors import DimensionMismatch, NonFiniteAcquisition, NonFiniteObjective
 from .gp import Dataset, GpModel, gp_augment, gp_fit, train_hyperparams
-from .scheduler import ProbabilityVector, compute_dimension_probabilities, sample_subset
+from .scheduler import compute_dimension_probabilities, sample_subset
 
 
 @dataclass(frozen=True)
@@ -58,9 +58,10 @@ class RunConfig:
 
     def __post_init__(self):
         # Smaller values crash the loop: a design too small to train a GP
-        # on, a zero modulus, or no training start.
+        # on, a zero modulus, no training start, or a seed numpy rejects.
         for key, least in (
             ("n_init", 2), ("pca_period", 1), ("retrain_period", 1), ("train_restarts", 1),
+            ("seed", 0),
         ):
             if getattr(self, key) < least:
                 raise ValueError(f"{key} must be >= {least}")
@@ -201,11 +202,10 @@ def _run(
     incumbent = _design_incumbent(design)
 
     models: dict[tuple[int, ...], GpModel] = {}
-    probs: ProbabilityVector | None = None
+    probs: np.ndarray | None = None
     records: list[IterationRecord] = []
     aborted = False
     assigned = 0
-    completed = 0
     # Assigned, not yet completed proposals, oldest first: (key, x_sub, t_iter).
     pending: list[tuple[tuple[int, ...], np.ndarray, float]] = []
 
@@ -225,7 +225,7 @@ def _run(
                 return key
         return None
 
-    while completed < config.max_iter:
+    while len(records) < config.max_iter:
         while assigned < config.max_iter and len(pending) < workers:
             t_iter = time.perf_counter()
             key = schedule()
@@ -272,7 +272,7 @@ def _run(
             incumbent = Incumbent(point=x_new.copy(), value=y_new)
         records.append(
             IterationRecord(
-                iter=design.n + completed,
+                iter=design.n + len(records),
                 subset=key if scheduled else None,
                 x=x_new,
                 y=y_new,
@@ -282,7 +282,6 @@ def _run(
                 gp_size=models[key].n,
             )
         )
-        completed += 1
     return RunResult(
         records=records,
         incumbent=incumbent,

@@ -17,19 +17,6 @@ from .errors import DimensionMismatch
 
 
 @dataclass(frozen=True)
-class ProbabilityVector:
-    p: np.ndarray
-
-    def __post_init__(self):
-        p = np.asarray(self.p, dtype=float).ravel()
-        object.__setattr__(self, "p", p)
-
-    @property
-    def d(self) -> int:
-        return self.p.shape[0]
-
-
-@dataclass(frozen=True)
 class DimensionSubset:
     dims: tuple[int, ...]
 
@@ -44,7 +31,7 @@ class DimensionSubset:
         return len(self.dims)
 
 
-def compute_dimension_probabilities(X, floor_eps: float = 0.1) -> ProbabilityVector:
+def compute_dimension_probabilities(X, floor_eps: float = 0.1) -> np.ndarray:
     """Per-coordinate sample variance as importance, floored and normalized.
 
     Identical points (zero total variance) fall back to the uniform vector.
@@ -56,21 +43,21 @@ def compute_dimension_probabilities(X, floor_eps: float = 0.1) -> ProbabilityVec
     s = np.var(X, axis=0, ddof=1)
     total = s.sum()
     if total <= 0.0:
-        return ProbabilityVector(np.full(d, 1.0 / d))
+        return np.full(d, 1.0 / d)
     p = (1.0 - floor_eps) * s / total + floor_eps / d
-    return ProbabilityVector(p / p.sum())
+    return p / p.sum()
 
 
-def sample_subset(P: ProbabilityVector, k: int, rng: np.random.Generator) -> DimensionSubset:
-    """k weighted draws without replacement, renormalizing after each.
+def sample_subset(p, k: int, rng: np.random.Generator) -> DimensionSubset:
+    """k draws without replacement, weighted by p and renormalizing after each.
 
     Once the weight left is all zero, the rest are drawn uniformly among
     the coordinates not yet picked.  Each pick takes one ``rng.random()``.
     """
-    d = P.d
+    weights = np.array(p, dtype=float)  # a copy: picked weights are zeroed
+    d = weights.shape[0]
     if not 1 <= k <= d:
         raise DimensionMismatch(f"subset size {k} outside [1, {d}]")
-    weights = P.p.copy()
     picked: list[int] = []
     for _ in range(k):
         cum = np.cumsum(weights)

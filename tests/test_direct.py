@@ -8,9 +8,12 @@ from dimsched.direct import (
     DirectConfig,
     Rect,
     _Classes,
+    _Evaluator,
+    _probes,
+    _side,
+    _split,
     direct_minimize,
     potentially_optimal,
-    trisect,
 )
 from dimsched.errors import NonFiniteObjective
 
@@ -18,6 +21,22 @@ from dimsched.errors import NonFiniteObjective
 def rowwise(f):
     """A batch objective, as DIRECT takes it, from one that scores one point."""
     return lambda X: [f(x) for x in X]
+
+
+def measure(rect: Rect) -> float:
+    """The volume of rect in the unit cube."""
+    return float(np.prod([_side(k) for k in rect.levels]))
+
+
+def trisect(rect: Rect, g, evals_budget: int) -> list[Rect]:
+    """One trisection of rect in the unit cube, as direct_minimize divides it.
+
+    g takes an (m, d) array of points and returns their m values.
+    """
+    dims, centers = _probes(rect, evals_budget)
+    unit = Bounds(np.zeros(len(rect.levels)), np.ones(len(rect.levels)))
+    values = _Evaluator(g, unit, evals_budget)(centers) if dims else []
+    return _split(rect, dims, centers, values, rect.index + 1)[0]
 
 
 def six_hump_camel(x):
@@ -143,7 +162,7 @@ class TestDirectMinimize:
         orig_heads = mod._Classes.heads
 
         def spy(live):
-            measured.append(sum(r.measure for heap in live.values() for _, _, r in heap))
+            measured.append(sum(measure(r) for heap in live.values() for _, _, r in heap))
             return orig_heads(live)
 
         mod._Classes.heads = spy
@@ -336,14 +355,14 @@ class TestTrisect:
         children = trisect(rect, rowwise(g), 100)
         assert len(evals) == 4
         assert len(children) == 5
-        assert abs(sum(c.measure for c in children) - rect.measure) < 1e-12
+        assert abs(sum(measure(c) for c in children) - measure(rect)) < 1e-12
 
     def test_one_dim_centers(self):
         rect = Rect(np.array([0.5]), (0,), 0.0, 0)
         children = trisect(rect, rowwise(lambda x: float(x[0])), 100)
         centers = sorted(c.center[0] for c in children)
         assert np.allclose(centers, [1.0 / 6.0, 0.5, 5.0 / 6.0])
-        assert all(c.levels == (1,) and c.measure == 1.0 / 3.0 for c in children)
+        assert all(c.levels == (1,) and measure(c) == 1.0 / 3.0 for c in children)
 
     def test_single_longest_side(self):
         rect = Rect(np.array([0.5, 0.5]), (0, 1), 0.0, 0)
@@ -360,4 +379,4 @@ class TestTrisect:
     def test_budget_exhaustion_keeps_partition(self):
         rect = Rect(np.array([0.5, 0.5, 0.5]), (0, 0, 0), 0.0, 0)
         children = trisect(rect, rowwise(lambda x: float(np.sum(x))), 4)  # room for 2 of 3 dims
-        assert abs(sum(c.measure for c in children) - 1.0) < 1e-12
+        assert abs(sum(measure(c) for c in children) - 1.0) < 1e-12

@@ -583,21 +583,23 @@ class TestTraining:
         true = hyper(1, ls=1.0, sf2=1.0, sn2=1e-4)
         K = kernel_matrix(X, X, true) + 1e-4 * np.eye(40)
         Y = np.linalg.cholesky(K) @ rng.normal(size=40)
-        trained = train_hyperparams(Dataset(X, Y), restarts=4, seed=0)
+        trained = train_hyperparams(Dataset(X, Y), restarts=4, rng=0)
         ell = trained.lengthscales[0]
         assert 0.5 <= ell <= 2.0
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(10)
         data, _ = random_instance(rng, n=10, d=2)
-        a = train_hyperparams(data, restarts=1, seed=42)
-        b = train_hyperparams(data, restarts=1, seed=42)
+        a = train_hyperparams(data, restarts=1, rng=42)
+        b = train_hyperparams(data, restarts=1, rng=42)
+        c = train_hyperparams(data, restarts=1, rng=np.random.default_rng(42))
         assert np.array_equal(a.to_vector(), b.to_vector())
+        assert np.array_equal(a.to_vector(), c.to_vector())
 
     def test_constant_targets(self):
         X = np.random.default_rng(11).uniform(-1, 1, size=(8, 2))
         data = Dataset(X, np.full(8, 2.0))
-        trained = train_hyperparams(data, restarts=2, seed=1)
+        trained = train_hyperparams(data, restarts=2, rng=1)
         model = gp_fit(data, trained)
         mean, _ = gp_predict(model, [0.0, 0.0])
         assert abs(mean - 2.0) < 1e-6
@@ -611,13 +613,13 @@ class TestTraining:
             with pytest.raises(ValueError, match="infs or NaNs"):
                 gp_fit(data, hyper(2))
             with pytest.raises(ValueError, match="infs or NaNs"):
-                train_hyperparams(data, restarts=1, seed=0)
+                train_hyperparams(data, restarts=1, rng=0)
 
     def test_never_below_best_start(self):
         rng = np.random.default_rng(12)
         for seed in range(5):
             data, _ = random_instance(rng, n=8, d=2)
-            trained = train_hyperparams(data, restarts=3, seed=seed)
+            trained = train_hyperparams(data, restarts=3, rng=seed)
             lml_trained = log_marginal_likelihood(data, trained)
             # Rebuild the same starts the trainer saw.
             from dimsched.gp import _coordinate_ranges, _random_start

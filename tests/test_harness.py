@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 from dataclasses import fields
 
 import numpy as np
@@ -182,8 +184,12 @@ class TestCampaignConfig:
             ({"algorithms": ("bo", "nope")}, "unknown algorithm 'nope'"),
             ({"algorithms": ("dsa-parallel",), "workers": 0}, r"\[campaign\] workers must be >= 1"),
             ({"objective_name": "paraboloid-3"}, "unknown objective 'paraboloid-3'"),
+            ({"base_seed": -1}, r"\[campaign\] base_seed must be >= 0"),
         ],
-        ids=["runs", "no_algorithms", "unknown_algorithm", "workers", "unknown_objective"],
+        ids=[
+            "runs", "no_algorithms", "unknown_algorithm", "workers", "unknown_objective",
+            "negative_base_seed",
+        ],
     )
     def test_rejected_when_built(self, tmp_path, kwargs, message):
         out = tmp_path / "out"
@@ -493,6 +499,26 @@ class TestCli:
         bad = write_config(tmp_path, FAST_CONFIG.replace("sphere-2", "nope"))
         assert cli.main(["run", "--config", bad]) == 2
         assert "config error" in capsys.readouterr().err
+
+    def test_config_error_printed_once(self, tmp_path):
+        # In a process of its own: pytest's log capture would hide a
+        # second copy of the message sent through logging.
+        bad = write_config(tmp_path, FAST_CONFIG.replace("sphere-2", "nope"))
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
+        env.pop("DIMSCHED_LOG", None)
+        proc = subprocess.run(
+            [sys.executable, "-m", "dimsched.cli", "run", "--config", bad],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == ["config error: unknown objective 'nope'"]
+
+    def test_negative_seed_exit(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = ["run", "--config", write_config(tmp_path), "--out", str(out), "--seed", "-1"]
+        assert cli.main(argv) == 2
+        assert "[campaign] base_seed must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_out_of_range_config_exit(self, tmp_path, capsys):
         bad = write_config(

@@ -7,7 +7,6 @@ import pytest
 from dimsched.errors import DimensionMismatch
 from dimsched.scheduler import (
     DimensionSubset,
-    ProbabilityVector,
     compute_dimension_probabilities,
     sample_subset,
 )
@@ -19,19 +18,19 @@ class TestProbabilities:
         X = np.zeros((50, 4))
         X[:, 0] = rng.normal(size=50)
         P = compute_dimension_probabilities(X, floor_eps=0.1)
-        assert abs(P.p[0] - (0.9 + 0.1 / 4)) < 1e-10
-        assert np.allclose(P.p[1:], 0.1 / 4)
+        assert abs(P[0] - (0.9 + 0.1 / 4)) < 1e-10
+        assert np.allclose(P[1:], 0.1 / 4)
 
     def test_isotropic_uniform(self):
         rng = np.random.default_rng(1)
         X = rng.normal(size=(5000, 3))
         P = compute_dimension_probabilities(X, floor_eps=0.1)
-        assert np.allclose(P.p, 1.0 / 3.0, atol=0.02)
+        assert np.allclose(P, 1.0 / 3.0, atol=0.02)
 
     def test_identical_points_uniform_fallback(self):
         X = np.ones((10, 5))
         P = compute_dimension_probabilities(X)
-        assert np.allclose(P.p, 0.2)
+        assert np.allclose(P, 0.2)
 
     def test_sums_to_one_and_floor(self):
         rng = np.random.default_rng(2)
@@ -39,8 +38,8 @@ class TestProbabilities:
             d = int(rng.integers(2, 10))
             X = rng.normal(size=(20, d)) * rng.uniform(0, 3, size=d)
             P = compute_dimension_probabilities(X, floor_eps=0.1)
-            assert abs(P.p.sum() - 1.0) < 1e-12
-            assert np.all(P.p >= 0.1 / d - 1e-12)
+            assert abs(P.sum() - 1.0) < 1e-12
+            assert np.all(P >= 0.1 / d - 1e-12)
 
     def test_importance_equals_covariance_diagonal(self):
         # s_j must equal C_jj, the diagonal of the sample covariance.
@@ -50,12 +49,12 @@ class TestProbabilities:
         C = Xc.T @ Xc / (X.shape[0] - 1)
         diag = np.diag(C)
         P = compute_dimension_probabilities(X, floor_eps=0.0)
-        assert np.allclose(P.p, diag / diag.sum(), atol=1e-10)
+        assert np.allclose(P, diag / diag.sum(), atol=1e-10)
 
 
 class TestSampleSubset:
     def test_full_set(self):
-        P = ProbabilityVector(np.array([0.7, 0.2, 0.1]))
+        P = np.array([0.7, 0.2, 0.1])
         rng = np.random.default_rng(0)
         Z = sample_subset(P, 3, rng)
         assert Z.dims == (0, 1, 2)
@@ -64,13 +63,13 @@ class TestSampleSubset:
         d = 4
         p = np.full(d, 0.01)
         p[0] = 0.97
-        P = ProbabilityVector(p / p.sum())
+        P = p / p.sum()
         rng = np.random.default_rng(1)
         hits = sum(sample_subset(P, 1, rng).dims == (0,) for _ in range(100_000))
         assert abs(hits / 100_000 - 0.97) < 0.01
 
     def test_uniform_pairs(self):
-        P = ProbabilityVector(np.full(3, 1.0 / 3.0))
+        P = np.full(3, 1.0 / 3.0)
         rng = np.random.default_rng(2)
         counts = Counter(sample_subset(P, 2, rng).dims for _ in range(100_000))
         # By symmetry each unordered pair has probability 1/3.
@@ -78,7 +77,7 @@ class TestSampleSubset:
             assert abs(counts[pair] / 100_000 - 1.0 / 3.0) < 0.01
 
     def test_deterministic_with_seed(self):
-        P = ProbabilityVector(np.array([0.5, 0.3, 0.2]))
+        P = np.array([0.5, 0.3, 0.2])
         a = [sample_subset(P, 2, np.random.default_rng(7)).dims for _ in range(1)]
         b = [sample_subset(P, 2, np.random.default_rng(7)).dims for _ in range(1)]
         assert a == b
@@ -86,7 +85,6 @@ class TestSampleSubset:
     def test_marginals_match_sequential_oracle(self):
         # Inclusion frequency vs explicit enumeration of two sequential draws.
         p = np.array([0.5, 0.25, 0.15, 0.1])
-        P = ProbabilityVector(p)
         incl = np.zeros(4)
         for first in range(4):
             for second in range(4):
@@ -99,14 +97,14 @@ class TestSampleSubset:
         n = 100_000
         freq = np.zeros(4)
         for _ in range(n):
-            for j in sample_subset(P, 2, rng).dims:
+            for j in sample_subset(p, 2, rng).dims:
                 freq[j] += 1
         freq /= n
         se = np.sqrt(incl * (1 - incl) / n)
         assert np.all(np.abs(freq - incl) <= 3 * se + 1e-9)
 
     def test_bad_k(self):
-        P = ProbabilityVector(np.array([0.5, 0.5]))
+        P = np.array([0.5, 0.5])
         with pytest.raises(DimensionMismatch):
             sample_subset(P, 3, np.random.default_rng(0))
 
@@ -119,7 +117,7 @@ class TestCanonicalKey:
         assert DimensionSubset((0, 1)).dims != DimensionSubset((0, 2)).dims
 
     def test_key_count_bounded_by_combinations(self):
-        P = ProbabilityVector(np.full(5, 0.2))
+        P = np.full(5, 0.2)
         rng = np.random.default_rng(4)
         keys = {sample_subset(P, 2, rng).dims for _ in range(2000)}
         assert len(keys) <= 10
