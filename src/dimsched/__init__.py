@@ -32,17 +32,12 @@ from .optimize import (
     run_dsa,
     run_dsa_parallel,
 )
-from .scheduler import (
-    DimensionSubset,
-    compute_dimension_probabilities,
-    sample_subset,
-)
+from .scheduler import compute_dimension_probabilities, sample_subset
 
 __all__ = [
     "AcquisitionContext",
     "Bounds",
     "Dataset",
-    "DimensionSubset",
     "DirectConfig",
     "GpModel",
     "Incumbent",

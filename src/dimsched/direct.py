@@ -3,17 +3,18 @@
 Works in the normalized unit cube with an affine map to the caller's
 bounds.  Rectangles are trisected along their longest sides; candidates
 for division are the potentially optimal rectangles on the lower-right
-convex hull of (diameter, center value).  A rectangle stores how often
-each side was trisected, and its diameter is cached by these levels.
+convex hull of (diameter, center value).  A rectangle stores its center
+as a tuple of floats and how often each side was trisected, and its
+diameter is cached by these levels.
 Live rectangles sit in one min-heap per diameter class, ordered by
 (center value, creation index) as in Gablonsky & Kelley (J. Global
 Optim. 2001): only a class's best rectangle can be potentially optimal,
 so each iteration reads the hull off the class heads alone.  The classes
 alone decide grouping and order: they hand the hull one head per
 diameter, in ascending diameter, and the heads it selects are divided in
-that order.  The objective is vectorized and scores the probe points of
-one iteration in one call.  Deterministic for a given objective, bounds
-and configuration.
+that order.  The probes of one iteration are built as float tuples and
+handed to the objective as one array, which it scores in one call.
+Deterministic for a given objective, bounds and configuration.
 """
 
 from __future__ import annotations
@@ -84,15 +85,16 @@ def _diameter(levels: tuple[int, ...]) -> float:
     return 0.5 * float(np.linalg.norm(np.sort([_side(k) for k in levels])))
 
 
-@dataclass
 class Rect:
-    center: np.ndarray        # in [0,1]^d
-    levels: tuple[int, ...]   # side j is _side(levels[j])
-    f_center: float
-    index: int                # creation order, used for tie-breaking
+    __slots__ = ("center", "levels", "f_center", "index", "diameter")
 
-    def __post_init__(self):
-        self.diameter = _diameter(self.levels)
+    def __init__(self, center: tuple[float, ...], levels: tuple[int, ...], f_center: float,
+                 index: int):
+        self.center = center        # in [0,1]^d
+        self.levels = levels        # side j is _side(levels[j])
+        self.f_center = f_center
+        self.index = index          # creation order, used for tie-breaking
+        self.diameter = _diameter(levels)
 
 
 class _Classes(dict):
@@ -134,16 +136,16 @@ class _Evaluator:
             raise DimensionMismatch(
                 f"objective returned shape {values.shape} for {X.shape[0]} points"
             )
-        finite = np.isfinite(values)
-        if not finite.all():
-            i = int(np.argmin(finite))
+        values = values.tolist()
+        if not all(map(math.isfinite, values)):
+            i = next(i for i, v in enumerate(values) if not math.isfinite(v))
             raise NonFiniteObjective(f"objective returned {values[i]} at {X[i]}")
         self.count += X.shape[0]
-        i = int(np.argmin(values))  # the first row at the minimum
+        i = values.index(min(values))  # the first row at the minimum
         if values[i] < self.best_f:
-            self.best_f = float(values[i])
+            self.best_f = values[i]
             self.best_x = X[i]
-        return values.tolist()
+        return values
 
 
 def potentially_optimal(heads: list[Rect], f_min: float, epsilon: float) -> list[int]:
@@ -170,8 +172,8 @@ def potentially_optimal(heads: list[Rect], f_min: float, epsilon: float) -> list
         hull.append((d, f, i))
 
     # K >= 0 restricts the hull to diameters at or beyond the min-f vertex.
-    start = min(range(len(hull)), key=lambda p: hull[p][1], default=0)  # the first minimum
-    hull = hull[start:]
+    fs = [f for _, f, _ in hull]
+    hull = hull[fs.index(min(fs)) if fs else 0 :]  # from the first minimum
 
     selected: list[int] = []
     for (d, f, i), (d_next, f_next, _) in zip(hull, hull[1:]):
@@ -181,27 +183,25 @@ def potentially_optimal(heads: list[Rect], f_min: float, epsilon: float) -> list
     return selected + [i for _, _, i in hull[-1:]]
 
 
-def _probes(rect: Rect, budget: int) -> tuple[list[int], np.ndarray]:
+def _probes(rect: Rect, budget: int) -> tuple[list[int], list[tuple[float, ...]]]:
     """The dimensions to split rect along, and the centers to probe.
 
     These are rect's longest sides, in index order, as many as budget
-    evaluations pay for.  Rows 2k and 2k + 1 of the centers step the
-    k-th dimension up and down by a third of the longest side.
+    evaluations pay for.  Centers 2k and 2k + 1 step the k-th dimension
+    up and down by a third of the longest side.
     """
-    levels = rect.levels
+    center, levels = rect.center, rect.levels
     top = min(levels)
     dims = [j for j, k in enumerate(levels) if k == top][: max(budget, 0) // 2]
     delta = _side(top + 1)  # a third of the longest side
-    # Adding 0 leaves a coordinate as it is, and adding -delta equals
-    # subtracting delta, so each probe is exactly the center stepped once.
-    steps = np.zeros((len(dims), 2, len(levels)))
-    for k, j in enumerate(dims):
-        steps[k, 0, j] = delta
-        steps[k, 1, j] = -delta
-    return dims, (rect.center + steps).reshape(-1, len(levels))
+    centers = []
+    for j in dims:
+        head, c, tail = center[:j], center[j], center[j + 1 :]
+        centers += (head + (c + delta,) + tail, head + (c - delta,) + tail)
+    return dims, centers
 
 
-def _split(rect: Rect, dims: list[int], centers: np.ndarray, values: list[float],
+def _split(rect: Rect, dims: list[int], centers: list[tuple[float, ...]], values: list[float],
            next_index: int) -> tuple[list[Rect], int]:
     """Trisect rect along dims from its probes, best dimensions first.
 
@@ -235,8 +235,8 @@ def direct_minimize(
     them all before it looks at any of their values.
     """
     evaluate = _Evaluator(g, bounds, config.max_evals)
-    center = np.full(bounds.d, 0.5)
-    (f0,) = evaluate(center[None, :])
+    center = (0.5,) * bounds.d
+    (f0,) = evaluate(np.array([center]))
     live = _Classes()
     live.push([Rect(center, (0,) * bounds.d, f0, 0)])
     next_index = 1
@@ -247,6 +247,7 @@ def direct_minimize(
         heads = live.heads()
         budget = evaluate.remaining
         plans = []
+        probes = []
         # In ascending diameter, as the hull returns them.
         for i in potentially_optimal(heads, evaluate.best_f, config.epsilon):
             rect = heads[i]
@@ -254,9 +255,10 @@ def direct_minimize(
             # Once the budget runs out a rect gets no probes and stays
             # whole, so the partition stays exact.
             dims, centers = _probes(rect, budget)
-            budget -= centers.shape[0]
+            budget -= len(centers)
             plans.append((rect, dims, centers))
-        values = evaluate(np.vstack([centers for _, _, centers in plans]))
+            probes += centers
+        values = evaluate(np.array(probes))
         for rect, dims, centers in plans:
             children, next_index = _split(rect, dims, centers, values[: len(centers)], next_index)
             values = values[len(centers) :]

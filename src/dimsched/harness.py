@@ -21,6 +21,7 @@ import math
 import os
 from collections import Counter
 from dataclasses import asdict, dataclass, field, fields, replace
+from html import escape
 
 import numpy as np
 
@@ -376,7 +377,7 @@ def emit_convergence_plot(trace_paths: list[str], out: str, log_scale: bool = Fa
             f'fill="{color}"/>'
         )
         parts.append(
-            f'<text x="{width - margin - 142}" y="{ly}" font-size="12">{label}</text>'
+            f'<text x="{width - margin - 142}" y="{ly}" font-size="12">{escape(label)}</text>'
         )
     parts.append("</svg>")
     with open(out, "w") as fh:

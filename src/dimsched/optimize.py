@@ -220,7 +220,7 @@ def _run(
             )
         checked_out = {key for key, _, _ in pending}
         for _ in range(11):  # one draw, then up to 10 resamples
-            key = sample_subset(probs, config.subset_size, rng).dims
+            key = sample_subset(probs, config.subset_size, rng)
             if key not in checked_out:
                 return key
         return None

@@ -9,26 +9,9 @@ of the sample covariance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DimensionMismatch
-
-
-@dataclass(frozen=True)
-class DimensionSubset:
-    dims: tuple[int, ...]
-
-    def __post_init__(self):
-        dims = tuple(sorted(int(j) for j in self.dims))
-        if not dims or len(set(dims)) != len(dims):
-            raise DimensionMismatch("subset must be nonempty with distinct indices")
-        object.__setattr__(self, "dims", dims)
-
-    @property
-    def k(self) -> int:
-        return len(self.dims)
 
 
 def compute_dimension_probabilities(X, floor_eps: float = 0.1) -> np.ndarray:
@@ -48,11 +31,12 @@ def compute_dimension_probabilities(X, floor_eps: float = 0.1) -> np.ndarray:
     return p / p.sum()
 
 
-def sample_subset(p, k: int, rng: np.random.Generator) -> DimensionSubset:
+def sample_subset(p, k: int, rng: np.random.Generator) -> tuple[int, ...]:
     """k draws without replacement, weighted by p and renormalizing after each.
 
     Once the weight left is all zero, the rest are drawn uniformly among
     the coordinates not yet picked.  Each pick takes one ``rng.random()``.
+    Returns the k distinct picked coordinates, sorted.
     """
     weights = np.array(p, dtype=float)  # a copy: picked weights are zeroed
     d = weights.shape[0]
@@ -70,5 +54,5 @@ def sample_subset(p, k: int, rng: np.random.Generator) -> DimensionSubset:
             idx = left[int(u * len(left))]
         picked.append(idx)
         weights[idx] = 0.0
-    return DimensionSubset(tuple(picked))
+    return tuple(sorted(picked))
 

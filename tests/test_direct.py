@@ -1,7 +1,11 @@
 import hashlib
+import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dimsched.direct import (
     Bounds,
@@ -35,7 +39,7 @@ def trisect(rect: Rect, g, evals_budget: int) -> list[Rect]:
     """
     dims, centers = _probes(rect, evals_budget)
     unit = Bounds(np.zeros(len(rect.levels)), np.ones(len(rect.levels)))
-    values = _Evaluator(g, unit, evals_budget)(centers) if dims else []
+    values = _Evaluator(g, unit, evals_budget)(np.array(centers)) if dims else []
     return _split(rect, dims, centers, values, rect.index + 1)[0]
 
 
@@ -255,10 +259,101 @@ class TestDirectMinimize:
         assert len(batches) == 1 + iterations[0]  # the center, then one per iteration
 
 
+class TestEvaluator:
+    bounds = Bounds([-1.0, 2.0], [3.0, 2.5])
+    centers = np.array([(0.5, 0.5), (1 / 6, 0.5), (5 / 6, 0.5), (0.5, 1 / 6)])
+
+    def test_first_non_finite_named_and_not_counted(self):
+        evaluate = _Evaluator(lambda X: [2.0, 1.0, 0.5, 3.0], self.bounds, 100)
+        evaluate(self.centers)
+        evaluate.g = lambda X: [0.0, float("inf"), float("nan"), -1.0]
+        x_second = self.bounds.lower + self.centers[1] * self.bounds.span
+        with pytest.raises(NonFiniteObjective, match=re.escape(f"returned inf at {x_second}")):
+            evaluate(self.centers)
+        assert evaluate.count == 4
+        assert evaluate.best_f == 0.5
+
+    def test_best_is_first_tied_minimum(self):
+        # -0.0 and 0.0 tie, as numpy's argmin has them: the first row wins.
+        evaluate = _Evaluator(lambda X: [1.0, 0.0, -0.0, 0.0], self.bounds, 100)
+        assert evaluate(self.centers) == [1.0, 0.0, -0.0, 0.0]
+        assert evaluate.best_f == 0.0 and math.copysign(1.0, evaluate.best_f) == 1.0
+        expected = self.bounds.lower + self.centers[1] * self.bounds.span
+        assert evaluate.best_x.tobytes() == expected.tobytes()
+        # A later value equal to the best does not replace it.
+        evaluate.g = lambda X: [-0.0, 5.0, 5.0, 5.0]
+        evaluate(self.centers[::-1])
+        assert evaluate.best_x.tobytes() == expected.tobytes()
+        assert evaluate.count == 8
+
+    def test_list_and_array_values_agree(self):
+        bounds = Bounds([-3.0, -2.0], [3.0, 2.0])
+        config = DirectConfig(max_evals=300, max_iters=60)
+        as_list = rowwise(six_hump_camel)
+        as_array = lambda X: np.array(as_list(X))
+        x_list, f_list, n_list = direct_minimize(as_list, bounds, config)
+        x_array, f_array, n_array = direct_minimize(as_array, bounds, config)
+        assert x_list.tobytes() == x_array.tobytes()
+        assert (f_list, n_list) == (f_array, n_array)
+        assert type(f_list) is float and type(f_array) is float
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    d=st.integers(1, 4),
+    max_evals=st.integers(1, 200),
+    max_iters=st.integers(0, 25),
+    lower=st.lists(st.integers(-5, 4), min_size=4, max_size=4),
+    span=st.lists(st.integers(1, 5), min_size=4, max_size=4),
+    target=st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4),
+    digits=st.integers(0, 2),
+)
+def test_direct_properties(d, max_evals, max_iters, lower, span, target, digits):
+    # Integer bounds make lower + span exactly upper, so a point mapped from
+    # the unit cube cannot round past a bound.  A side is trisected at most
+    # once per iteration, so with max_iters <= 25 every step stays far above
+    # the rounding error of a center.  Rounded values tie often, so the
+    # creation-index tie-break and the first-minimum rule both run.
+    from dimsched import direct as mod
+
+    lo = np.array(lower[:d], dtype=float)
+    hi = lo + np.array(span[:d], dtype=float)
+    bounds = Bounds(lo, hi)
+    c = lo + np.array(target[:d]) * (hi - lo)
+    points, values, measures = [], [], []
+
+    def g(X):
+        assert np.all(X >= lo) and np.all(X <= hi)
+        batch = [round(float(np.sum(np.abs(x - c))), digits) for x in X]
+        points.extend(X.copy())
+        values.extend(batch)
+        return batch
+
+    orig_heads = mod._Classes.heads
+
+    def spy(live):
+        measures.append(sum(measure(r) for heap in live.values() for _, _, r in heap))
+        return orig_heads(live)
+
+    mod._Classes.heads = spy
+    try:
+        x_best, f_best, evals = direct_minimize(
+            g, bounds, DirectConfig(max_evals=max_evals, max_iters=max_iters)
+        )
+    finally:
+        mod._Classes.heads = orig_heads
+    assert evals == len(values) <= max_evals
+    assert all(abs(total - 1.0) < 1e-12 for total in measures)
+    first = values.index(min(values))
+    assert f_best == values[first]
+    assert math.copysign(1.0, f_best) == math.copysign(1.0, values[first])
+    assert x_best.tobytes() == points[first].tobytes()
+
+
 class TestPotentiallyOptimal:
     def rect(self, levels, f, index):
         levels = tuple(int(k) for k in levels)
-        return Rect(center=np.full(len(levels), 0.5), levels=levels, f_center=f, index=index)
+        return Rect(center=(0.5,) * len(levels), levels=levels, f_center=f, index=index)
 
     def oracle(self, rects, f_min, eps):
         """Brute force over a dense K grid: the indices of the selected rects."""
@@ -345,7 +440,7 @@ class TestPotentiallyOptimal:
 
 class TestTrisect:
     def test_unit_square_constant(self):
-        rect = Rect(np.array([0.5, 0.5]), (0, 0), 1.0, 0)
+        rect = Rect((0.5, 0.5), (0, 0), 1.0, 0)
         evals = []
 
         def g(x):
@@ -358,14 +453,14 @@ class TestTrisect:
         assert abs(sum(measure(c) for c in children) - measure(rect)) < 1e-12
 
     def test_one_dim_centers(self):
-        rect = Rect(np.array([0.5]), (0,), 0.0, 0)
+        rect = Rect((0.5,), (0,), 0.0, 0)
         children = trisect(rect, rowwise(lambda x: float(x[0])), 100)
         centers = sorted(c.center[0] for c in children)
         assert np.allclose(centers, [1.0 / 6.0, 0.5, 5.0 / 6.0])
         assert all(c.levels == (1,) and measure(c) == 1.0 / 3.0 for c in children)
 
     def test_single_longest_side(self):
-        rect = Rect(np.array([0.5, 0.5]), (0, 1), 0.0, 0)
+        rect = Rect((0.5, 0.5), (0, 1), 0.0, 0)
         evals = []
 
         def g(x):
@@ -377,6 +472,6 @@ class TestTrisect:
         assert len(children) == 3
 
     def test_budget_exhaustion_keeps_partition(self):
-        rect = Rect(np.array([0.5, 0.5, 0.5]), (0, 0, 0), 0.0, 0)
+        rect = Rect((0.5, 0.5, 0.5), (0, 0, 0), 0.0, 0)
         children = trisect(rect, rowwise(lambda x: float(np.sum(x))), 4)  # room for 2 of 3 dims
         assert abs(sum(measure(c) for c in children) - 1.0) < 1e-12

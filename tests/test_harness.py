@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 from dataclasses import fields
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -450,6 +451,17 @@ class TestPlotAndReport:
         assert svg.count("<polyline") == 3
         assert svg.startswith("<svg")
         assert svg.count("trace0.csv") == 1
+
+    def test_labels_escaped(self, tmp_path):
+        # A trace file name with XML's special characters still gives a
+        # well-formed SVG, whose legend reads the name as it is.
+        (path,) = self.make_traces(tmp_path, 1)
+        named = str(tmp_path / "a&b<c>.csv")
+        os.rename(path, named)
+        out = str(tmp_path / "plot.svg")
+        emit_convergence_plot([named], out)
+        texts = [el.text for el in ElementTree.parse(out).iter("{http://www.w3.org/2000/svg}text")]
+        assert "a&b<c>.csv" in texts
 
     def test_log_scale(self, tmp_path):
         paths = self.make_traces(tmp_path, 1)

@@ -5,11 +5,17 @@ import numpy as np
 import pytest
 
 from dimsched.errors import DimensionMismatch
-from dimsched.scheduler import (
-    DimensionSubset,
-    compute_dimension_probabilities,
-    sample_subset,
-)
+from dimsched.scheduler import compute_dimension_probabilities, sample_subset
+
+
+class Draws:
+    """A stand-in for a Generator whose ``random()`` returns the given values."""
+
+    def __init__(self, *values):
+        self.values = list(values)
+
+    def random(self):
+        return self.values.pop(0)
 
 
 class TestProbabilities:
@@ -56,8 +62,7 @@ class TestSampleSubset:
     def test_full_set(self):
         P = np.array([0.7, 0.2, 0.1])
         rng = np.random.default_rng(0)
-        Z = sample_subset(P, 3, rng)
-        assert Z.dims == (0, 1, 2)
+        assert sample_subset(P, 3, rng) == (0, 1, 2)
 
     def test_concentrated_marginal(self):
         d = 4
@@ -65,21 +70,21 @@ class TestSampleSubset:
         p[0] = 0.97
         P = p / p.sum()
         rng = np.random.default_rng(1)
-        hits = sum(sample_subset(P, 1, rng).dims == (0,) for _ in range(100_000))
+        hits = sum(sample_subset(P, 1, rng) == (0,) for _ in range(100_000))
         assert abs(hits / 100_000 - 0.97) < 0.01
 
     def test_uniform_pairs(self):
         P = np.full(3, 1.0 / 3.0)
         rng = np.random.default_rng(2)
-        counts = Counter(sample_subset(P, 2, rng).dims for _ in range(100_000))
+        counts = Counter(sample_subset(P, 2, rng) for _ in range(100_000))
         # By symmetry each unordered pair has probability 1/3.
         for pair in combinations(range(3), 2):
             assert abs(counts[pair] / 100_000 - 1.0 / 3.0) < 0.01
 
     def test_deterministic_with_seed(self):
         P = np.array([0.5, 0.3, 0.2])
-        a = [sample_subset(P, 2, np.random.default_rng(7)).dims for _ in range(1)]
-        b = [sample_subset(P, 2, np.random.default_rng(7)).dims for _ in range(1)]
+        a = [sample_subset(P, 2, np.random.default_rng(7)) for _ in range(1)]
+        b = [sample_subset(P, 2, np.random.default_rng(7)) for _ in range(1)]
         assert a == b
 
     def test_marginals_match_sequential_oracle(self):
@@ -97,11 +102,24 @@ class TestSampleSubset:
         n = 100_000
         freq = np.zeros(4)
         for _ in range(n):
-            for j in sample_subset(p, 2, rng).dims:
+            for j in sample_subset(p, 2, rng):
                 freq[j] += 1
         freq /= n
         se = np.sqrt(incl * (1 - incl) / n)
         assert np.all(np.abs(freq - incl) <= 3 * se + 1e-9)
+
+    def test_distinct_and_sorted(self):
+        # Weights with zeros, so the uniform draws among the coordinates
+        # left are taken too.
+        rng = np.random.default_rng(6)
+        for _ in range(500):
+            d = int(rng.integers(1, 9))
+            p = rng.uniform(0, 1, size=d) * (rng.uniform(size=d) < 0.5)
+            k = int(rng.integers(1, d + 1))
+            dims = sample_subset(p, k, rng)
+            assert len(dims) == k
+            assert dims == tuple(sorted(set(dims)))
+            assert all(type(j) is int and 0 <= j < d for j in dims)
 
     def test_bad_k(self):
         P = np.array([0.5, 0.5])
@@ -111,13 +129,18 @@ class TestSampleSubset:
 
 class TestCanonicalKey:
     def test_order_insensitive(self):
-        assert DimensionSubset((3, 1)).dims == DimensionSubset((1, 3)).dims
+        # Coordinate 3 then 1, and 1 then 3, name the same subset.
+        P = np.full(4, 0.25)
+        assert sample_subset(P, 2, Draws(0.9, 0.4)) == (1, 3)
+        assert sample_subset(P, 2, Draws(0.3, 0.9)) == (1, 3)
 
     def test_injective(self):
-        assert DimensionSubset((0, 1)).dims != DimensionSubset((0, 2)).dims
+        P = np.full(4, 0.25)
+        assert sample_subset(P, 2, Draws(0.1, 0.2)) == (0, 1)
+        assert sample_subset(P, 2, Draws(0.1, 0.6)) == (0, 2)
 
     def test_key_count_bounded_by_combinations(self):
         P = np.full(5, 0.2)
         rng = np.random.default_rng(4)
-        keys = {sample_subset(P, 2, rng).dims for _ in range(2000)}
+        keys = {sample_subset(P, 2, rng) for _ in range(2000)}
         assert len(keys) <= 10
