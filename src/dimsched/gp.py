@@ -21,6 +21,9 @@ keeps the noise-free K for the gradient.  ``gp_fit``, the public LML and
 its gradient wrap it, and training calls it directly on theta vectors:
 the targets are centred once per dataset, each trial point is fitted
 once, and a ``KernelHyperparams`` is built only for the value returned.
+Trial points may overflow or fail to factorize, so one
+``np.errstate(all="ignore")`` spans a training's starts and ascents; the
+fit core and the gradient enter none of their own.
 """
 
 from __future__ import annotations
@@ -303,10 +306,12 @@ def _lml_gradient(data: Dataset, fit: _Fit, noise_variance: float) -> np.ndarray
     K_inv, info = lapack.dpotri(fit.factor.L, lower=1)
     if info != 0:
         raise NotPositiveDefinite(f"inverse from the Cholesky factor failed (info={info})")
-    K_inv += K_inv.T
-    K_inv.flat[:: n + 1] *= 0.5
+    # W = alpha alpha^T - K^-1 without forming the symmetric K^-1: subtract
+    # the lower triangle, then its transpose with the diagonal zeroed.
     W = np.outer(fit.alpha, fit.alpha)
     W -= K_inv
+    K_inv.flat[:: n + 1] = 0.0
+    W -= K_inv.T
     trace_m = float(np.trace(W))
     W *= fit.K
 
@@ -331,9 +336,8 @@ _MAX_HALVINGS = 40
 def _safe_fit(data: Dataset, yc: np.ndarray, theta: np.ndarray) -> _Fit | None:
     """The fit at theta, or None if it fails or its LML is not finite."""
     try:
-        with np.errstate(all="ignore"):
-            fit = _fit(data, yc, theta)
-    except (NotPositiveDefinite, DimensionMismatch, FloatingPointError):
+        fit = _fit(data, yc, theta)
+    except (NotPositiveDefinite, DimensionMismatch):
         return None
     return fit if math.isfinite(fit.lml) else None
 
@@ -442,13 +446,15 @@ def train_hyperparams(
 
     best_f = -np.inf
     best = starts[0]
-    for theta in starts:
-        fit = _safe_fit(data, yc, theta)
-        if fit is None:
-            continue
-        f_end, theta_end = _ascend(data, yc, theta, fit, max_iter=max_iter)
-        if f_end > best_f:
-            best_f, best = f_end, theta_end
+    # _safe_fit and the ascent reject what overflows (module docstring).
+    with np.errstate(all="ignore"):
+        for theta in starts:
+            fit = _safe_fit(data, yc, theta)
+            if fit is None:
+                continue
+            f_end, theta_end = _ascend(data, yc, theta, fit, max_iter=max_iter)
+            if f_end > best_f:
+                best_f, best = f_end, theta_end
 
     floor = math.log(max(_NOISE_FLOOR, _NOISE_FLOOR * var_y))
     return KernelHyperparams(best[:-2].copy(), float(best[-2]), max(float(best[-1]), floor))

@@ -213,7 +213,11 @@ def write_trace(path: str, result: RunResult) -> None:
 
 
 def read_trace(path: str) -> list[IterationRecord]:
-    """The rows of a trace written by ``write_trace``, design rows first."""
+    """The rows of a trace written by ``write_trace``, design rows first.
+
+    ``write_trace`` always writes the initial design's rows, so a trace
+    with a header and no rows is rejected.
+    """
     with open(path) as fh:
         lines = [ln for ln in fh.read().splitlines() if ln.strip()]
     if not lines:
@@ -249,6 +253,8 @@ def read_trace(path: str) -> list[IterationRecord]:
             )
         except ValueError as exc:
             raise ParseError(f"{path}: malformed row {ln!r}") from exc
+    if not rows:
+        raise ParseError(f"{path}: trace has no rows")
     return rows
 
 

@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 from scipy.linalg import lapack
 
 from .errors import DimensionMismatch, NotPositiveDefinite
@@ -52,12 +53,31 @@ class CholFactor:
         return self.L.shape[0]
 
 
-# numpy's Cholesky, not scipy's lapack.dpotrf, although dpotrf takes a
-# third of its time at n = 20: scipy bundles its own OpenBLAS build, and
-# on 110 of 350 random kernel matrices (n = 5-220) its factor differed
-# from numpy's in the last bits, which would move every optimizer trace.
+def _not_positive_definite(err, flag):
+    raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+
+# np.linalg.cholesky is this ufunc behind a Python wrapper that costs
+# twice the factorization at n = 20.  The ufunc raises the invalid-value
+# flag exactly when the factorization fails, and np.linalg.cholesky turns
+# that flag into LinAlgError under this errstate; so does this call, and
+# both compute the same bits.  As a decorator, the errstate object is
+# built once, at import, not on every call.
+#
+# numpy's Cholesky, not scipy's lapack.dpotrf: scipy bundles its own
+# OpenBLAS build, and on 114 of 350 random kernel matrices (n = 5-220,
+# d = 1-10) its factor differed from numpy's in the last bits (numpy 2.4.6
+# with OpenBLAS 0.3.31, scipy 1.17.1 with 0.3.30), which would move every
+# optimizer trace.
+@np.errstate(
+    call=_not_positive_definite, invalid="call", over="ignore", divide="ignore", under="ignore"
+)
+def _cholesky_lo(A: np.ndarray) -> np.ndarray:
+    return _umath_linalg.cholesky_lo(A, signature="d->d")
+
+
 def _cholesky(A: np.ndarray, jitter: float) -> CholFactor:
-    L = np.linalg.cholesky(A)  # raises LinAlgError if A is not positive definite
+    L = _cholesky_lo(A)  # raises LinAlgError if A is not positive definite
     # numpy does not raise on every non-finite input, but a non-finite
     # entry of A's lower triangle always reaches L's diagonal.
     if not math.isfinite(L.trace()):
@@ -69,8 +89,10 @@ def cholesky_spd(A) -> CholFactor:
     """Factorize a symmetric matrix, escalating diagonal jitter as needed.
 
     Tries jitter levels 0, 1e-10, 1e-8, 1e-6, 1e-4 times the mean
-    diagonal until numpy's Cholesky succeeds; the mean diagonal is only
-    computed once the unjittered attempt has failed.  A matrix with a
+    diagonal until numpy's Cholesky ufunc succeeds; the mean diagonal is
+    only computed once the unjittered attempt has failed.  Each attempt
+    gives the bits and the failures of ``np.linalg.cholesky`` without its
+    wrapper, whatever ``np.errstate`` the caller set.  A matrix with a
     non-finite entry raises ``DimensionMismatch``.
     """
     A = _as_sym_matrix(A)

@@ -1,8 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
-from scipy.linalg import solve_triangular
+from scipy.linalg import lapack, solve_triangular
 
 import dimsched.gp as gp_module
 from dimsched.errors import DimensionMismatch, NotPositiveDefinite
@@ -420,6 +421,56 @@ class TestOnePassGradient:
             expected, scale = per_dimension_gradient(data, h)
             assert np.all(np.abs(lml_gradient(data, h) - expected) <= 1e-10 * scale)
 
+    @staticmethod
+    def symmetrized_gradient(data, fit, noise_variance):
+        """The gradient from W = alpha alpha^T - K^-1 with K^-1 symmetrized first."""
+        n, d = data.n, data.d
+        K_inv, info = lapack.dpotri(fit.factor.L, lower=1)
+        assert info == 0
+        K_inv += K_inv.T
+        K_inv.flat[:: n + 1] *= 0.5
+        W = np.outer(fit.alpha, fit.alpha)
+        W -= K_inv
+        trace_m = float(np.trace(W))
+        W *= fit.K
+        grad = np.empty(d + 2)
+        grad[:d] = -(data.sq_diffs @ W.ravel()) * fit.weights
+        grad[d] = 0.5 * float(W.sum())
+        grad[d + 1] = 0.5 * noise_variance * trace_m
+        return grad
+
+    def test_bitwise_equal_to_symmetrized_inverse(self):
+        # Subtracting K^-1's lower triangle and then its transpose with a
+        # zero diagonal gives the gradient of the symmetric K^-1 to the
+        # same bits.  W itself may differ in the sign of a zero entry where
+        # K^-1 and alpha alpha^T both hold -0.0; the last 200 cases make
+        # such entries, and K is 0 there.
+        rng = np.random.default_rng(18)
+        cases = []
+        for n in range(2, 231):  # half with duplicated points and no noise
+            d = int(rng.integers(1, 11))
+            X = rng.uniform(-5.0, 5.0, size=(n, d))
+            log_noise = rng.uniform(-8.0, -2.0)
+            if n % 2:
+                X[n - n // 3 :] = X[: n // 3]
+                log_noise = -300.0
+            theta = np.concatenate([rng.uniform(-0.5, 2.0, size=d), [0.0, log_noise]])
+            cases.append((Dataset(X, rng.normal(size=n)), theta))
+        for _ in range(200):  # far-apart points, targets at their mean: zeros in W
+            n = int(rng.integers(2, 9))
+            X = 100.0 * rng.integers(0, 4, size=(n, 1)) + 0.5 * rng.integers(0, 2, size=(n, 1))
+            Y = rng.integers(-2, 3, size=n).astype(float)
+            cases.append((Dataset(X, Y), np.array([0.0, 0.0, -2.0])))
+        jittered = 0
+        for data, theta in cases:
+            yc = data.Y - np.mean(data.Y)
+            fit = gp_module._fit(data, yc, theta)
+            jittered += fit.factor.jitter_used > 0.0
+            noise = math.exp(theta[-1])
+            got = gp_module._lml_gradient(data, fit, noise)
+            assert got.tobytes() == self.symmetrized_gradient(data, fit, noise).tobytes()
+        assert jittered > 20
+
     def test_finite_at_log_clip(self):
         # Corners of the trainer's +-300 box, a duplicate row and offset
         # boxes: zero differences meet 1/ell^2 = e^600, which must give 0.
@@ -631,6 +682,37 @@ class TestTraining:
                 start = KernelHyperparams.from_vector(_random_start(rng2, ranges, var_y))
                 assert lml_trained >= log_marginal_likelihood(data, start) - 1e-9
 
+
+    @pytest.mark.parametrize("setting", ["warn", "raise", "ignore"])
+    def test_errstate_left_as_set(self, setting):
+        # At the warm start alpha is about 1e160, so alpha alpha^T in its
+        # gradient overflows: training rejects that gradient, and the
+        # caller's floating-point settings neither see it nor change.
+        rng = np.random.default_rng(27)
+        data = Dataset(rng.uniform(-5.0, 5.0, size=(12, 2)), 1e30 * rng.normal(size=12))
+        warm = KernelHyperparams(np.full(2, -3.0), -300.0, -300.0)
+        with warnings.catch_warnings(), np.errstate(all=setting):
+            warnings.simplefilter("error")
+            before = np.geterr()
+            trained = train_hyperparams(data, restarts=2, rng=0, warm_start=warm)
+            assert np.geterr() == before
+        with np.errstate(all="ignore"):
+            expected = train_hyperparams(data, restarts=2, rng=0, warm_start=warm)
+        assert np.array_equal(trained.to_vector(), expected.to_vector())
+
+    def test_errstate_left_as_set_when_every_start_fails(self, monkeypatch):
+        def fail(A):
+            raise NotPositiveDefinite("no factor")
+
+        monkeypatch.setattr(gp_module, "cholesky_spd", fail)
+        data = styblinski_tang_data(np.random.default_rng(28), 10, 2)
+        old = np.seterr(all="raise")
+        try:
+            trained = train_hyperparams(data, restarts=2, rng=0)
+            assert np.geterr() == {k: "raise" for k in old}
+        finally:
+            np.seterr(**old)
+        assert np.isfinite(trained.to_vector()).all()
 
     @pytest.mark.parametrize("n, d", [(25, 2), (80, 10)], ids=["dsa-like", "bo-like"])
     def test_no_matrix_factorized_twice(self, monkeypatch, n, d):

@@ -366,6 +366,12 @@ class TestTracePersistence:
         with pytest.raises(ParseError, match="empty"):
             read_trace(str(path))
 
+    def test_header_without_rows(self, tmp_path):
+        path = tmp_path / "header_only.csv"
+        path.write_text("iter,subset,x0,y,y_best,wall_ms,eval_ms,gp_size\n")
+        with pytest.raises(ParseError, match="no rows"):
+            read_trace(str(path))
+
 
 class TestCampaign:
     def test_outputs_and_determinism(self, tmp_path):
@@ -550,6 +556,15 @@ class TestCli:
         missing = str(tmp_path / "missing.csv")
         out = str(tmp_path / "plot.svg")
         assert cli.main(["plot", "--traces", missing, "--out", out]) == 4
+
+    def test_plot_trace_without_rows_exit(self, tmp_path, capsys):
+        trace = tmp_path / "t.csv"
+        trace.write_text("iter,subset,x0,y,y_best,wall_ms,eval_ms,gp_size\n")
+        out = tmp_path / "plot.svg"
+        assert cli.main(["plot", "--traces", str(trace), "--out", str(out)]) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("i/o error: ")
+        assert not out.exists()
 
     def test_parse_error_exit(self, tmp_path, capsys):
         bad = tmp_path / "summary.json"

@@ -1,9 +1,12 @@
 import math
+import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy.linalg import solve_triangular
 
+import dimsched.linalg as linalg
 from dimsched.errors import DimensionMismatch, NotPositiveDefinite
 from dimsched.linalg import (
     _JITTER_SCALES,
@@ -47,13 +50,13 @@ class TestCholesky:
 
     def test_spd_takes_one_cholesky_call(self, monkeypatch):
         calls = []
-        original = np.linalg.cholesky
+        original = linalg._umath_linalg.cholesky_lo
 
-        def counted(A):
+        def counted(A, **kwargs):
             calls.append(A)
-            return original(A)
+            return original(A, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "cholesky", counted)
+        monkeypatch.setattr(linalg, "_umath_linalg", SimpleNamespace(cholesky_lo=counted))
         M = np.random.default_rng(4).normal(size=(8, 8))
         F = cholesky_spd(M @ M.T + np.eye(8))
         assert len(calls) == 1
@@ -85,6 +88,103 @@ class TestCholesky:
         F = cholesky_spd(A)
         assert F.jitter_used > 0.0
         assert np.array_equal(A, np.ones((2, 2)))
+
+
+def kernel_like(rng, n, d, noise, scale=1.0, duplicates=0):
+    """scale * (k(X, X) + noise * I) for an SE kernel at random lengthscales.
+
+    The last ``duplicates`` points repeat the first ones.
+    """
+    X = rng.uniform(-5.0, 5.0, size=(n, d))
+    X[n - duplicates :] = X[:duplicates]
+    diff = (X[:, None, :] - X[None, :, :]) / rng.uniform(0.3, 5.0, size=d)
+    K = np.exp(-0.5 * np.einsum("ijk,ijk->ij", diff, diff))
+    K[np.diag_indices(n)] += noise
+    return scale * K
+
+
+def sweep_matrices():
+    """float64 matrices for comparing Cholesky calls, by family.
+
+    Each is symmetric unless its family puts a non-finite entry in one triangle.
+    """
+    rng = np.random.default_rng(40)
+    noises = (1e-2, 1e-6, 1e-12, 1e-300, 0.0)
+    for n in range(1, 231):
+        yield "kernel", kernel_like(rng, n, 1 + n % 10, noises[n % 5])
+    for n in (2, 5, 20, 60, 150):
+        yield "duplicates", kernel_like(rng, n, 2, 0.0, duplicates=n // 2)
+        M = rng.normal(size=(n, max(1, n // 3)))
+        yield "low-rank", M @ M.T
+        yield "ones", np.ones((n, n))
+        yield "zero", np.zeros((n, n))
+        yield "negative", -kernel_like(rng, n, 3, 1e-2)
+        for scale in (1e300, 1.7e308 / (n + 1)):
+            yield "huge", kernel_like(rng, n, 2, 1e-2, scale)
+        yield "tiny-noise", kernel_like(rng, n, 1, 1e-300)
+        for value in (np.inf, -np.inf, np.nan):
+            i, j = sorted(rng.choice(n, size=2, replace=n < 2))
+            for where in ("lower", "upper", "both", "diagonal"):
+                A = kernel_like(rng, n, 2, 1e-2)
+                if where == "diagonal":
+                    A[i, i] = value
+                if where in ("lower", "both"):
+                    A[max(i, j), min(i, j)] = value
+                if where in ("upper", "both"):
+                    A[min(i, j), max(i, j)] = value
+                yield f"{value}-{where}", A
+
+
+def spd_outcome(A):
+    """What cholesky_spd makes of A: its factor's bytes and jitter, or its error."""
+    try:
+        F = cholesky_spd(A)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return F.L.shape, F.L.dtype, F.L.tobytes(), F.jitter_used
+
+
+class TestCholeskyUfunc:
+    """The ufunc call against np.linalg.cholesky, the wrapper around it."""
+
+    def test_same_bits_or_same_failure(self):
+        for family, A in sweep_matrices():
+            with warnings.catch_warnings(), np.errstate(all="ignore"):
+                warnings.simplefilter("error")
+                try:
+                    expected = np.linalg.cholesky(A)
+                except np.linalg.LinAlgError:
+                    with pytest.raises(np.linalg.LinAlgError):
+                        linalg._cholesky_lo(A)
+                    continue
+                got = linalg._cholesky_lo(A)
+            assert got.tobytes() == expected.tobytes(), family
+
+    @pytest.mark.parametrize("errstate", ["warn", "raise", "ignore"])
+    def test_ladder_as_on_numpy_wrapper(self, monkeypatch, errstate):
+        # The same rung or the same error as the ladder built on
+        # np.linalg.cholesky, whatever floating-point errstate is set.
+        families = set()
+        for family, A in sweep_matrices():
+            with warnings.catch_warnings(), np.errstate(all=errstate):
+                warnings.simplefilter("error")
+                got = spd_outcome(A)
+                with monkeypatch.context() as m:
+                    m.setattr(linalg, "_cholesky_lo", np.linalg.cholesky)
+                    expected = spd_outcome(A)
+            assert got == expected, family
+            families.add((family, got[0] if len(got) == 2 else got[3] > 0.0))
+        # Every ending is exercised: no jitter, jitter, and each error.
+        assert ("kernel", False) in families and ("duplicates", True) in families
+        assert ("negative", NotPositiveDefinite) in families
+        assert ("inf-both", DimensionMismatch) in families
+        assert ("nan-lower", DimensionMismatch) in families
+
+    def test_any_memory_layout(self):
+        A = kernel_like(np.random.default_rng(41), 30, 3, 1e-6)
+        expected = cholesky_spd(A).L
+        for view in (np.asfortranarray(A), A.T, np.repeat(A, 2, axis=1)[:, ::2]):
+            assert cholesky_spd(view).L.tobytes() == expected.tobytes()
 
 
 class TestCholAppend:
