@@ -2,9 +2,16 @@
 
 Targets are centered on their empirical mean before fitting; the shift
 is re-added at prediction time.  Hyperparameters live on the log scale
-and are fitted by best-of-restarts gradient ascent on the log marginal
-likelihood with an Armijo line search that starts from the step it
-accepted last.
+and are fitted by best-of-restarts maximum likelihood inside a box: each
+log-lengthscale within ln 100 of its coordinate's log range, the log
+signal variance within +-300 and the log noise variance between the
+noise floor and 300.  From each start, projected onto the box, a
+projected BFGS ascent with an Armijo line search climbs the log marginal
+likelihood until its projected gradient or its relative gain per step
+is negligible.  The box is the cheapest form of a lengthscale prior
+scaled to the search space (Hvarfner, Hellsten & Nardi, ICML 2024): it
+keeps the ascent off the plateaus of near-zero lengthscales, where a GP
+is white noise away from its data.
 
 One kernel formula: k(X, X2) = sigma_f^2 * exp(w @ D), where D holds the
 squared coordinate differences coordinate-major, (d, m*n), and w the
@@ -326,11 +333,16 @@ def lml_gradient(data: Dataset, hyper: KernelHyperparams) -> np.ndarray:
     return _lml_gradient(data, _fit_hyper(data, hyper)[0], hyper.noise_variance)
 
 
-# Log-hyperparameters are clipped here during optimization so exp() can
-# neither overflow nor underflow to zero lengthscales.
+# Log sigma_f^2 and log sigma_n^2 are trained below this bound, and log
+# sigma_f^2 above its negative, so exp() can neither overflow nor underflow.
 _LOG_CLIP = 300.0
-# The Armijo search tries the steps 2**-k for k < _MAX_HALVINGS.
-_MAX_HALVINGS = 40
+# Each log-lengthscale is trained within this distance of its coordinate's log range.
+_LOG_LENGTHSCALE_SPAN = math.log(100.0)
+# The ascent stops at a projected gradient below _GRAD_TOL, or at an LML gain
+# per step of at most _REL_GAIN_TOL relative to the LML (L-BFGS-B's default
+# factr * eps).
+_GRAD_TOL = 1e-5
+_REL_GAIN_TOL = 2.2e-9
 
 
 def _safe_fit(data: Dataset, yc: np.ndarray, theta: np.ndarray) -> _Fit | None:
@@ -342,58 +354,98 @@ def _safe_fit(data: Dataset, yc: np.ndarray, theta: np.ndarray) -> _Fit | None:
     return fit if math.isfinite(fit.lml) else None
 
 
-def _bracket_step(passes, k0: int) -> int | None:
-    """Exponent k of the Armijo step 2**-k, searched from the last one, k0.
+def _armijo(
+    data: Dataset, yc: np.ndarray, theta: np.ndarray, f: float,
+    pg: np.ndarray, p: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, _Fit] | None:
+    """Backtracking from the full step along p, projected on the box [lo, hi].
 
-    From k0 the step doubles while it passes, up to 1, or halves while it
-    fails.  If halving runs out, the larger steps skipped are tried from 1
-    down.  When the passing k form an interval this returns its smallest
-    k, the step that backtracking from 1 accepts, and it returns None
-    exactly when no k < _MAX_HALVINGS passes.
+    pg is the projected gradient at theta, whose LML is f.  Returns the
+    first trial point, with its step and fit, whose LML gain is at least
+    1e-4 times the gain pg predicts for it, or None once that prediction
+    is no larger than the relative gain at which the ascent stops anyway.
     """
-    if passes(k0):
-        while k0 > 0 and passes(k0 - 1):
-            k0 -= 1
-        return k0
-    for k in (*range(k0 + 1, _MAX_HALVINGS), *range(k0)):
-        if passes(k):
-            return k
-    return None
+    t = 1.0
+    while True:
+        cand = np.minimum(np.maximum(theta + t * p, lo), hi)
+        s = cand - theta
+        predicted = float(pg @ s)
+        if not predicted > _REL_GAIN_TOL * max(abs(f), 1.0):
+            return None
+        trial = _safe_fit(data, yc, cand)
+        if trial is None:  # no parabola to fit: cut the step tenfold
+            t *= 0.1
+            continue
+        gain = trial.lml - f
+        if gain >= 1e-4 * predicted:
+            return cand, s, trial
+        # The peak of the parabola through f, the predicted slope and the
+        # trial, kept within [0.1 t, 0.5 t] (Nocedal & Wright, sec. 3.5).
+        t *= min(max(0.5 * predicted / (predicted - gain), 0.1), 0.5)
 
 
 def _ascend(
-    data: Dataset, yc: np.ndarray, theta: np.ndarray, fit: _Fit, max_iter: int, grad_tol=1e-5
+    data: Dataset, yc: np.ndarray, theta: np.ndarray, fit: _Fit,
+    lo: np.ndarray, hi: np.ndarray, max_iter: int,
 ) -> tuple[float, np.ndarray]:
-    """Gradient ascent with an Armijo line search from theta and its fit.
+    """Projected BFGS ascent on the LML inside the box [lo, hi], from theta and its fit.
 
-    Each trial point is fitted once, and the accepted trial's fit gives the
-    next gradient.  Returns the last accepted point and its LML.
+    A coordinate at a bound whose gradient points out of the box is held;
+    the others move along H g, with H the dense BFGS estimate of the
+    inverse Hessian of -LML (Nocedal & Wright, ch. 6; bounds as in
+    L-BFGS-B, Byrd, Lu, Nocedal & Zhu 1995).  H starts as the identity,
+    with the step scaled to at most 1 in every coordinate, and is scaled by
+    s^T y / y^T y at its first update.  An update whose curvature s^T y is
+    not positive is skipped, and H is reset when H g is not an ascent
+    direction or no step along it passes.  Each trial point is fitted
+    once, and the accepted trial's fit gives the next gradient.  Returns
+    the last accepted point and its LML.
     """
     f = fit.lml
-    k = 0
+    H = None  # the identity, unscaled
+    s = None
     for _ in range(max_iter):
         try:
-            g = _lml_gradient(data, fit, math.exp(theta[-1]))
+            g_next = _lml_gradient(data, fit, math.exp(theta[-1]))
         except NotPositiveDefinite:
             break
-        g_max = float(np.abs(g).max())  # nan or inf if any component is
-        if not (math.isfinite(g_max) and g_max >= grad_tol):
+        if s is not None:
+            y = g - g_next
+            sy = float(s @ y)
+            if sy > 0.0:
+                if H is None:
+                    H = np.diag(np.full(len(s), sy / float(y @ y)))
+                # (I - rho s y^T) H (I - rho y s^T) + rho s s^T, as H + v s^T + s v^T.
+                Hy = H @ y
+                rho = 1.0 / sy
+                v = s * (0.5 * rho * rho * (sy + float(y @ Hy)))
+                v -= rho * Hy
+                W = v[:, None] * s
+                H += W
+                H += W.T
+        g = g_next
+        held = np.where(g > 0.0, theta >= hi, theta <= lo)
+        pg = g.copy()
+        pg[held] = 0.0
+        pg_max = float(np.maximum.reduce(np.abs(pg)))  # nan or inf if a free component is
+        if not (math.isfinite(pg_max) and pg_max >= _GRAD_TOL):
             break
-        g_sq = float(g @ g)
-        trials = {}
-
-        def passes(j: int) -> bool:
-            step = 0.5**j
-            cand = np.minimum(np.maximum(theta + step * g, -_LOG_CLIP), _LOG_CLIP)
-            trial = _safe_fit(data, yc, cand)
-            trials[j] = cand, trial
-            return trial is not None and trial.lml >= f + 1e-4 * step * g_sq
-
-        k = _bracket_step(passes, k)
-        if k is None:
+        found = None
+        if H is not None:
+            p = H @ pg
+            p[held] = 0.0
+            slope = float(p @ pg)  # not finite unless p is
+            if 0.0 < slope < math.inf:
+                found = _armijo(data, yc, theta, f, pg, p, lo, hi)
+        if found is None:
+            H = None
+            found = _armijo(data, yc, theta, f, pg, pg / max(1.0, pg_max), lo, hi)
+            if found is None:
+                break
+        theta, s, fit = found
+        f_last, f = f, fit.lml
+        if f - f_last <= _REL_GAIN_TOL * max(abs(f), abs(f_last), 1.0):
             break
-        theta, fit = trials[k]
-        f = fit.lml
     return f, theta
 
 
@@ -404,10 +456,15 @@ def _random_start(rng: np.random.Generator, ranges: np.ndarray, var_y: float) ->
 
 
 def _coordinate_ranges(data: Dataset, bounds_ranges=None) -> np.ndarray:
-    if bounds_ranges is not None:
-        ranges = np.asarray(bounds_ranges, dtype=float).ravel()
-    else:
+    """Per-coordinate ranges, bounds_ranges or the data's; a range of 0 counts as 1."""
+    if bounds_ranges is None:
         ranges = data.X.max(axis=0) - data.X.min(axis=0)
+    else:
+        ranges = np.asarray(bounds_ranges, dtype=float).ravel()
+        if ranges.shape[0] != data.d:
+            raise DimensionMismatch(f"{ranges.shape[0]} bounds ranges for {data.d}-d data")
+        if not np.isfinite(ranges).all():
+            raise ValueError(f"bounds ranges must be finite, got {ranges}")
     return np.where(ranges > 0, ranges, 1.0)
 
 
@@ -419,30 +476,44 @@ def train_hyperparams(
     max_iter: int = 200,
     warm_start: KernelHyperparams | None = None,
 ) -> KernelHyperparams:
-    """Best-of-restarts maximum-likelihood hyperparameters.
+    """Best-of-restarts maximum-likelihood hyperparameters inside a box.
+
+    The box holds each log ell_j within ln 100 of log r_j, where r_j is
+    the coordinate's range: bounds_ranges if given, else the data's.  It
+    holds log sigma_f^2 within +-300, and log sigma_n^2 between the noise
+    floor, log max(1e-8, 1e-8 var(Y)), and 300.  Every start is projected
+    onto the box: the warm start if given, then ``restarts`` random ones.
+    From each, a projected BFGS ascent (``_ascend``) runs for at most
+    max_iter gradients.  It stops earlier at a projected gradient below
+    1e-5, at an LML gain per step of at most 2.2e-9 relative to the LML,
+    or when no step along its direction or the gradient's passes the
+    Armijo test.  An ascent ends at a point whose LML is at least its
+    start's, so the best start is kept if every ascent stalls.
 
     rng is what ``np.random.default_rng`` takes: None, a seed, or a
-    Generator, which is used as it is.  An ascent ends at a point whose
-    LML is at least its start's and returns the start if it accepts no
-    step, so the best start is kept if every ascent stalls.  When
-    bounds_ranges is omitted, per-coordinate data ranges seed the
-    lengthscale initialization.
+    Generator, which is used as it is.
     """
     if data.n < 2:
         raise DimensionMismatch("training needs at least two observations")
-    rng = np.random.default_rng(rng)
-    var_y = float(np.var(data.Y))
-    var_y = max(var_y, _NOISE_FLOOR)
-    ranges = _coordinate_ranges(data, bounds_ranges)
-
     if warm_start is not None and warm_start.d != data.d:
         raise DimensionMismatch(f"warm start dim {warm_start.d} != data dim {data.d}")
+    if restarts < 1 and warm_start is None:
+        raise ValueError(f"training needs a warm start or a restart, got restarts={restarts}")
+    rng = np.random.default_rng(rng)
+    var_y = max(float(np.var(data.Y)), _NOISE_FLOOR)
+    ranges = _coordinate_ranges(data, bounds_ranges)
     yc = np.asarray_chkfinite(data.Y - float(np.mean(data.Y)))
+
+    log_r = np.log(ranges)
+    noise_floor = math.log(max(_NOISE_FLOOR, _NOISE_FLOOR * var_y))
+    lo = np.concatenate([log_r - _LOG_LENGTHSCALE_SPAN, [-_LOG_CLIP, noise_floor]])
+    hi = np.concatenate([log_r + _LOG_LENGTHSCALE_SPAN, [_LOG_CLIP, _LOG_CLIP]])
 
     starts: list[np.ndarray] = []
     if warm_start is not None:
         starts.append(warm_start.to_vector())
     starts.extend(_random_start(rng, ranges, var_y) for _ in range(restarts))
+    starts = [np.minimum(np.maximum(theta, lo), hi) for theta in starts]
 
     best_f = -np.inf
     best = starts[0]
@@ -452,12 +523,10 @@ def train_hyperparams(
             fit = _safe_fit(data, yc, theta)
             if fit is None:
                 continue
-            f_end, theta_end = _ascend(data, yc, theta, fit, max_iter=max_iter)
+            f_end, theta_end = _ascend(data, yc, theta, fit, lo, hi, max_iter=max_iter)
             if f_end > best_f:
                 best_f, best = f_end, theta_end
-
-    floor = math.log(max(_NOISE_FLOOR, _NOISE_FLOOR * var_y))
-    return KernelHyperparams(best[:-2].copy(), float(best[-2]), max(float(best[-1]), floor))
+    return KernelHyperparams.from_vector(best)
 
 
 def gp_augment(

@@ -8,12 +8,8 @@ from scipy.linalg import lapack, solve_triangular
 import dimsched.gp as gp_module
 from dimsched.errors import DimensionMismatch, NotPositiveDefinite
 from dimsched.gp import (
-    _LOG_CLIP,
-    _MAX_HALVINGS,
-    _NOISE_FLOOR,
     Dataset,
     KernelHyperparams,
-    _bracket_step,
     _coordinate_ranges,
     _random_start,
     gp_augment,
@@ -508,123 +504,43 @@ class TestOnePassGradient:
         assert np.isfinite(grad).all()
 
 
-def backtrack_from_one(passing):
-    """The step rule the bracketed search replaces: 1, 1/2, 1/4, ..."""
-    return next((k for k in range(_MAX_HALVINGS) if passing[k]), None)
-
-
-def bracketed(passing, k0):
-    """_bracket_step on a fixed pass/fail pattern, and the k it evaluated."""
-    tried = []
-
-    def passes(k):
-        tried.append(k)
-        return passing[k]
-
-    return _bracket_step(passes, k0), tried
-
-
-class TestBracketStep:
-    def test_interval_gives_backtracking_step(self):
-        for lo in range(_MAX_HALVINGS):
-            for hi in range(lo, _MAX_HALVINGS):
-                passing = np.zeros(_MAX_HALVINGS, dtype=bool)
-                passing[lo : hi + 1] = True
-                for k0 in range(_MAX_HALVINGS):
-                    assert bracketed(passing, k0)[0] == lo
-
-    def test_random_patterns(self):
-        rng = np.random.default_rng(18)
-        for _ in range(4000):
-            passing = rng.random(_MAX_HALVINGS) < rng.uniform(0.0, 0.3)
-            k0 = int(rng.integers(_MAX_HALVINGS))
-            k, tried = bracketed(passing, k0)
-            assert len(tried) == len(set(tried))  # no step tried twice
-            if k is None:  # gives up exactly where backtracking from 1 does
-                assert backtrack_from_one(passing) is None
-                assert sorted(tried) == list(range(_MAX_HALVINGS))
-            else:  # never accepts a failing step
-                assert passing[k]
-                assert backtrack_from_one(passing) is not None
-
-    def test_repeated_step_costs_two_evaluations(self):
-        for k0 in range(1, _MAX_HALVINGS):
-            passing = np.zeros(_MAX_HALVINGS, dtype=bool)
-            passing[k0:] = True
-            k, tried = bracketed(passing, k0)
-            assert k == k0
-            assert tried == [k0, k0 - 1]
-
-    def test_full_step_costs_one_evaluation(self):
-        passing = np.ones(_MAX_HALVINGS, dtype=bool)
-        assert bracketed(passing, 0) == (0, [0])
-
-
-def reference_train(data, restarts, rng, max_iter, warm_start=None):
-    """train_hyperparams as a plain loop over KernelHyperparams objects.
-
-    Every trial is scored with the public log_marginal_likelihood and
-    every gradient comes from the public lml_gradient, each refitting its
-    point from a KernelHyperparams.
-    """
-
-    def score(h):
-        try:
-            with np.errstate(all="ignore"):
-                f = log_marginal_likelihood(data, h)
-        except (NotPositiveDefinite, DimensionMismatch, FloatingPointError):
-            return -np.inf
-        return f if np.isfinite(f) else -np.inf
-
-    def ascend(f, h):
-        k = 0
-        for _ in range(max_iter):
-            try:
-                with np.errstate(all="ignore"):
-                    g = lml_gradient(data, h)
-            except NotPositiveDefinite:
-                break
-            if not np.isfinite(g).all() or np.max(np.abs(g)) < 1e-5:
-                break
-            theta = h.to_vector()
-            g_sq = float(g @ g)
-            trials = {}
-
-            def passes(j):
-                step = 0.5**j
-                cand = np.clip(theta + step * g, -_LOG_CLIP, _LOG_CLIP)
-                trials[j] = score(KernelHyperparams.from_vector(cand)), cand
-                return trials[j][0] >= f + 1e-4 * step * g_sq
-
-            k = _bracket_step(passes, k)
-            if k is None:
-                break
-            f, cand = trials[k]
-            h = KernelHyperparams.from_vector(cand)
-        return f, h
-
-    var_y = max(float(np.var(data.Y)), _NOISE_FLOOR)
-    ranges = _coordinate_ranges(data)
-    starts = [] if warm_start is None else [warm_start]
-    starts += [KernelHyperparams.from_vector(_random_start(rng, ranges, var_y)) for _ in range(restarts)]
-    best_f, best = -np.inf, starts[0]
-    for h in starts:
-        f = score(h)
-        if f == -np.inf:
-            continue
-        if f > best_f:
-            best_f, best = f, h
-        f_end, h_end = ascend(f, h)
-        if f_end > best_f:
-            best_f, best = f_end, h_end
-    floor = math.log(max(_NOISE_FLOOR, _NOISE_FLOOR * var_y))
-    return np.append(best.to_vector()[:-1], max(best.log_noise_variance, floor))
-
-
 def styblinski_tang_data(rng, n, d, duplicates=0):
     X = rng.uniform(-5.0, 5.0, size=(n - duplicates, d))
     X = np.vstack([X, X[:duplicates]])
     return Dataset(X, np.sum(X**4 - 16.0 * X**2 + 5.0 * X, axis=1) / 2.0)
+
+
+def training_box(data, ranges):
+    """The box train_hyperparams keeps theta in, built from its docstring."""
+    var_y = max(float(np.var(data.Y)), 1e-8)
+    log_r = np.log(ranges)
+    lo = np.r_[log_r - math.log(100.0), -300.0, math.log(max(1e-8, 1e-8 * var_y))]
+    hi = np.r_[log_r + math.log(100.0), 300.0, 300.0]
+    return lo, hi
+
+
+# The span of every coordinate of Styblinski-Tang's box [-5, 5].
+SPAWN_RANGES = np.array([10.0, 10.0])
+
+
+@pytest.fixture(scope="module")
+def trained_spawns():
+    """40 spawn-sized st10 datasets, each with its seed and trained hyperparameters.
+
+    As in a DSA spawn: 20 uniform 10-d points and their st10 values, seen
+    on coordinates 0-1, trained with 3 restarts and max_iter=100.
+    """
+    rng = np.random.default_rng(37)
+    spawns = []
+    for _ in range(40):
+        full = styblinski_tang_data(rng, 20, 10)
+        data = Dataset(full.X[:, :2], full.Y)
+        seed = int(rng.integers(2**32))
+        trained = train_hyperparams(
+            data, restarts=3, rng=seed, bounds_ranges=SPAWN_RANGES, max_iter=100
+        )
+        spawns.append((data, seed, trained))
+    return spawns
 
 
 class TestTraining:
@@ -726,40 +642,88 @@ class TestTraining:
         assert len(factorized) > 10
         assert len(set(factorized)) == len(factorized)
 
-    @pytest.mark.parametrize(
-        "n, d, duplicates, restarts, max_iter, warm",
-        [(20, 2, 0, 3, 100, False), (80, 10, 0, 1, 50, True), (20, 2, 8, 3, 100, False)],
-        ids=["dsa-like", "bo-like", "duplicates"],
-    )
-    def test_bitwise_equal_to_reference(
-        self, monkeypatch, n, d, duplicates, restarts, max_iter, warm
-    ):
-        # Bits depend on the BLAS build, so both sides run here, on one machine.
-        rng = np.random.default_rng(26)
-        data = styblinski_tang_data(rng, n, d, duplicates)
-        warm_start = hyper(d, ls=2.0, sf2=float(np.var(data.Y))) if warm else None
-        seed = int(rng.integers(2**32))
-        jitters = []
-        original = gp_module.cholesky_spd
+    def test_no_start_rejected(self):
+        data = styblinski_tang_data(np.random.default_rng(32), 10, 2)
+        with pytest.raises(ValueError, match="restarts=0"):
+            train_hyperparams(data, restarts=0, rng=0)
 
-        def recorded(A):
-            factor = original(A)
-            jitters.append(factor.jitter_used)
-            return factor
+    def test_bounds_ranges_of_wrong_length_rejected(self):
+        data = styblinski_tang_data(np.random.default_rng(33), 10, 2)
+        with pytest.raises(DimensionMismatch, match="3 bounds ranges for 2-d data"):
+            train_hyperparams(data, restarts=1, rng=0, bounds_ranges=[1.0, 2.0, 3.0])
 
-        monkeypatch.setattr(gp_module, "cholesky_spd", recorded)
-        trained = train_hyperparams(
-            data, restarts=restarts, rng=np.random.default_rng(seed),
-            max_iter=max_iter, warm_start=warm_start,
-        )
-        monkeypatch.undo()
-        expected = reference_train(
-            data, restarts, np.random.default_rng(seed), max_iter, warm_start
-        )
-        assert np.array_equal(trained.to_vector(), expected)
-        assert len(jitters) > 50
-        if duplicates:  # the duplicated rows make the jitter ladder engage
-            assert any(j > 0.0 for j in jitters)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_bounds_ranges_rejected(self, bad):
+        data = styblinski_tang_data(np.random.default_rng(34), 10, 2)
+        with pytest.raises(ValueError, match="bounds ranges must be finite"):
+            train_hyperparams(data, restarts=1, rng=0, bounds_ranges=[1.0, bad])
+
+    def test_trained_point_stays_in_its_box(self):
+        # Starts far outside the box, duplicated rows, data ranges and given
+        # ranges, including ranges of 0, which count as 1.
+        rng = np.random.default_rng(35)
+        for case in range(60):
+            d = int(rng.integers(1, 11))
+            n = int(rng.integers(2, 41))
+            data = styblinski_tang_data(rng, n, d, duplicates=int(rng.integers(0, n // 2 + 1)))
+            ranges = None
+            if case % 2:
+                ranges = np.where(rng.random(d) < 0.2, 0.0, rng.uniform(0.1, 20.0, size=d))
+            warm = None
+            if case % 3:
+                magnitude = 10.0 ** rng.uniform(0.0, 3.0, size=d + 2)
+                warm = KernelHyperparams.from_vector(rng.choice([-1.0, 1.0], d + 2) * magnitude)
+            trained = train_hyperparams(
+                data, restarts=int(rng.integers(1, 3)), rng=rng, bounds_ranges=ranges,
+                max_iter=30, warm_start=warm,
+            )
+            lo, hi = training_box(data, _coordinate_ranges(data, ranges))
+            theta = trained.to_vector()
+            assert np.all(theta >= lo - 1e-12) and np.all(theta <= hi + 1e-12)
+
+    def test_matches_lbfgsb_in_the_box(self, trained_spawns):
+        # scipy.optimize only here: importing it would add to every run's setup.
+        from scipy.optimize import minimize
+
+        def neg_lml(theta, data):
+            h = KernelHyperparams.from_vector(theta)
+            with np.errstate(all="ignore"):
+                return -log_marginal_likelihood(data, h), -lml_gradient(data, h)
+
+        diffs = []
+        for data, seed, trained in trained_spawns:
+            lo, hi = training_box(data, SPAWN_RANGES)
+            rng = np.random.default_rng(seed)
+            var_y = max(float(np.var(data.Y)), 1e-8)
+            best = -np.inf
+            for _ in range(3):  # the trainer's starts, projected on the box
+                start = np.clip(_random_start(rng, SPAWN_RANGES, var_y), lo, hi)
+                result = minimize(
+                    neg_lml, start, args=(data,), jac=True, method="L-BFGS-B",
+                    bounds=list(zip(lo, hi)), options={"maxiter": 100},
+                )
+                best = max(best, -float(result.fun))
+            diffs.append(log_marginal_likelihood(data, trained) - best)
+        diffs = np.array(diffs)
+        assert np.sum(diffs >= -0.01) >= 30
+        assert np.median(diffs) >= -0.01
+
+    def test_no_lengthscale_below_a_hundredth_of_the_range(self, trained_spawns):
+        for _, _, trained in trained_spawns:
+            assert np.all(trained.log_lengthscales >= np.log(1e-2 * SPAWN_RANGES) - 1e-12)
+
+    def test_bo_retrain_fits_per_gradient(self, monkeypatch):
+        # A retrain's full steps pass: at most 1.3 fits per gradient, counting
+        # the fit at each start.
+        rng = np.random.default_rng(36)
+        data = styblinski_tang_data(rng, 120, 10)
+        head = Dataset(data.X[:110], data.Y[:110])
+        warm = train_hyperparams(head, restarts=1, rng=rng, max_iter=20)
+        fits = count_calls(monkeypatch, "_fit")
+        gradients = count_calls(monkeypatch, "_lml_gradient")
+        train_hyperparams(data, restarts=1, rng=rng, warm_start=warm, max_iter=20)
+        assert len(gradients) >= 20
+        assert len(fits) <= 1.3 * len(gradients)
 
 
 class TestAugment:
