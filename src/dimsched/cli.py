@@ -84,19 +84,23 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="dimsched")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("list-objectives", help="print the objective catalog")
+    p_list = sub.add_parser("list-objectives", help="print the objective catalog")
+    p_list.set_defaults(handler=_cmd_list_objectives)
 
     p_run = sub.add_parser("run", help="run a comparison campaign")
+    p_run.set_defaults(handler=_cmd_run)
     p_run.add_argument("--config", required=True, help="campaign config file")
     p_run.add_argument("--out", default=None, help="override output directory")
     p_run.add_argument("--seed", type=int, default=None, help="override base seed")
 
     p_plot = sub.add_parser("plot", help="emit a convergence SVG from traces")
+    p_plot.set_defaults(handler=_cmd_plot)
     p_plot.add_argument("--traces", nargs="+", required=True)
     p_plot.add_argument("--out", required=True)
     p_plot.add_argument("--log-scale", action="store_true")
 
     p_report = sub.add_parser("report", help="timing/quality report from summaries")
+    p_report.set_defaults(handler=_cmd_report)
     p_report.add_argument("--summaries", nargs="+", required=True)
     return parser
 
@@ -104,14 +108,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     _setup_logging()
     args = build_parser().parse_args(argv)
-    handlers = {
-        "list-objectives": _cmd_list_objectives,
-        "run": _cmd_run,
-        "plot": _cmd_plot,
-        "report": _cmd_report,
-    }
     try:
-        return handlers[args.command](args)
+        return args.handler(args)
     except ConfigError as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return EXIT_CONFIG

@@ -58,19 +58,22 @@ class Bounds:
         return Bounds(self.lower[dims], self.upper[dims])
 
 
+# The least improvement, relative to |f_min|, a potentially optimal
+# rectangle must promise: Jones, Perttunen & Stuckman (J. Optim. Theory
+# Appl. 1993) recommend 1e-4, and no caller has ever set another value.
+_EPSILON = 1e-4
+
+
 @dataclass(frozen=True)
 class DirectConfig:
     max_evals: int = 2000
     max_iters: int = 100
-    epsilon: float = 1e-4
 
     def __post_init__(self):
         if self.max_evals < 1:
             raise ValueError("max_evals must be >= 1")
         if self.max_iters < 0:
             raise ValueError("max_iters must be >= 0")
-        if not (math.isfinite(self.epsilon) and self.epsilon >= 0):
-            raise ValueError(f"epsilon must be finite and >= 0, got {self.epsilon}")
 
 
 @functools.lru_cache(maxsize=None)
@@ -249,7 +252,7 @@ def direct_minimize(
         plans = []
         probes = []
         # In ascending diameter, as the hull returns them.
-        for i in potentially_optimal(heads, evaluate.best_f, config.epsilon):
+        for i in potentially_optimal(heads, evaluate.best_f, _EPSILON):
             rect = heads[i]
             heapq.heappop(live[rect.diameter])  # rect heads its class
             # Once the budget runs out a rect gets no probes and stays

@@ -1,13 +1,15 @@
 """Experiment harness: campaign config files, trace/summary persistence,
 convergence plots, and the timing report.
 
-The [run] and [direct] config keys are the fields of ``RunConfig`` (less
-``seed``, set per run, and ``direct_config``, the [direct] section) and
-of ``DirectConfig``; each value is parsed to the type of its field's
-default.  [campaign] algorithms names loops: bo, dsa, dsa-parallel.
+Each config key is a field of its section's dataclass, parsed to the type
+of the field's default: [campaign] of ``CampaignConfig`` (``objective`` is
+``objective_name``, and ``algorithms`` lists loops: bo, dsa, dsa-parallel),
+[run] of ``RunConfig`` (less ``seed``, set per run, and ``direct_config``)
+and [direct] of ``DirectConfig``.
 
 Trace CSV schema (fixed): iter,subset,x0..x{d-1},y,y_best,wall_ms,eval_ms,gp_size
 One row per ``IterationRecord``, which ``read_trace`` returns; the
+columns after x{d-1} and their fields are those of ``_TAIL``.  The
 initial design's rows come first, with zero wall time.  The subset
 column is '-' for full-space rows (classical BO and the initial
 design); dimension-scheduled rows join the subset with '|'.
@@ -32,16 +34,6 @@ from .optimize import IterationRecord, RunConfig, RunResult, initial_design, run
 
 _LOOPS = {"bo": run_bo, "dsa": run_dsa, "dsa-parallel": run_dsa_parallel}
 
-_CAMPAIGN_KEYS = {"objective", "algorithms", "runs", "output_dir", "workers", "base_seed"}
-# Each section's keys with the type their values parse to.
-_SECTION_TYPES = {
-    "run": {
-        f.name: type(f.default) for f in fields(RunConfig)
-        if f.name not in ("seed", "direct_config")
-    },
-    "direct": {f.name: type(f.default) for f in fields(DirectConfig)},
-}
-
 
 @dataclass(frozen=True)
 class CampaignConfig:
@@ -58,9 +50,12 @@ class CampaignConfig:
         # code fails before run_campaign creates or evaluates anything.
         if self.objective_name not in benchmark_catalog():
             raise ConfigError(f"unknown objective {self.objective_name!r}")
-        for a in self.algorithms:
+        for i, a in enumerate(self.algorithms):
             if a not in _LOOPS:
                 raise ConfigError(f"unknown algorithm {a!r}")
+            # Its runs would share one trace file name.
+            if a in self.algorithms[:i]:
+                raise ConfigError(f"[campaign] algorithms lists {a!r} more than once")
         if not self.algorithms:
             raise ConfigError("[campaign] algorithms must list at least one algorithm")
         for key, least in (("runs", 1), ("workers", 1), ("base_seed", 0)):
@@ -86,34 +81,32 @@ class CampaignSummary:
     aggregates: dict
 
     def to_json(self) -> str:
-        payload = {
-            "objective": self.objective,
-            "runs": self.runs,
-            "entries": [asdict(e) for e in self.entries],
-            "aggregates": self.aggregates,
-        }
-        return json.dumps(payload, indent=2, sort_keys=True)
+        return json.dumps(asdict(self), indent=2, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "CampaignSummary":
         try:
             payload = json.loads(text)
             entries = tuple(SummaryEntry(**e) for e in payload["entries"])
-            return cls(
-                objective=payload["objective"],
-                runs=payload["runs"],
-                entries=entries,
-                aggregates=payload["aggregates"],
-            )
+            return cls(**{**payload, "entries": entries})
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad summary JSON: {exc}") from exc
 
 
-def _parse_typed(section: str, key: str, raw: str, kind):
-    try:
-        return kind(raw)
-    except ValueError as exc:
-        raise ConfigError(f"[{section}] {key} = {raw!r}: expected {kind.__name__}") from exc
+def _field_types(cls, *skip: str) -> dict[str, type]:
+    return {f.name: type(f.default) for f in fields(cls) if f.name not in skip}
+
+
+# Each section's keys with the type their values parse to.
+_SECTION_TYPES = {
+    "campaign": {
+        "objective": str,
+        "algorithms": str,
+        **_field_types(CampaignConfig, "objective_name", "algorithms", "run_config"),
+    },
+    "run": _field_types(RunConfig, "seed", "direct_config"),
+    "direct": _field_types(DirectConfig),
+}
 
 
 def load_campaign_config(path: str) -> CampaignConfig:
@@ -126,32 +119,28 @@ def load_campaign_config(path: str) -> CampaignConfig:
     if not read:
         raise ConfigError(f"config file not found: {path}")
 
-    allowed = {"campaign": _CAMPAIGN_KEYS, **_SECTION_TYPES}
+    kwargs = {}
     for section in parser.sections():
-        if section not in allowed:
+        types = _SECTION_TYPES.get(section)
+        if types is None:
             raise ConfigError(f"unknown section [{section}]")
-        for key in parser[section]:
-            if key not in allowed[section]:
+        kwargs[section] = {}
+        for key, raw in parser[section].items():
+            kind = types.get(key)
+            if kind is None:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
-    if "campaign" not in parser:
+            try:
+                kwargs[section][key] = kind(raw)
+            except ValueError as exc:
+                raise ConfigError(f"[{section}] {key} = {raw!r}: expected {kind.__name__}") from exc
+    if "campaign" not in kwargs:
         raise ConfigError("missing [campaign] section")
 
-    camp = parser["campaign"]
-    objective = camp.get("objective")
+    camp = kwargs["campaign"]
+    objective = camp.pop("objective", None)
     if not objective:
         raise ConfigError("[campaign] objective is required")
-    algos_raw = camp.get("algorithms", "bo, dsa")
-    algorithms = tuple(a.strip() for a in algos_raw.split(",") if a.strip())
-    runs = _parse_typed("campaign", "runs", camp.get("runs", "4"), int)
-    workers = _parse_typed("campaign", "workers", camp.get("workers", "1"), int)
-
-    kwargs = {}
-    for section, types in _SECTION_TYPES.items():
-        if section in parser:
-            kwargs[section] = {
-                key: _parse_typed(section, key, raw, types[key])
-                for key, raw in parser[section].items()
-            }
+    algorithms = tuple(a.strip() for a in camp.pop("algorithms", "bo, dsa").split(",") if a.strip())
     try:
         direct_config = DirectConfig(**kwargs.get("direct", {}))
     except ValueError as exc:
@@ -160,54 +149,48 @@ def load_campaign_config(path: str) -> CampaignConfig:
         run_config = RunConfig(direct_config=direct_config, **kwargs.get("run", {}))
     except ValueError as exc:
         raise ConfigError(f"[run] {exc}") from exc
-
-    return CampaignConfig(
-        objective_name=objective,
-        algorithms=algorithms,
-        runs=runs,
-        run_config=run_config,
-        output_dir=camp.get("output_dir", "out"),
-        workers=workers,
-        base_seed=_parse_typed("campaign", "base_seed", camp.get("base_seed", "0"), int),
-    )
+    return CampaignConfig(objective, algorithms, run_config=run_config, **camp)
 
 
 # --- trace persistence -----------------------------------------------------
 
 
-def _format_subset(subset) -> str:
-    return "-" if subset is None else "|".join(str(j) for j in subset)
+# The columns after x{d-1}: (column, IterationRecord field, type).
+_TAIL = (
+    ("y", "y", float),
+    ("y_best", "y_best", float),
+    ("wall_ms", "wall_time_ms", float),
+    ("eval_ms", "eval_time_ms", float),
+    ("gp_size", "gp_size", int),
+)
+
+
+def _header(d: int) -> list[str]:
+    return ["iter", "subset", *(f"x{j}" for j in range(d)), *(col for col, _, _ in _TAIL)]
 
 
 def _trace_row(rec: IterationRecord) -> str:
     # repr(float(v)): a numpy scalar's repr reads "np.float64(...)".
-    floats = [*rec.x, rec.y, rec.y_best, rec.wall_time_ms, rec.eval_time_ms]
+    subset = "-" if rec.subset is None else "|".join(str(j) for j in rec.subset)
     return ",".join(
-        [str(rec.iter), _format_subset(rec.subset)]
-        + [repr(float(v)) for v in floats]
-        + [str(rec.gp_size)]
+        [str(rec.iter), subset]
+        + [repr(float(v)) for v in rec.x]
+        + [repr(kind(getattr(rec, name))) for _, name, kind in _TAIL]
     )
 
 
 def write_trace(path: str, result: RunResult) -> None:
-    d = result.design.d
-    header = (
-        ["iter", "subset"]
-        + [f"x{j}" for j in range(d)]
-        + ["y", "y_best", "wall_ms", "eval_ms", "gp_size"]
-    )
-    design_rows = []
-    y_best = math.inf
-    for i in range(result.design.n):
-        y = float(result.design.Y[i])
-        y_best = min(y_best, y)
-        design_rows.append(
-            IterationRecord(
-                iter=i, subset=None, x=result.design.X[i], y=y, y_best=y_best,
-                wall_time_ms=0.0, eval_time_ms=result.design_eval_ms[i], gp_size=i + 1,
-            )
+    design = result.design
+    y_best = np.minimum.accumulate(design.Y)
+    design_rows = [
+        IterationRecord(
+            iter=i, subset=None, x=design.X[i], y=float(design.Y[i]), y_best=float(y_best[i]),
+            wall_time_ms=0.0, eval_time_ms=result.design_eval_ms[i], gp_size=i + 1,
         )
-    lines = [",".join(header)] + [_trace_row(r) for r in design_rows + result.records]
+        for i in range(design.n)
+    ]
+    lines = [",".join(_header(design.d))]
+    lines += [_trace_row(r) for r in design_rows + result.records]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -223,13 +206,9 @@ def read_trace(path: str) -> list[IterationRecord]:
     if not lines:
         raise ParseError(f"{path}: empty trace")
     header = lines[0].split(",")
-    if (
-        len(header) < 8
-        or header[:2] != ["iter", "subset"]
-        or header[-5:] != ["y", "y_best", "wall_ms", "eval_ms", "gp_size"]
-    ):
+    d = len(header) - 2 - len(_TAIL)
+    if d < 1 or header != _header(d):
         raise ParseError(f"{path}: bad trace header {lines[0]!r}")
-    d = len(header) - 7
     rows = []
     for ln in lines[1:]:
         parts = ln.split(",")
@@ -244,11 +223,7 @@ def read_trace(path: str) -> list[IterationRecord]:
                     iter=int(parts[0]),
                     subset=subset,
                     x=np.array([float(v) for v in parts[2 : 2 + d]]),
-                    y=float(parts[2 + d]),
-                    y_best=float(parts[3 + d]),
-                    wall_time_ms=float(parts[4 + d]),
-                    eval_time_ms=float(parts[5 + d]),
-                    gp_size=int(parts[6 + d]),
+                    **{name: kind(v) for (_, name, kind), v in zip(_TAIL, parts[2 + d :])},
                 )
             )
         except ValueError as exc:
@@ -268,8 +243,8 @@ def _algorithm_means(entries: list[SummaryEntry]) -> dict[str, dict[str, float]]
         groups.setdefault(entry.algorithm, []).append(entry)
     return {
         algorithm: {
-            f"mean_{name}": float(np.mean([getattr(e, name) for e in group]))
-            for name in ("best_objective", "total_wall_ms", "computation_ms", "gp_count")
+            f"mean_{f.name}": float(np.mean([getattr(e, f.name) for e in group]))
+            for f in fields(SummaryEntry) if f.name not in ("algorithm", "run")
         }
         for algorithm, group in groups.items()
     }

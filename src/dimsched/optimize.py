@@ -52,16 +52,16 @@ class RunConfig:
     seed: int = 0
     direct_config: DirectConfig = field(default_factory=DirectConfig)
     retrain_period: int = 5
-    train_restarts: int = 3
     train_max_iter: int = 200
     retrain_max_iter: int = 50
 
     def __post_init__(self):
-        # Smaller values crash the loop: a design too small to train a GP
-        # on, a zero modulus, no training start, or a seed numpy rejects.
+        # Smaller values crash the loop (a design too small to train a GP on,
+        # a zero modulus, a seed numpy rejects) or would pass as 0 iterations,
+        # which is legal: a design-only run, or a training that keeps its start.
         for key, least in (
-            ("n_init", 2), ("pca_period", 1), ("retrain_period", 1), ("train_restarts", 1),
-            ("seed", 0),
+            ("n_init", 2), ("pca_period", 1), ("retrain_period", 1), ("seed", 0),
+            ("max_iter", 0), ("train_max_iter", 0), ("retrain_max_iter", 0),
         ):
             if getattr(self, key) < least:
                 raise ValueError(f"{key} must be >= {least}")
@@ -236,7 +236,6 @@ def _run(
                 proj = Dataset(np.ascontiguousarray(design.X[:, dims]), design.Y)
                 hyper = train_hyperparams(
                     proj,
-                    restarts=config.train_restarts,
                     rng=rng,
                     bounds_ranges=bounds.span[dims],
                     max_iter=config.train_max_iter,

@@ -107,14 +107,14 @@ class TestConfigLoading:
             ("base_seed = 7", "base_seed = 7\nworkers = 0", "workers must be >= 1"),
             ("n_init = 4", "n_init = 4\npca_period = 0", "pca_period must be >= 1"),
             ("n_init = 4", "n_init = 4\nretrain_period = 0", "retrain_period must be >= 1"),
-            ("n_init = 4", "n_init = 4\ntrain_restarts = 0", "train_restarts must be >= 1"),
             ("n_init = 4", "n_init = 1", "n_init must be >= 2"),
             ("n_init = 4", "n_init = 4\nfloor_eps = nan", r"floor_eps must be in \[0, 1\]"),
             ("n_init = 4", "n_init = 4\nfloor_eps = 2.0", r"floor_eps must be in \[0, 1\]"),
+            ("max_iter = 3", "max_iter = -1", r"\[run\] max_iter must be >= 0"),
         ],
         ids=[
-            "workers", "pca_period", "retrain_period", "train_restarts", "n_init",
-            "floor_eps_nan", "floor_eps_above_one",
+            "workers", "pca_period", "retrain_period", "n_init",
+            "floor_eps_nan", "floor_eps_above_one", "max_iter",
         ],
     )
     def test_out_of_range_rejected(self, tmp_path, old, new, message):
@@ -149,9 +149,29 @@ class TestConfigLoading:
                 assert type(got) is type(f.default), (section, f.name)
                 assert got == value(f), (section, f.name)
 
+    def test_every_campaign_field_is_a_key(self, tmp_path):
+        # Each [campaign] key but objective and algorithms is a
+        # CampaignConfig field, parsed to the type of its default; the
+        # values set differ from the defaults.
+        values = {"runs": 3, "output_dir": "results", "workers": 2, "base_seed": 5}
+        skip = ("objective_name", "algorithms", "run_config")
+        assert sorted(values) == sorted(f.name for f in fields(CampaignConfig) if f.name not in skip)
+        text = "[campaign]\nobjective = sphere-2\n" + "".join(
+            f"{key} = {value}\n" for key, value in values.items()
+        )
+        config = load_campaign_config(write_config(tmp_path, text))
+        default = CampaignConfig("sphere-2", ("bo",))
+        for key, value in values.items():
+            got = getattr(config, key)
+            assert type(got) is type(value), key
+            assert got == value != getattr(default, key), key
+
     @pytest.mark.parametrize(
         "section, line",
-        [("run", "seed = 1"), ("run", "direct_config = 1"), ("direct", "budget = 5")],
+        [
+            ("run", "seed = 1"), ("run", "direct_config = 1"), ("direct", "budget = 5"),
+            ("run", "train_restarts = 3"), ("direct", "epsilon = 0.0001"),
+        ],
     )
     def test_non_field_keys_rejected(self, tmp_path, section, line):
         text = FAST_CONFIG.replace(f"[{section}]\n", f"[{section}]\n{line}\n")
@@ -165,8 +185,10 @@ class TestConfigLoading:
             ("runs = 2", "runs = 0", r"\[campaign\] runs must be >= 1"),
             ("algorithms = bo, dsa", "algorithms = ,",
              r"\[campaign\] algorithms must list at least one algorithm"),
+            ("algorithms = bo, dsa", "algorithms = bo, dsa, bo",
+             r"\[campaign\] algorithms lists 'bo' more than once"),
         ],
-        ids=["runs", "no_algorithms"],
+        ids=["runs", "no_algorithms", "repeated_algorithm"],
     )
     def test_campaign_checks_from_file(self, tmp_path, old, new, message):
         text = FAST_CONFIG.replace(old, new)
@@ -186,10 +208,12 @@ class TestCampaignConfig:
             ({"algorithms": ("dsa-parallel",), "workers": 0}, r"\[campaign\] workers must be >= 1"),
             ({"objective_name": "paraboloid-3"}, "unknown objective 'paraboloid-3'"),
             ({"base_seed": -1}, r"\[campaign\] base_seed must be >= 0"),
+            ({"algorithms": ("dsa", "bo", "dsa")},
+             r"\[campaign\] algorithms lists 'dsa' more than once"),
         ],
         ids=[
             "runs", "no_algorithms", "unknown_algorithm", "workers", "unknown_objective",
-            "negative_base_seed",
+            "negative_base_seed", "repeated_algorithm",
         ],
     )
     def test_rejected_when_built(self, tmp_path, kwargs, message):

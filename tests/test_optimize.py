@@ -98,14 +98,15 @@ class TestRunConfig:
     @pytest.mark.parametrize(
         "key, least",
         [
-            ("n_init", 2), ("pca_period", 1), ("retrain_period", 1), ("train_restarts", 1),
-            ("seed", 0),
+            ("n_init", 2), ("pca_period", 1), ("retrain_period", 1), ("seed", 0),
+            ("max_iter", 0), ("train_max_iter", 0), ("retrain_max_iter", 0),
         ],
     )
     def test_out_of_range_rejected(self, key, least):
         # Each of these values used to crash the loop deep inside a run
         # (ZeroDivisionError, IndexError, numpy's ValueError for a negative
-        # seed); the config now refuses it.
+        # seed) or, for an iteration count, to pass as 0; the config now
+        # refuses it.
         with pytest.raises(ValueError, match=f"{key} must be >= {least}"):
             RunConfig(**{key: least - 1})
         assert getattr(RunConfig(**{key: least}), key) == least
