@@ -16,7 +16,6 @@ from .gp import (
 )
 from .objectives import (
     ObjectiveSpec,
-    TimeSeriesData,
     benchmark_catalog,
     make_lotka_volterra_objective,
     rk4_integrate,
@@ -46,7 +45,6 @@ __all__ = [
     "ObjectiveSpec",
     "RunConfig",
     "RunResult",
-    "TimeSeriesData",
     "acquisition_objective",
     "benchmark_catalog",
     "compute_dimension_probabilities",

@@ -33,10 +33,6 @@ class NonFiniteState(DimschedError):
         self.fraction_completed = fraction_completed
 
 
-class ChannelMismatch(DimschedError):
-    """Time-series channels or time grids do not align."""
-
-
 class RunAborted(DimschedError):
     """A campaign run stopped early (outputs written up to the abort)."""
 

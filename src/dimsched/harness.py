@@ -111,7 +111,10 @@ _SECTION_TYPES = {
 
 def load_campaign_config(path: str) -> CampaignConfig:
     """Strict key = value config with [campaign], [run], [direct] sections."""
-    parser = configparser.ConfigParser()
+    # Values are read as written (no % interpolation), and no section is
+    # configparser's default section: "" can never be a section header, so a
+    # [DEFAULT] section is one more unknown section, not keys for every other.
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:
         read = parser.read(path)
     except configparser.Error as exc:

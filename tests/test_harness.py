@@ -86,6 +86,17 @@ class TestConfigLoading:
         with pytest.raises(ConfigError, match="tuning"):
             load_campaign_config(write_config(tmp_path, text))
 
+    def test_values_read_literally(self, tmp_path):
+        text = FAST_CONFIG.replace("base_seed = 7", "base_seed = 7\noutput_dir = out%d_100%")
+        assert load_campaign_config(write_config(tmp_path, text)).output_dir == "out%d_100%"
+
+    @pytest.mark.parametrize(
+        "default", ["[DEFAULT]\nruns = 2\n", "[DEFAULT]\n"], ids=["keys", "empty"]
+    )
+    def test_default_section_rejected(self, tmp_path, default):
+        with pytest.raises(ConfigError, match=r"unknown section \[DEFAULT\]"):
+            load_campaign_config(write_config(tmp_path, default + FAST_CONFIG))
+
     def test_unknown_objective_rejected(self, tmp_path):
         text = FAST_CONFIG.replace("sphere-2", "paraboloid-3")
         with pytest.raises(ConfigError, match="paraboloid-3"):
@@ -541,6 +552,11 @@ class TestCli:
         bad = write_config(tmp_path, FAST_CONFIG.replace("sphere-2", "nope"))
         assert cli.main(["run", "--config", bad]) == 2
         assert "config error" in capsys.readouterr().err
+
+    def test_default_section_exit(self, tmp_path, capsys):
+        bad = write_config(tmp_path, "[DEFAULT]\nruns = 2\n" + FAST_CONFIG)
+        assert cli.main(["run", "--config", bad]) == 2
+        assert "unknown section [DEFAULT]" in capsys.readouterr().err
 
     def test_config_error_printed_once(self, tmp_path):
         # In a process of its own: pytest's log capture would hide a
