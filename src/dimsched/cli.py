@@ -16,10 +16,10 @@ from dataclasses import replace
 
 from .errors import ConfigError, DimschedError, ParseError
 from .harness import (
-    CampaignSummary,
     emit_convergence_plot,
     emit_timing_report,
     load_campaign_config,
+    read_summary,
     run_campaign,
 )
 from .objectives import benchmark_catalog
@@ -70,10 +70,7 @@ def _cmd_plot(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    summaries = []
-    for path in args.summaries:
-        with open(path) as fh:
-            summaries.append(CampaignSummary.from_json(fh.read()))
+    summaries = [read_summary(path) for path in args.summaries]
     text, csv_text = emit_timing_report(summaries)
     sys.stderr.write(text)
     print(csv_text, end="")

@@ -41,10 +41,16 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .errors import DimensionMismatch, NotPositiveDefinite
-from .linalg import CholFactor, chol_append, cholesky_spd, solve_chol, solve_tri
+from .linalg import (
+    CholFactor,
+    chol_append,
+    chol_inverse_lower,
+    cholesky_spd,
+    solve_chol,
+    solve_tri,
+)
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -309,10 +315,7 @@ def _lml_gradient(data: Dataset, fit: _Fit, noise_variance: float) -> np.ndarray
     from one product with ``data.sq_diffs``, times 0.5/ell^2 = -weights.
     """
     n, d = data.n, data.d
-    # potri fills the lower triangle of K^-1 and keeps L's zero upper one.
-    K_inv, info = lapack.dpotri(fit.factor.L, lower=1)
-    if info != 0:
-        raise NotPositiveDefinite(f"inverse from the Cholesky factor failed (info={info})")
+    K_inv = chol_inverse_lower(fit.factor)
     # W = alpha alpha^T - K^-1 without forming the symmetric K^-1: subtract
     # the lower triangle, then its transpose with the diagonal zeroed.
     W = np.outer(fit.alpha, fit.alpha)

@@ -116,8 +116,8 @@ def load_campaign_config(path: str) -> CampaignConfig:
     # [DEFAULT] section is one more unknown section, not keys for every other.
     parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:
-        read = parser.read(path)
-    except configparser.Error as exc:
+        read = parser.read(path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     if not read:
         raise ConfigError(f"config file not found: {path}")
@@ -198,14 +198,21 @@ def write_trace(path: str, result: RunResult) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _read_text(path: str) -> str:
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: {exc}") from exc
+
+
 def read_trace(path: str) -> list[IterationRecord]:
     """The rows of a trace written by ``write_trace``, design rows first.
 
     ``write_trace`` always writes the initial design's rows, so a trace
     with a header and no rows is rejected.
     """
-    with open(path) as fh:
-        lines = [ln for ln in fh.read().splitlines() if ln.strip()]
+    lines = [ln for ln in _read_text(path).splitlines() if ln.strip()]
     if not lines:
         raise ParseError(f"{path}: empty trace")
     header = lines[0].split(",")
@@ -234,6 +241,15 @@ def read_trace(path: str) -> list[IterationRecord]:
     if not rows:
         raise ParseError(f"{path}: trace has no rows")
     return rows
+
+
+def read_summary(path: str) -> CampaignSummary:
+    """The summary that ``run_campaign`` wrote to ``path``."""
+    text = _read_text(path)
+    try:
+        return CampaignSummary.from_json(text)
+    except ParseError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
 
 
 # --- campaign --------------------------------------------------------------

@@ -3,18 +3,60 @@
 Everything here operates on plain numpy arrays.  Matrices are small
 (GP kernel matrices up to a few hundred rows).  A factor is computed
 once in O(n^3) and then grown by one row at a time in O(n^2).
+
+This is the one module that knows where LAPACK comes from.  It loads
+scipy's compiled LAPACK wrappers, the ``_flapack`` extension module that
+``scipy.linalg.lapack`` re-exports, straight from scipy's ``linalg``
+directory, because importing the ``scipy.linalg`` package, which pulls in
+scipy's array-API layer and ``numpy.f2py``, costs more than twice the
+rest of ``import dimsched``.  In ``python -X importtime`` over 12 fresh
+interpreters (Python 3.11.7, numpy 2.4.6, scipy 1.17.1, a 2-core x86
+host), ``scipy.linalg`` took a median 256 ms of the 361 ms that ``import
+dimsched`` took with it; ``_flapack`` alone loads in 3-11 ms, and
+``import dimsched`` without ``scipy.linalg`` took 150 ms.  The routines
+run from the same shared library either way, so every result is the
+same to the last bit.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
+import scipy  # its __init__ prepares the bundled OpenBLAS on some platforms
 from numpy.linalg import _umath_linalg
-from scipy.linalg import lapack
 
 from .errors import DimensionMismatch, NotPositiveDefinite
+
+
+def _load_flapack():
+    directory = os.path.join(os.path.dirname(scipy.__file__), "linalg")
+    finder = importlib.machinery.FileFinder(
+        directory,
+        (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES),
+    )
+    # The extension's init function is found by the last component of
+    # the name, so a private name ending in _flapack loads the file without
+    # claiming scipy.linalg's own module name.
+    spec = finder.find_spec(f"{__name__}._flapack")
+    if spec is None:
+        raise ImportError(
+            f"no _flapack extension module in {directory} (scipy {scipy.__version__})"
+        )
+    module = importlib.util.module_from_spec(spec)
+    # CPython files a single-phase extension module in sys.modules as it
+    # creates it; this private copy does not belong there.
+    sys.modules.pop(spec.name, None)
+    spec.loader.exec_module(module)
+    return module
+
+
+_flapack = _load_flapack()
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _SQRT_2 = math.sqrt(2.0)
@@ -127,12 +169,23 @@ def solve_tri(T: np.ndarray, b: np.ndarray, lower: bool) -> np.ndarray:
     itself at GP sizes.  Nothing is checked for finiteness.
     """
     if T.flags.f_contiguous:
-        x, info = lapack.dtrtrs(T, b, lower=lower)
+        x, info = _flapack.dtrtrs(T, b, lower=lower)
     else:  # trtrs reads Fortran order, so solve the transposed system
-        x, info = lapack.dtrtrs(T.T, b, lower=not lower, trans=1)
+        x, info = _flapack.dtrtrs(T.T, b, lower=not lower, trans=1)
     if info != 0:
         raise np.linalg.LinAlgError(f"triangular solve failed (info={info})")
     return x
+
+
+def chol_inverse_lower(factor: CholFactor) -> np.ndarray:
+    """Lower triangle of (A + jitter*I)^-1, from LAPACK's potri.
+
+    The strict upper triangle is the factor's, all zeros.
+    """
+    inverse, info = _flapack.dpotri(factor.L, lower=1)
+    if info != 0:
+        raise NotPositiveDefinite(f"inverse from the Cholesky factor failed (info={info})")
+    return inverse
 
 
 def chol_append(factor: CholFactor, col, diag: float) -> CholFactor:

@@ -143,7 +143,10 @@ def rk4_integrate(rhs, y0, params, times) -> np.ndarray:
 
 
 def weighted_sse(sim, data) -> float:
-    """Column-weighted squared error; weight is 1/mean(data column)^2."""
+    """Column-weighted squared error; weight is 1/mean(data column)^2.
+
+    A misfit too large for a float is inf, with no overflow warning.
+    """
     sim = np.asarray(sim, dtype=float)
     data = np.asarray(data, dtype=float)
     if sim.shape != data.shape or data.ndim != 2:
@@ -151,10 +154,11 @@ def weighted_sse(sim, data) -> float:
             f"need two (T, k) arrays of one shape, got {sim.shape} and {data.shape}"
         )
     total = 0.0
-    for sim_vals, data_vals in zip(sim.T, data.T):
-        mean = float(np.mean(data_vals))
-        weight = 1.0 / (mean * mean) if mean != 0.0 else 1.0
-        total += weight * float(np.sum((sim_vals - data_vals) ** 2))
+    with np.errstate(over="ignore"):
+        for sim_vals, data_vals in zip(sim.T, data.T):
+            mean = float(np.mean(data_vals))
+            weight = 1.0 / (mean * mean) if mean != 0.0 else 1.0
+            total += weight * float(np.sum((sim_vals - data_vals) ** 2))
     return total
 
 
@@ -184,7 +188,10 @@ def make_lotka_volterra_objective(seed: int, noise_std: float) -> ObjectiveSpec:
             sim = rk4_integrate(_lv_rhs, _LV_Y0, params, times)
         except NonFiniteState as exc:
             return _BLOWUP_PENALTY + exc.fraction_completed
-        return weighted_sse(sim, data)
+        sse = weighted_sse(sim, data)
+        # A finite trajectory too far out for its misfit to be a float:
+        # the penalty of a blow-up at the end of the horizon.
+        return sse if math.isfinite(sse) else _BLOWUP_PENALTY + 1.0
 
     lo, hi = _LV_BOX
     return ObjectiveSpec(

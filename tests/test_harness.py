@@ -606,10 +606,30 @@ class TestCli:
         assert len(err) == 1 and err[0].startswith("i/o error: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["report", "--summaries", "{path}"], 4),
+            (["plot", "--traces", "{path}", "--out", "{out}"], 4),
+            (["run", "--config", "{path}"], 2),
+        ],
+        ids=["report", "plot", "run"],
+    )
+    def test_non_utf8_input_exit(self, tmp_path, capsys, argv, code):
+        binary = tmp_path / "binary"
+        binary.write_bytes(b"\x80\xff\x00\x01\xfe\x9c\xc3\x28\x0a")
+        out = tmp_path / "plot.svg"
+        argv = [arg.format(path=binary, out=out) for arg in argv]
+        assert cli.main(argv) == code
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and str(binary) in err[0]
+        assert not out.exists()
+
     def test_parse_error_exit(self, tmp_path, capsys):
         bad = tmp_path / "summary.json"
         bad.write_text("{}")
         assert cli.main(["report", "--summaries", str(bad)]) == 4
+        assert str(bad) in capsys.readouterr().err
 
     def test_runtime_abort_exit(self, tmp_path, capsys, monkeypatch):
         def boom(config):

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 import warnings
 from types import SimpleNamespace
 
@@ -10,7 +13,9 @@ import dimsched.linalg as linalg
 from dimsched.errors import DimensionMismatch, NotPositiveDefinite
 from dimsched.linalg import (
     _JITTER_SCALES,
+    CholFactor,
     chol_append,
+    chol_inverse_lower,
     cholesky_spd,
     solve_chol,
     solve_tri,
@@ -245,6 +250,65 @@ class TestSolveTri:
         T = np.array([[1.0, 0.0], [2.0, 0.0]])
         with pytest.raises(np.linalg.LinAlgError):
             solve_tri(T, np.ones(2), lower=True)
+
+
+# Compares dimsched.linalg's own copy of scipy's _flapack module with the
+# one scipy.linalg.lapack re-exports, through the calls dimsched makes.
+_SAME_BYTES_SCRIPT = """
+import numpy as np
+{imports}
+from scipy.linalg import lapack
+from dimsched.linalg import CholFactor, chol_inverse_lower, solve_tri
+rng = np.random.default_rng(5)
+for n in range(1, 221):
+    M = rng.normal(size=(n, n))
+    L = np.linalg.cholesky(M @ M.T + n * np.eye(n))
+    b = rng.normal(size=n) if n % 2 else rng.normal(size=(n, 3))
+    x, info = lapack.dtrtrs(L.T, b, lower=0, trans=1)
+    assert info == 0 and solve_tri(L, b, lower=True).tobytes() == x.tobytes(), n
+    x, info = lapack.dtrtrs(L.T, b, lower=0)
+    assert info == 0 and solve_tri(L.T, b, lower=False).tobytes() == x.tobytes(), n
+    inverse, info = lapack.dpotri(L, lower=1)
+    got = chol_inverse_lower(CholFactor(L=L, jitter_used=0.0))
+    assert info == 0 and got.tobytes() == inverse.tobytes(), n
+print("same")
+"""
+
+
+class TestLapackModule:
+    # In a fresh interpreter under -W error, with scipy.linalg imported
+    # after dimsched.linalg (its _flapack is then initialised a second
+    # time) or before it.
+    @pytest.mark.parametrize(
+        "imports",
+        [
+            "import dimsched.linalg\nimport scipy.linalg",
+            "import scipy.linalg\nimport dimsched.linalg",
+        ],
+        ids=["scipy-linalg-after", "scipy-linalg-before"],
+    )
+    def test_same_bytes_as_scipy_linalg_lapack(self, imports):
+        src = os.path.dirname(os.path.dirname(linalg.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run(
+            [sys.executable, "-W", "error", "-c", _SAME_BYTES_SCRIPT.format(imports=imports)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "same"
+
+    def test_missing_extension_names_directory_and_version(self, tmp_path, monkeypatch):
+        fake_scipy = SimpleNamespace(__file__=str(tmp_path / "__init__.py"), __version__="0.0")
+        monkeypatch.setattr(linalg, "scipy", fake_scipy)
+        with pytest.raises(ImportError) as info:
+            linalg._load_flapack()
+        assert str(tmp_path / "linalg") in str(info.value)
+        assert "scipy 0.0" in str(info.value)
+
+    def test_inverse_of_singular_factor_raises(self):
+        L = np.array([[1.0, 0.0], [2.0, 0.0]])
+        with pytest.raises(NotPositiveDefinite):
+            chol_inverse_lower(CholFactor(L=L, jitter_used=0.0))
 
 
 class TestSolveChol:

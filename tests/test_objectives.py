@@ -150,6 +150,12 @@ class TestWeightedSse:
         with pytest.raises(DimensionMismatch):
             weighted_sse(np.ones(2), np.ones(2))
 
+    def test_overflow_is_inf_without_warning(self):
+        data = self.column([1.0, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert weighted_sse(self.column([1e200, 1.0]), data) == math.inf
+
     def test_nonnegative_zero_iff_equal(self):
         rng = np.random.default_rng(1)
         data = self.column(rng.uniform(1, 2, 6))
@@ -169,6 +175,14 @@ class TestLotkaVolterra:
         for _ in range(1000):
             x = rng.uniform(spec.bounds.lower, spec.bounds.upper)
             assert spec.evaluator(x) >= truth_val
+
+    def test_overflowing_misfit_is_end_of_horizon_penalty(self):
+        # Outside the box, this trajectory stays finite but its misfit
+        # overflows; it ranks as a blow-up at the end of the horizon.
+        spec = make_lotka_volterra_objective(seed=0, noise_std=0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert spec.evaluator(np.array([0.1, -0.0, 2.7, 5.7])) == 1e9 + 1.0
 
     def test_noisy_truth_positive(self):
         spec = make_lotka_volterra_objective(seed=0, noise_std=0.5)
