@@ -3,7 +3,8 @@
 Subcommands: list-objectives, run, plot, report.  Diagnostics go to
 stderr (level set by the DIMSCHED_LOG env var); stdout carries only
 machine-readable output.  Exit codes: 0 ok, 2 config error, 3 runtime
-abort, 4 I/O error.
+abort, 4 I/O error.  A reader that quits early, as ``head`` does, is not
+an error: the command exits 0.
 """
 
 from __future__ import annotations
@@ -106,7 +107,13 @@ def main(argv=None) -> int:
     _setup_logging()
     args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()  # a pipe closed by its reader fails here, not at exit
+        return code
+    except BrokenPipeError:
+        # Pointing stdout at devnull keeps the interpreter's last flush quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except ConfigError as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return EXIT_CONFIG

@@ -21,9 +21,10 @@ from __future__ import annotations
 
 import functools
 import heapq
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -205,14 +206,15 @@ def _probes(rect: Rect, budget: int) -> tuple[list[int], list[tuple[float, ...]]
 
 
 def _split(rect: Rect, dims: list[int], centers: list[tuple[float, ...]], values: list[float],
-           next_index: int) -> tuple[list[Rect], int]:
+           indices: Iterator[int]) -> list[Rect]:
     """Trisect rect along dims from its probes, best dimensions first.
 
-    The returned rectangles tile the parent exactly; with no dims the
+    The children take their creation indices from indices, in the order
+    they are returned.  They tile the parent exactly; with no dims the
     rect comes back unchanged.
     """
     if not dims:
-        return [rect], next_index
+        return [rect]
     order = sorted(range(len(dims)), key=lambda k: (min(values[2 * k : 2 * k + 2]), dims[k]))
     children: list[Rect] = []
     levels = list(rect.levels)
@@ -220,11 +222,9 @@ def _split(rect: Rect, dims: list[int], centers: list[tuple[float, ...]], values
         levels[dims[k]] += 1
         child_levels = tuple(levels)
         for row in (2 * k, 2 * k + 1):
-            children.append(Rect(centers[row], child_levels, values[row], next_index))
-            next_index += 1
-    children.append(Rect(rect.center, tuple(levels), rect.f_center, next_index))
-    next_index += 1
-    return children, next_index
+            children.append(Rect(centers[row], child_levels, values[row], next(indices)))
+    children.append(Rect(rect.center, tuple(levels), rect.f_center, next(indices)))
+    return children
 
 
 def direct_minimize(
@@ -240,9 +240,9 @@ def direct_minimize(
     evaluate = _Evaluator(g, bounds, config.max_evals)
     center = (0.5,) * bounds.d
     (f0,) = evaluate(np.array([center]))
+    indices = itertools.count()  # creation order, for tie-breaking
     live = _Classes()
-    live.push([Rect(center, (0,) * bounds.d, f0, 0)])
-    next_index = 1
+    live.push([Rect(center, (0,) * bounds.d, f0, next(indices))])
 
     for _ in range(config.max_iters):
         if evaluate.remaining < 2:
@@ -263,8 +263,7 @@ def direct_minimize(
             probes += centers
         values = evaluate(np.array(probes))
         for rect, dims, centers in plans:
-            children, next_index = _split(rect, dims, centers, values[: len(centers)], next_index)
+            live.push(_split(rect, dims, centers, values[: len(centers)], indices))
             values = values[len(centers) :]
-            live.push(children)
     assert evaluate.best_x is not None
     return evaluate.best_x, evaluate.best_f, evaluate.count

@@ -271,6 +271,7 @@ class _Fit(NamedTuple):
     alpha: np.ndarray
     K: np.ndarray  # noise-free k(X, X)
     weights: np.ndarray  # -0.5 / ell^2
+    noise_variance: float  # sigma_n^2
 
 
 def _fit(data: Dataset, yc: np.ndarray, theta: np.ndarray) -> _Fit:
@@ -281,14 +282,15 @@ def _fit(data: Dataset, yc: np.ndarray, theta: np.ndarray) -> _Fit:
     """
     n = data.n
     weights = _kernel_weights(theta[:-2])
+    noise_variance = math.exp(theta[-1])
     K = _kernel(weights, data.sq_diffs, math.exp(theta[-2])).reshape(n, n)
     K_noisy = K.copy()
-    K_noisy.reshape(-1)[:: n + 1] += math.exp(theta[-1])  # a view: K is C-ordered
+    K_noisy.reshape(-1)[:: n + 1] += noise_variance  # a view: K is C-ordered
     factor = cholesky_spd(K_noisy)
     alpha = solve_tri(factor.L.T, solve_tri(factor.L, yc, lower=True), lower=False)
     log_det = 2.0 * float(np.log(factor.L.diagonal()).sum())
     lml = -0.5 * (float(yc @ alpha) + log_det + n * _LOG_2PI)
-    return _Fit(lml, factor, alpha, K, weights)
+    return _Fit(lml, factor, alpha, K, weights, noise_variance)
 
 
 def _fit_hyper(data: Dataset, hyper: KernelHyperparams) -> tuple[_Fit, float]:
@@ -306,7 +308,7 @@ def log_marginal_likelihood(data: Dataset, hyper: KernelHyperparams) -> float:
     return _fit_hyper(data, hyper)[0].lml
 
 
-def _lml_gradient(data: Dataset, fit: _Fit, noise_variance: float) -> np.ndarray:
+def _lml_gradient(data: Dataset, fit: _Fit) -> np.ndarray:
     """Gradient of the LML w.r.t. [log ell_1..d, log sigma_f^2, log sigma_n^2].
 
     Uses the trace identity 0.5 * tr((alpha alpha^T - K^-1) dK/dtheta)
@@ -328,12 +330,12 @@ def _lml_gradient(data: Dataset, fit: _Fit, noise_variance: float) -> np.ndarray
     grad = np.empty(d + 2)
     grad[:d] = -(data.sq_diffs @ W.ravel()) * fit.weights
     grad[d] = 0.5 * float(W.sum())
-    grad[d + 1] = 0.5 * noise_variance * trace_m
+    grad[d + 1] = 0.5 * fit.noise_variance * trace_m
     return grad
 
 
 def lml_gradient(data: Dataset, hyper: KernelHyperparams) -> np.ndarray:
-    return _lml_gradient(data, _fit_hyper(data, hyper)[0], hyper.noise_variance)
+    return _lml_gradient(data, _fit_hyper(data, hyper)[0])
 
 
 # Log sigma_f^2 and log sigma_n^2 are trained below this bound, and log
@@ -409,7 +411,7 @@ def _ascend(
     s = None
     for _ in range(max_iter):
         try:
-            g_next = _lml_gradient(data, fit, math.exp(theta[-1]))
+            g_next = _lml_gradient(data, fit)
         except NotPositiveDefinite:
             break
         if s is not None:
@@ -433,18 +435,18 @@ def _ascend(
         pg_max = float(np.maximum.reduce(np.abs(pg)))  # nan or inf if a free component is
         if not (math.isfinite(pg_max) and pg_max >= _GRAD_TOL):
             break
-        found = None
-        if H is not None:
-            p = H @ pg
+        # Along H pg, or pg scaled to at most 1 per coordinate without an H;
+        # if no step along H pg passes, H is reset and the latter is tried.
+        while True:
+            p = pg / max(1.0, pg_max) if H is None else H @ pg
             p[held] = 0.0
             slope = float(p @ pg)  # not finite unless p is
-            if 0.0 < slope < math.inf:
-                found = _armijo(data, yc, theta, f, pg, p, lo, hi)
-        if found is None:
-            H = None
-            found = _armijo(data, yc, theta, f, pg, pg / max(1.0, pg_max), lo, hi)
-            if found is None:
+            found = _armijo(data, yc, theta, f, pg, p, lo, hi) if 0.0 < slope < math.inf else None
+            if found is not None or H is None:
                 break
+            H = None
+        if found is None:
+            break
         theta, s, fit = found
         f_last, f = f, fit.lml
         if f - f_last <= _REL_GAIN_TOL * max(abs(f), abs(f_last), 1.0):

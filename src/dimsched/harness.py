@@ -48,7 +48,8 @@ class CampaignConfig:
     def __post_init__(self):
         # Checked here, not in the file loader, so that a config built in
         # code fails before run_campaign creates or evaluates anything.
-        if self.objective_name not in benchmark_catalog():
+        catalog = benchmark_catalog()
+        if self.objective_name not in catalog:
             raise ConfigError(f"unknown objective {self.objective_name!r}")
         for i, a in enumerate(self.algorithms):
             if a not in _LOOPS:
@@ -61,6 +62,13 @@ class CampaignConfig:
         for key, least in (("runs", 1), ("workers", 1), ("base_seed", 0)):
             if getattr(self, key) < least:
                 raise ConfigError(f"[campaign] {key} must be >= {least}")
+        # BO ignores subset_size; a scheduled loop would abort on it after BO has run.
+        d, size = catalog[self.objective_name].dimension, self.run_config.subset_size
+        if {"dsa", "dsa-parallel"} & set(self.algorithms) and not 1 <= size <= d:
+            raise ConfigError(
+                f"[run] subset_size must be in [1, {d}], the dimension of "
+                f"{self.objective_name}, got {size}"
+            )
 
 
 @dataclass(frozen=True)

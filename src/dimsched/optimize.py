@@ -1,25 +1,29 @@
 """Optimizer loops: classical BO, dimension-scheduled BO, and the
 latter with several proposals in flight.
 
-All three are entry points of one manager loop.  At each iteration the
-manager picks a coordinate subset, proposes a point by maximizing EI
-over that subset with DIRECT, clamps the other coordinates to the
-incumbent, evaluates and augments the subset's GP.  Dimension-scheduled
-runs sample the subset from per-coordinate weights (the sample variance
-of the observed inputs, mixed with a uniform floor); classical BO is the
-case where the subset is always every coordinate, so it keeps a single
-full-space GP.  The manager keeps a registry of GP models keyed by the
-sorted subset; each model is spawned lazily from the initial design's
-projection and only ever grows through its own subset's proposals.
+All three are entry points of one manager loop, made of two steps.
+``ask`` picks a coordinate subset, spawns its GP if the subset is new
+and proposes a point on it by maximizing EI over the subset with
+DIRECT.  ``tell`` fills the other coordinates in from the incumbent,
+evaluates the point, augments the subset's GP, updates the incumbent and
+records the iteration.  Dimension-scheduled runs sample the subset from
+per-coordinate weights (the sample variance of the observed inputs,
+mixed with a uniform floor); classical BO is the case where the subset
+is always every coordinate, so it keeps a single full-space GP.  The
+manager keeps a registry of GP models keyed by the sorted subset; each
+model is spawned lazily from the initial design's projection and only
+ever grows through its own subset's proposals.
 
-``run_dsa_parallel`` keeps up to ``workers`` proposals pending in a FIFO.
-Each is computed in the calling thread when it is assigned, and the
-oldest is completed first, as in a pool whose workers finish in
-submission order; runs stay deterministic given the seed.  There is no
-pool because proposals are Python (DIRECT and EI) that holds the GIL: a
-thread pool took 1.32-1.47 s at 2 workers and 1.66-1.88 s at 4, against
-1.14-1.34 s for ``run_dsa`` (styblinski_tang-10, 200 iterations, 2-core
-x86 host, BLAS on one thread), and its traces varied between runs.
+Between the two steps sits a FIFO of pending proposals: the loop asks
+until ``workers`` proposals are pending (one for ``run_bo`` and
+``run_dsa``), or until every subset drawn has one pending, then tells
+the oldest.  Each proposal is computed in the calling thread when it is
+asked for, as in a pool whose workers finish in submission order; runs
+stay deterministic given the seed.  There is no pool because proposals
+are Python (DIRECT and EI) that holds the GIL: a thread pool took
+1.32-1.47 s at 2 workers and 1.66-1.88 s at 4, against 1.14-1.34 s for
+``run_dsa`` (styblinski_tang-10, 200 iterations, 2-core x86 host, BLAS on
+one thread), and its traces varied between runs.
 """
 
 from __future__ import annotations
@@ -126,11 +130,6 @@ def initial_design(
     return Dataset(X, Y), eval_ms
 
 
-def _design_incumbent(design: Dataset) -> Incumbent:
-    best = int(np.argmin(design.Y))  # argmin breaks ties by lowest index
-    return Incumbent(point=design.X[best].copy(), value=float(design.Y[best]))
-
-
 def run_bo(
     objective, bounds: Bounds, config: RunConfig, initial=None
 ) -> RunResult:
@@ -150,13 +149,13 @@ def run_dsa_parallel(
 ) -> RunResult:
     """Dimension scheduling with up to ``workers`` proposals in flight.
 
-    A proposal is made when it is assigned, against the incumbent value
+    A proposal is made when it is asked for, against the incumbent value
     of that moment, and waits in a FIFO.  A subset with a pending proposal
     is resampled (up to 10 times).  When the FIFO is full or every draw is
-    pending, the oldest proposal is completed: evaluated, added to its
-    model and compared with the incumbent.  One worker is ``run_dsa``'s
+    pending, the oldest proposal is told: evaluated, added to its model
+    and compared with the incumbent.  One worker is ``run_dsa``'s
     schedule.  ``wall_time_ms`` spans a record's proposal to its
-    completion, so with ``workers > 1`` it includes later proposals.
+    telling, so with ``workers > 1`` it includes later proposals.
     """
     return _run(objective, bounds, config, workers, initial, scheduled=True)
 
@@ -167,8 +166,10 @@ def _run(
 ) -> RunResult:
     """The one optimizer loop behind run_bo, run_dsa and run_dsa_parallel.
 
-    Unscheduled runs (classical BO, always one worker) use the full
-    coordinate set as their only key and draw no scheduler randomness.
+    Its steps are the local functions ``ask`` and ``tell``, with the FIFO
+    of pending proposals between them.  Unscheduled runs (classical BO,
+    always one worker) use the full coordinate set as their only key and
+    draw no scheduler randomness.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -199,67 +200,67 @@ def _run(
                 f"initial design has {int(outside.sum())} points outside the box, "
                 f"the first at row {int(outside.argmax())}"
             )
-    incumbent = _design_incumbent(design)
-
+    best = int(np.argmin(design.Y))  # argmin breaks ties by lowest index
+    incumbent = Incumbent(point=design.X[best].copy(), value=float(design.Y[best]))
     models: dict[tuple[int, ...], GpModel] = {}
     probs: np.ndarray | None = None
     records: list[IterationRecord] = []
-    aborted = False
-    assigned = 0
-    # Assigned, not yet completed proposals, oldest first: (key, x_sub, t_iter).
-    pending: list[tuple[tuple[int, ...], np.ndarray, float]] = []
 
-    def schedule() -> tuple[int, ...] | None:
-        """The next key to propose on, or None if every draw is checked out."""
+    def ask(pending) -> tuple[tuple[int, ...], np.ndarray, float] | None:
+        """A proposal (key, x_sub, t_iter) on a key with none pending.
+
+        None if every draw is pending.  The weights are refreshed every
+        pca_period proposals, counting the told and the pending ones.
+        """
         nonlocal probs
-        if not scheduled:
-            return tuple(range(bounds.d))
-        if assigned % config.pca_period == 0:
-            probs = compute_dimension_probabilities(
-                np.vstack([design.X, *(r.x for r in records)]), config.floor_eps
-            )
-        checked_out = {key for key, _, _ in pending}
-        for _ in range(11):  # one draw, then up to 10 resamples
-            key = sample_subset(probs, config.subset_size, rng)
-            if key not in checked_out:
-                return key
-        return None
-
-    while len(records) < config.max_iter:
-        while assigned < config.max_iter and len(pending) < workers:
-            t_iter = time.perf_counter()
-            key = schedule()
+        t_iter = time.perf_counter()
+        key = tuple(range(bounds.d))
+        if scheduled:
+            if (len(records) + len(pending)) % config.pca_period == 0:
+                probs = compute_dimension_probabilities(
+                    np.vstack([design.X, *(r.x for r in records)]), config.floor_eps
+                )
+            checked_out = {k for k, _, _ in pending}
+            # One draw, then up to 10 resamples; the first not checked out is taken.
+            draws = (sample_subset(probs, config.subset_size, rng) for _ in range(11))
+            key = next((k for k in draws if k not in checked_out), None)
             if key is None:
-                break  # every draw is checked out; complete the oldest first
-            dims = list(key)
-            if key not in models:
-                proj = Dataset(np.ascontiguousarray(design.X[:, dims]), design.Y)
-                hyper = train_hyperparams(
-                    proj,
-                    rng=rng,
-                    bounds_ranges=bounds.span[dims],
-                    max_iter=config.train_max_iter,
-                )
-                models[key] = gp_fit(proj, hyper)
-            ctx = AcquisitionContext(model=models[key], y_best=incumbent.value)
-            try:
-                x_sub, _, _ = direct_minimize(
-                    acquisition_objective(ctx), bounds.subset(dims), config.direct_config
-                )
-            except NonFiniteObjective as exc:
-                raise NonFiniteAcquisition(
-                    f"EI of the GP on subset {key} (n={ctx.model.n}) is not finite"
-                ) from exc
-            pending.append((key, x_sub, t_iter))
-            assigned += 1
-        key, x_sub, t_iter = pending.pop(0)
+                return None
+        dims = list(key)
+        if key not in models:
+            proj = Dataset(np.ascontiguousarray(design.X[:, dims]), design.Y)
+            hyper = train_hyperparams(
+                proj,
+                rng=rng,
+                bounds_ranges=bounds.span[dims],
+                max_iter=config.train_max_iter,
+            )
+            models[key] = gp_fit(proj, hyper)
+        ctx = AcquisitionContext(model=models[key], y_best=incumbent.value)
+        try:
+            x_sub, _, _ = direct_minimize(
+                acquisition_objective(ctx), bounds.subset(dims), config.direct_config
+            )
+        except NonFiniteObjective as exc:
+            raise NonFiniteAcquisition(
+                f"EI of the GP on subset {key} (n={ctx.model.n}) is not finite"
+            ) from exc
+        return key, x_sub, t_iter
+
+    def tell(proposal) -> bool:
+        """Evaluate a proposal, grow its GP and record it; False if its value is not finite.
+
+        The coordinates outside the proposal's subset are the incumbent's
+        at this moment, not at the proposal's.
+        """
+        nonlocal incumbent
+        key, x_sub, t_iter = proposal
         x_new = incumbent.point.copy()
         x_new[list(key)] = x_sub
         try:
             y_new, eval_ms = _timed_eval(objective, x_new)
         except NonFiniteObjective:
-            aborted = True
-            break
+            return False
         model = models[key]
         # One retrain per retrain_period points added to this model.
         retrain = (model.n + 1 - design.n) % config.retrain_period == 0
@@ -281,6 +282,18 @@ def _run(
                 gp_size=models[key].n,
             )
         )
+        return True
+
+    # Proposals asked for and not yet told, oldest first.
+    pending: list[tuple[tuple[int, ...], np.ndarray, float]] = []
+    aborted = False
+    while not aborted and len(records) < config.max_iter:
+        while len(pending) < min(workers, config.max_iter - len(records)):
+            proposal = ask(pending)
+            if proposal is None:
+                break  # every draw is pending; tell the oldest first
+            pending.append(proposal)
+        aborted = not tell(pending.pop(0))
     return RunResult(
         records=records,
         incumbent=incumbent,

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 import re
 
@@ -40,7 +41,7 @@ def trisect(rect: Rect, g, evals_budget: int) -> list[Rect]:
     dims, centers = _probes(rect, evals_budget)
     unit = Bounds(np.zeros(len(rect.levels)), np.ones(len(rect.levels)))
     values = _Evaluator(g, unit, evals_budget)(np.array(centers)) if dims else []
-    return _split(rect, dims, centers, values, rect.index + 1)[0]
+    return _split(rect, dims, centers, values, itertools.count(rect.index + 1))
 
 
 def six_hump_camel(x):

@@ -463,7 +463,7 @@ class TestOnePassGradient:
             fit = gp_module._fit(data, yc, theta)
             jittered += fit.factor.jitter_used > 0.0
             noise = math.exp(theta[-1])
-            got = gp_module._lml_gradient(data, fit, noise)
+            got = gp_module._lml_gradient(data, fit)
             assert got.tobytes() == self.symmetrized_gradient(data, fit, noise).tobytes()
         assert jittered > 20
 

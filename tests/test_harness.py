@@ -139,7 +139,8 @@ class TestConfigLoading:
 
     def test_every_config_field_is_a_key(self, tmp_path):
         # Each [run] and [direct] key is a config field, parsed to the type
-        # of its default; the values set differ from the defaults.
+        # of its default; the values set differ from the defaults.  The
+        # objective has 4 coordinates, so subset_size = 3 is a valid subset.
         sections = {
             "run": [f for f in fields(RunConfig) if f.name not in ("seed", "direct_config")],
             "direct": list(fields(DirectConfig)),
@@ -148,7 +149,7 @@ class TestConfigLoading:
         def value(f):
             return f.default + 1 if type(f.default) is int else f.default / 2
 
-        text = "[campaign]\nobjective = sphere-2\n" + "".join(
+        text = "[campaign]\nobjective = sphere-4\n" + "".join(
             f"[{section}]\n" + "".join(f"{f.name} = {value(f)!r}\n" for f in section_fields)
             for section, section_fields in sections.items()
         )
@@ -221,10 +222,15 @@ class TestCampaignConfig:
             ({"base_seed": -1}, r"\[campaign\] base_seed must be >= 0"),
             ({"algorithms": ("dsa", "bo", "dsa")},
              r"\[campaign\] algorithms lists 'dsa' more than once"),
+            ({"algorithms": ("bo", "dsa"), "run_config": RunConfig(subset_size=3)},
+             r"\[run\] subset_size must be in \[1, 2\], the dimension of sphere-2, got 3"),
+            ({"algorithms": ("dsa-parallel",), "run_config": RunConfig(subset_size=0)},
+             r"\[run\] subset_size must be in \[1, 2\], the dimension of sphere-2, got 0"),
         ],
         ids=[
             "runs", "no_algorithms", "unknown_algorithm", "workers", "unknown_objective",
-            "negative_base_seed", "repeated_algorithm",
+            "negative_base_seed", "repeated_algorithm", "subset_size_above_d",
+            "subset_size_zero",
         ],
     )
     def test_rejected_when_built(self, tmp_path, kwargs, message):
@@ -571,6 +577,23 @@ class TestCli:
         assert proc.returncode == 2
         assert proc.stderr.splitlines() == ["config error: unknown objective 'nope'"]
 
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    def test_reader_that_quits_early(self, unbuffered):
+        # A pipe whose read end is closed, as after `dimsched list-objectives | true`.
+        # Buffered, the write fails at the last flush; unbuffered, in print.
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
+        env["PYTHONUNBUFFERED"] = unbuffered
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "dimsched.cli", "list-objectives"],
+                stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (0, "")
+
     def test_negative_seed_exit(self, tmp_path, capsys):
         out = tmp_path / "out"
         argv = ["run", "--config", write_config(tmp_path), "--out", str(out), "--seed", "-1"]
@@ -584,6 +607,13 @@ class TestCli:
         )
         assert cli.main(["run", "--config", bad, "--out", str(tmp_path / "out")]) == 2
         assert "retrain_period must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_subset_size_above_dimension_exit(self, tmp_path, capsys):
+        # Caught before BO runs and writes its trace, not by the DSA loop after it.
+        bad = write_config(tmp_path, FAST_CONFIG.replace("subset_size = 2", "subset_size = 3"))
+        assert cli.main(["run", "--config", bad, "--out", str(tmp_path / "out")]) == 2
+        assert "[run] subset_size must be in [1, 2]" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_out_of_range_direct_config_exit(self, tmp_path, capsys):

@@ -1,5 +1,8 @@
+from dataclasses import replace
+
 import numpy as np
 
+from dimsched import optimize
 from dimsched.direct import Bounds, DirectConfig
 from dimsched.optimize import RunConfig, initial_design, run_dsa, run_dsa_parallel
 
@@ -108,6 +111,45 @@ class TestMultiWorker:
             expected = sizes.get(rec.subset, config.n_init) + 1
             assert rec.gp_size == expected
             sizes[rec.subset] = expected
+
+
+class TestWeightRefresh:
+    """The weights are refreshed every pca_period proposals, pending ones
+    included, from the design and the records told by then."""
+
+    CONFIG = replace(make_config(16), max_iter=25)  # pca_period 10: proposals 0, 10, 20
+
+    @staticmethod
+    def refreshes(monkeypatch) -> list[np.ndarray]:
+        seen = []
+        original = optimize.compute_dimension_probabilities
+
+        def spy(X, *args):
+            seen.append(np.array(X, copy=True))
+            return original(X, *args)
+
+        monkeypatch.setattr(optimize, "compute_dimension_probabilities", spy)
+        return seen
+
+    @staticmethod
+    def told(result, k: int) -> np.ndarray:
+        return np.vstack([result.design.X, *(r.x for r in result.records[:k])])
+
+    def test_sequential(self, monkeypatch):
+        seen = self.refreshes(monkeypatch)
+        result = run_dsa(sphere, BOUNDS, self.CONFIG)
+        assert len(seen) == 3
+        for X, k in zip(seen, (0, 10, 20)):
+            assert np.array_equal(X, self.told(result, k))
+
+    def test_parallel_counts_pending_proposals(self, monkeypatch):
+        seen = self.refreshes(monkeypatch)
+        result = run_dsa_parallel(sphere, BOUNDS, self.CONFIG, workers=3)
+        assert len(seen) == 3
+        for X, k in zip(seen, (0, 10, 20)):
+            told = X.shape[0] - self.CONFIG.n_init
+            assert k - 2 <= told <= k  # up to 2 of the first k still pending
+            assert np.array_equal(X, self.told(result, told))
 
 
 class TestAbort:
