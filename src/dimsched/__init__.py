@@ -1,6 +1,6 @@
 """Black-box global optimization: classical BO and dimension-scheduled BO."""
 
-from .acquisition import AcquisitionContext, acquisition_objective, expected_improvement
+from .acquisition import acquisition_objective, expected_improvement
 from .direct import Bounds, DirectConfig, direct_minimize
 from .gp import (
     Dataset,
@@ -34,7 +34,6 @@ from .optimize import (
 from .scheduler import compute_dimension_probabilities, sample_subset
 
 __all__ = [
-    "AcquisitionContext",
     "Bounds",
     "Dataset",
     "DirectConfig",

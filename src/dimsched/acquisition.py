@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -14,21 +13,15 @@ from .linalg import std_normal_cdf, std_normal_pdf
 _SIGMA_EPS = 1e-12
 
 
-@dataclass(frozen=True)
-class AcquisitionContext:
-    model: GpModel
-    y_best: float
-
-
-def expected_improvement(ctx: AcquisitionContext, x):
-    """Expected amount by which f falls below the incumbent.
+def expected_improvement(model: GpModel, y_best: float, x):
+    """Expected amount by which f falls below the incumbent value y_best.
 
     A float at a point, shape (d,); an array at the rows of an (m, d) matrix.
     """
     x = np.asarray(x, dtype=float)
-    mu, var = gp_predict(ctx.model, x if x.ndim > 1 else x.reshape(1, -1))
+    mu, var = gp_predict(model, x if x.ndim > 1 else x.reshape(1, -1))
     sigma = np.sqrt(var)
-    gap = ctx.y_best - mu
+    gap = y_best - mu
     flat = sigma < _SIGMA_EPS
     any_flat = flat.any()
     z = gap / (np.where(flat, 1.0, sigma) if any_flat else sigma)
@@ -39,7 +32,9 @@ def expected_improvement(ctx: AcquisitionContext, x):
     return ei if x.ndim == 2 else float(ei[0])
 
 
-def acquisition_objective(ctx: AcquisitionContext) -> Callable[[np.ndarray], np.ndarray | float]:
+def acquisition_objective(
+    model: GpModel, y_best: float
+) -> Callable[[np.ndarray], np.ndarray | float]:
     """Negated EI, ready for a minimizing inner solver such as DIRECT.
 
     Like ``expected_improvement`` it takes a point or an (m, d) matrix of
@@ -47,6 +42,6 @@ def acquisition_objective(ctx: AcquisitionContext) -> Callable[[np.ndarray], np.
     """
 
     def neg_ei(x):
-        return -expected_improvement(ctx, x)
+        return -expected_improvement(model, y_best, x)
 
     return neg_ei

@@ -28,11 +28,13 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonFiniteObjective
+from .errors import DimensionMismatch, NonFiniteObjective, _as_int
 
 
 @dataclass(frozen=True)
 class Bounds:
+    """A box of at least one coordinate, each with a finite, positive span."""
+
     lower: np.ndarray
     upper: np.ndarray
 
@@ -41,8 +43,22 @@ class Bounds:
         hi = np.asarray(self.upper, dtype=float).ravel()
         if lo.shape != hi.shape:
             raise DimensionMismatch("lower/upper lengths differ")
-        if not np.all(lo < hi):
-            raise DimensionMismatch("need lower < upper componentwise")
+        if lo.size == 0:
+            raise DimensionMismatch("the box has no coordinates")
+        with np.errstate(over="ignore", invalid="ignore"):
+            span = hi - lo
+        ok = (span > 0.0) & (span < np.inf)  # nan fails both
+        if not ok.all():
+            j = int(ok.argmin())
+            if not (math.isfinite(lo[j]) and math.isfinite(hi[j])):
+                cause = "a bound is not finite"
+            elif lo[j] >= hi[j]:
+                cause = "need lower < upper"
+            else:
+                cause = "upper - lower overflows"
+            raise DimensionMismatch(
+                f"coordinate {j} of the box: {cause} (lower {lo[j]:g}, upper {hi[j]:g})"
+            )
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
 
@@ -71,10 +87,9 @@ class DirectConfig:
     max_iters: int = 100
 
     def __post_init__(self):
-        if self.max_evals < 1:
-            raise ValueError("max_evals must be >= 1")
-        if self.max_iters < 0:
-            raise ValueError("max_iters must be >= 0")
+        for key, least in (("max_evals", 1), ("max_iters", 0)):
+            if _as_int(key, getattr(self, key)) < least:
+                raise ValueError(f"{key} must be >= {least}")
 
 
 @functools.lru_cache(maxsize=None)

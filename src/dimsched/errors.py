@@ -1,5 +1,7 @@
 """Exception hierarchy shared across the package."""
 
+import operator
+
 
 class DimschedError(Exception):
     """Base class for all package errors."""
@@ -43,3 +45,15 @@ class ConfigError(DimschedError):
 
 class ParseError(DimschedError):
     """A harness-written file failed to parse."""
+
+
+def _as_int(name: str, value, error: type[Exception] = ValueError) -> int:
+    """value as an int if it is an integer, numpy's included; else error, naming name.
+
+    A float is refused even when it is whole: a setting such as 2.5
+    iterations or workers has no meaning to round to.
+    """
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise error(f"{name} must be an integer, got {value!r}") from None

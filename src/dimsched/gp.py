@@ -1,6 +1,6 @@
 """ARD squared-exponential Gaussian process regression.
 
-Targets are centered on their empirical mean before fitting; the shift
+Targets are centred on their empirical mean before fitting; the shift
 is re-added at prediction time.  Hyperparameters live on the log scale
 and are fitted by best-of-restarts maximum likelihood inside a box: each
 log-lengthscale within ln 100 of its coordinate's log range, the log
@@ -26,8 +26,10 @@ One fit core, ``_fit``, builds K + sigma_n^2 I from a log-hyperparameter
 vector theta, factorizes it and solves for alpha; it returns the LML and
 keeps the noise-free K for the gradient.  ``gp_fit``, the public LML and
 its gradient wrap it, and training calls it directly on theta vectors:
-the targets are centred once per dataset, each trial point is fitted
-once, and a ``KernelHyperparams`` is built only for the value returned.
+each trial point is fitted once, and a ``KernelHyperparams`` is built
+only for the value returned.  A dataset centres its targets once, for
+every fit, training and O(n^2) append on it, and a model reads its mean
+shift from its data; the append solves for alpha as the fit core does.
 Trial points may overflow or fail to factorize, so one
 ``np.errstate(all="ignore")`` spans a training's starts and ascents; the
 fit core and the gradient enter none of their own.
@@ -48,7 +50,6 @@ from .linalg import (
     chol_append,
     chol_inverse_lower,
     cholesky_spd,
-    solve_chol,
     solve_tri,
 )
 
@@ -102,6 +103,12 @@ class Dataset:
         ``_kernel(weights, sq_diffs, sigma_f^2)`` for some weights.
         """
         return _sq_diffs(self.columns, self.columns)
+
+    @cached_property
+    def _centred(self) -> tuple[float, np.ndarray]:
+        """The targets' mean and the targets centred on it, checked finite."""
+        mean = float(np.mean(self.Y))
+        return mean, np.asarray_chkfinite(self.Y - mean)
 
     def append(self, x, y: float) -> "Dataset":
         x = np.asarray(x, dtype=float).ravel()
@@ -162,7 +169,11 @@ class GpModel:
     hyper: KernelHyperparams
     factor: CholFactor
     alpha: np.ndarray
-    mean_shift: float
+
+    @property
+    def mean_shift(self) -> float:
+        """The targets' mean, re-added to every predicted mean."""
+        return self.data._centred[0]
 
     @property
     def d(self) -> int:
@@ -236,10 +247,8 @@ def kernel_matrix(X, X2, hyper: KernelHyperparams) -> np.ndarray:
 
 
 def gp_fit(data: Dataset, hyper: KernelHyperparams) -> GpModel:
-    fit, mean_shift = _fit_hyper(data, hyper)
-    return GpModel(
-        data=data, hyper=hyper, factor=fit.factor, alpha=fit.alpha, mean_shift=mean_shift
-    )
+    fit = _fit_hyper(data, hyper)
+    return GpModel(data=data, hyper=hyper, factor=fit.factor, alpha=fit.alpha)
 
 
 def gp_predict(model: GpModel, x_star):
@@ -287,25 +296,28 @@ def _fit(data: Dataset, yc: np.ndarray, theta: np.ndarray) -> _Fit:
     K_noisy = K.copy()
     K_noisy.reshape(-1)[:: n + 1] += noise_variance  # a view: K is C-ordered
     factor = cholesky_spd(K_noisy)
-    alpha = solve_tri(factor.L.T, solve_tri(factor.L, yc, lower=True), lower=False)
+    alpha = _solve_alpha(factor, yc)
     log_det = 2.0 * float(np.log(factor.L.diagonal()).sum())
     lml = -0.5 * (float(yc @ alpha) + log_det + n * _LOG_2PI)
     return _Fit(lml, factor, alpha, K, weights, noise_variance)
 
 
-def _fit_hyper(data: Dataset, hyper: KernelHyperparams) -> tuple[_Fit, float]:
-    """The fit at hyper to the targets centred on their mean, and that mean."""
+def _solve_alpha(factor: CholFactor, yc: np.ndarray) -> np.ndarray:
+    """alpha = (K + sigma_n^2 I)^-1 yc, by forward then backward substitution."""
+    return solve_tri(factor.L.T, solve_tri(factor.L, yc, lower=True), lower=False)
+
+
+def _fit_hyper(data: Dataset, hyper: KernelHyperparams) -> _Fit:
+    """The fit at hyper to the centred targets."""
     if data.n < 1:
         raise DimensionMismatch("need at least one observation")
     if hyper.d != data.d:
         raise DimensionMismatch(f"hyper dim {hyper.d} != data dim {data.d}")
-    mean_shift = float(np.mean(data.Y))
-    yc = np.asarray_chkfinite(data.Y - mean_shift)
-    return _fit(data, yc, hyper.to_vector()), mean_shift
+    return _fit(data, data._centred[1], hyper.to_vector())
 
 
 def log_marginal_likelihood(data: Dataset, hyper: KernelHyperparams) -> float:
-    return _fit_hyper(data, hyper)[0].lml
+    return _fit_hyper(data, hyper).lml
 
 
 def _lml_gradient(data: Dataset, fit: _Fit) -> np.ndarray:
@@ -335,7 +347,7 @@ def _lml_gradient(data: Dataset, fit: _Fit) -> np.ndarray:
 
 
 def lml_gradient(data: Dataset, hyper: KernelHyperparams) -> np.ndarray:
-    return _lml_gradient(data, _fit_hyper(data, hyper)[0])
+    return _lml_gradient(data, _fit_hyper(data, hyper))
 
 
 # Log sigma_f^2 and log sigma_n^2 are trained below this bound, and log
@@ -507,7 +519,7 @@ def train_hyperparams(
     rng = np.random.default_rng(rng)
     var_y = max(float(np.var(data.Y)), _NOISE_FLOOR)
     ranges = _coordinate_ranges(data, bounds_ranges)
-    yc = np.asarray_chkfinite(data.Y - float(np.mean(data.Y)))
+    yc = data._centred[1]
 
     log_r = np.log(ranges)
     noise_floor = math.log(max(_NOISE_FLOOR, _NOISE_FLOOR * var_y))
@@ -568,6 +580,5 @@ def gp_augment(
         )
     except NotPositiveDefinite:
         return gp_fit(data, hyper)
-    mean_shift = float(np.mean(data.Y))
-    alpha = solve_chol(factor, data.Y - mean_shift)
-    return GpModel(data=data, hyper=hyper, factor=factor, alpha=alpha, mean_shift=mean_shift)
+    alpha = _solve_alpha(factor, data._centred[1])
+    return GpModel(data=data, hyper=hyper, factor=factor, alpha=alpha)

@@ -28,7 +28,7 @@ from html import escape
 import numpy as np
 
 from .direct import DirectConfig
-from .errors import ConfigError, ParseError, RunAborted
+from .errors import ConfigError, ParseError, RunAborted, _as_int
 from .objectives import benchmark_catalog
 from .optimize import IterationRecord, RunConfig, RunResult, initial_design, run_bo, run_dsa, run_dsa_parallel
 
@@ -60,7 +60,7 @@ class CampaignConfig:
         if not self.algorithms:
             raise ConfigError("[campaign] algorithms must list at least one algorithm")
         for key, least in (("runs", 1), ("workers", 1), ("base_seed", 0)):
-            if getattr(self, key) < least:
+            if _as_int(f"[campaign] {key}", getattr(self, key), ConfigError) < least:
                 raise ConfigError(f"[campaign] {key} must be >= {least}")
         # BO ignores subset_size; a scheduled loop would abort on it after BO has run.
         d, size = catalog[self.objective_name].dimension, self.run_config.subset_size
@@ -332,7 +332,13 @@ def run_campaign(config: CampaignConfig) -> CampaignSummary:
 
 
 def emit_convergence_plot(trace_paths: list[str], out: str, log_scale: bool = False) -> None:
-    """Self-contained SVG: one polyline of running best per trace."""
+    """Self-contained SVG: one polyline of running best per trace.
+
+    On a log scale, positive values are plotted as they are.  If any
+    value is <= 0, the plot shows the gap to the lowest running best of
+    all traces instead, with a gap of 0 drawn at the smallest positive
+    gap, and the axis label says so.
+    """
     if not trace_paths:
         raise ParseError("no traces given")
     traces = [(os.path.basename(p), read_trace(p)) for p in trace_paths]
@@ -340,9 +346,16 @@ def emit_convergence_plot(trace_paths: list[str], out: str, log_scale: bool = Fa
     width, height, margin = 720, 480, 60
     all_y = [row.y_best for _, rows in traces for row in rows]
     all_i = [row.iter for _, rows in traces for row in rows]
+    y_label = "running best"
     if log_scale:
-        floor = min(v for v in all_y if v > 0) if any(v > 0 for v in all_y) else 1e-12
-        transform = lambda v: math.log10(max(v, floor))
+        low = min(all_y)
+        if low > 0:
+            shift, floor = 0.0, low
+        else:
+            shift = low
+            floor = min((v - low for v in all_y if v > low), default=1.0)
+            y_label = f"running best minus its lowest, {low:g} (log scale; 0 drawn at {floor:g})"
+        transform = lambda v: math.log10(max(v - shift, floor))
         all_y = [transform(v) for v in all_y]
     else:
         transform = float
@@ -371,7 +384,7 @@ def emit_convergence_plot(trace_paths: list[str], out: str, log_scale: bool = Fa
         f'y2="{height - margin}" stroke="black"/>',
         f'<text x="{width // 2}" y="{height - 15}" text-anchor="middle">iteration</text>',
         f'<text x="15" y="{height // 2}" transform="rotate(-90 15 {height // 2})" '
-        f'text-anchor="middle">running best</text>',
+        f'text-anchor="middle">{escape(y_label)}</text>',
     ]
     for idx, (label, rows) in enumerate(traces):
         color = palette[idx % len(palette)]

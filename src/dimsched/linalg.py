@@ -207,15 +207,6 @@ def chol_append(factor: CholFactor, col, diag: float) -> CholFactor:
     return CholFactor(L=L, jitter_used=factor.jitter_used)
 
 
-def solve_chol(factor: CholFactor, b) -> np.ndarray:
-    """Solve (A + jitter*I) x = b by forward then backward substitution."""
-    b = np.asarray_chkfinite(b, dtype=float)
-    if b.shape[0] != factor.n:
-        raise DimensionMismatch(f"rhs length {b.shape[0]} != matrix size {factor.n}")
-    z = solve_tri(factor.L, b, lower=True)
-    return solve_tri(factor.L.T, z, lower=False)
-
-
 def std_normal_pdf(z):
     """Standard normal density, elementwise."""
     return np.exp(-0.5 * z * z) / _SQRT_2PI

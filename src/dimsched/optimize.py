@@ -33,9 +33,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .acquisition import AcquisitionContext, acquisition_objective
+from .acquisition import acquisition_objective
 from .direct import Bounds, DirectConfig, direct_minimize
-from .errors import DimensionMismatch, NonFiniteAcquisition, NonFiniteObjective
+from .errors import DimensionMismatch, NonFiniteAcquisition, NonFiniteObjective, _as_int
 from .gp import Dataset, GpModel, gp_augment, gp_fit, train_hyperparams
 from .scheduler import compute_dimension_probabilities, sample_subset
 
@@ -67,8 +67,10 @@ class RunConfig:
             ("n_init", 2), ("pca_period", 1), ("retrain_period", 1), ("seed", 0),
             ("max_iter", 0), ("train_max_iter", 0), ("retrain_max_iter", 0),
         ):
-            if getattr(self, key) < least:
+            if _as_int(key, getattr(self, key)) < least:
                 raise ValueError(f"{key} must be >= {least}")
+        # BO ignores subset_size; the scheduled loops check it against the box.
+        _as_int("subset_size", self.subset_size)
         # Outside [0, 1] the scheduling weights can go negative; nan fails
         # the subset draw mid-run.
         if not 0.0 <= self.floor_eps <= 1.0:
@@ -171,7 +173,7 @@ def _run(
     always one worker) use the full coordinate set as their only key and
     draw no scheduler randomness.
     """
-    if workers < 1:
+    if _as_int("workers", workers) < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     if scheduled and bounds.d < 2:
         raise DimensionMismatch(
@@ -236,14 +238,15 @@ def _run(
                 max_iter=config.train_max_iter,
             )
             models[key] = gp_fit(proj, hyper)
-        ctx = AcquisitionContext(model=models[key], y_best=incumbent.value)
+        model = models[key]
         try:
             x_sub, _, _ = direct_minimize(
-                acquisition_objective(ctx), bounds.subset(dims), config.direct_config
+                acquisition_objective(model, incumbent.value), bounds.subset(dims),
+                config.direct_config,
             )
         except NonFiniteObjective as exc:
             raise NonFiniteAcquisition(
-                f"EI of the GP on subset {key} (n={ctx.model.n}) is not finite"
+                f"EI of the GP on subset {key} (n={model.n}) is not finite"
             ) from exc
         return key, x_sub, t_iter
 

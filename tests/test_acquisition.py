@@ -3,11 +3,7 @@ import math
 import numpy as np
 
 from dimsched import acquisition
-from dimsched.acquisition import (
-    AcquisitionContext,
-    acquisition_objective,
-    expected_improvement,
-)
+from dimsched.acquisition import acquisition_objective, expected_improvement
 from dimsched.gp import Dataset, KernelHyperparams, gp_fit, gp_predict
 from dimsched.linalg import std_normal_cdf, std_normal_pdf
 
@@ -26,21 +22,21 @@ def mc_improvement(mu, sigma, y_best, rng, n=1_000_000):
     return float(np.mean(np.maximum(y_best - samples, 0.0)))
 
 
-def toy_context(y_shift=0.0, y_best=None):
+def toy_model():
+    """A GP on 8 points in 2-d, and its best observed value."""
     rng = np.random.default_rng(0)
     X = rng.uniform(-1, 1, size=(8, 2))
-    Y = rng.normal(size=8) + y_shift
+    Y = rng.normal(size=8)
     hyper = KernelHyperparams(np.zeros(2), 0.0, math.log(1e-2))
-    model = gp_fit(Dataset(X, Y), hyper)
-    return AcquisitionContext(model=model, y_best=float(Y.min()) if y_best is None else y_best)
+    return gp_fit(Dataset(X, Y), hyper), float(Y.min())
 
 
-def where_ei(ctx, x):
+def where_ei(model, y_best, x):
     """EI with both np.where passes taken on every call."""
     x = np.asarray(x, dtype=float)
-    mu, var = gp_predict(ctx.model, np.atleast_2d(x))
+    mu, var = gp_predict(model, np.atleast_2d(x))
     sigma = np.sqrt(var)
-    gap = ctx.y_best - mu
+    gap = y_best - mu
     flat = sigma < 1e-12
     z = gap / np.where(flat, 1.0, sigma)
     ei = np.where(flat, gap, gap * std_normal_cdf(z) + sigma * std_normal_pdf(z))
@@ -59,16 +55,19 @@ class TestBits:
             Y = rng.normal(size=X.shape[0])
             log_ls = np.full(d, -12.0) if case % 2 else rng.uniform(-1.0, 1.0, size=d)
             hyper = KernelHyperparams(log_ls, 0.0 if case % 2 else float(rng.uniform(-1, 1)), -70.0)
-            ctx = AcquisitionContext(gp_fit(Dataset(X, Y), hyper), float(rng.normal()))
+            model, y_best = gp_fit(Dataset(X, Y), hyper), float(rng.normal())
             probes = np.vstack([rng.uniform(-1, 1, size=(int(rng.integers(1, 25)), d)), X[:3]])
             if case % 2:
-                assert (np.sqrt(gp_predict(ctx.model, probes)[1]) < 1e-12).any()
-            assert np.array_equal(expected_improvement(ctx, probes), where_ei(ctx, probes))
+                assert (np.sqrt(gp_predict(model, probes)[1]) < 1e-12).any()
             assert np.array_equal(
-                expected_improvement(ctx, probes[:-3]), where_ei(ctx, probes[:-3])
+                expected_improvement(model, y_best, probes), where_ei(model, y_best, probes)
+            )
+            assert np.array_equal(
+                expected_improvement(model, y_best, probes[:-3]),
+                where_ei(model, y_best, probes[:-3]),
             )
             for x in (probes[0], probes[-1]):
-                assert expected_improvement(ctx, x) == where_ei(ctx, x)
+                assert expected_improvement(model, y_best, x) == where_ei(model, y_best, x)
 
     def test_reaches_gp_predict_through_the_module(self, monkeypatch):
         # perfbench's layer trace wraps acquisition.gp_predict by name.
@@ -80,9 +79,9 @@ class TestBits:
             return original(model, x)
 
         monkeypatch.setattr(acquisition, "gp_predict", counted)
-        ctx = toy_context()
-        expected_improvement(ctx, np.zeros(2))
-        expected_improvement(ctx, np.zeros((3, 2)))
+        model, y_best = toy_model()
+        expected_improvement(model, y_best, np.zeros(2))
+        expected_improvement(model, y_best, np.zeros((3, 2)))
         assert calls == [(1, 2), (3, 2)]
 
 
@@ -115,30 +114,30 @@ class TestClosedForm:
 
 class TestOnGp:
     def test_always_nonnegative(self):
-        ctx = toy_context()
+        model, y_best = toy_model()
         rng = np.random.default_rng(2)
         for _ in range(500):
             x = rng.uniform(-3, 3, size=2)
-            assert expected_improvement(ctx, x) >= 0.0
+            assert expected_improvement(model, y_best, x) >= 0.0
 
     def test_objective_is_negation(self):
-        ctx = toy_context()
-        neg = acquisition_objective(ctx)
+        model, y_best = toy_model()
+        neg = acquisition_objective(model, y_best)
         rng = np.random.default_rng(3)
         for _ in range(50):
             x = rng.uniform(-2, 2, size=2)
-            assert neg(x) == -expected_improvement(ctx, x)
+            assert neg(x) == -expected_improvement(model, y_best, x)
         # On a matrix, row by row: the values of the scalar calls.
         X = rng.uniform(-2, 2, size=(50, 2))
         np.testing.assert_allclose(
-            neg(X), [-expected_improvement(ctx, x) for x in X], rtol=1e-12, atol=1e-15
+            neg(X), [-expected_improvement(model, y_best, x) for x in X], rtol=1e-12, atol=1e-15
         )
 
     def test_argmin_matches_argmax_on_grid(self):
-        ctx = toy_context()
-        neg = acquisition_objective(ctx)
+        model, y_best = toy_model()
+        neg = acquisition_objective(model, y_best)
         grid = [np.array([a, b]) for a in np.linspace(-1, 1, 9) for b in np.linspace(-1, 1, 9)]
-        ei_vals = [expected_improvement(ctx, x) for x in grid]
+        ei_vals = [expected_improvement(model, y_best, x) for x in grid]
         neg_vals = [neg(x) for x in grid]
         assert int(np.argmax(ei_vals)) == int(np.argmin(neg_vals))
 
@@ -148,9 +147,8 @@ class TestOnGp:
         # Single-point model far from the search box: near-flat EI surface.
         hyper = KernelHyperparams(np.zeros(2), 0.0, math.log(1e-2))
         model = gp_fit(Dataset([[100.0, 100.0]], [0.0]), hyper)
-        ctx = AcquisitionContext(model=model, y_best=0.0)
         _, _, evals = direct_minimize(
-            acquisition_objective(ctx),
+            acquisition_objective(model, 0.0),
             Bounds([0.0, 0.0], [1.0, 1.0]),
             DirectConfig(max_evals=200, max_iters=50),
         )

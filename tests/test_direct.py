@@ -20,7 +20,7 @@ from dimsched.direct import (
     direct_minimize,
     potentially_optimal,
 )
-from dimsched.errors import NonFiniteObjective
+from dimsched.errors import DimensionMismatch, NonFiniteObjective
 
 
 def rowwise(f):
@@ -70,6 +70,35 @@ def bump(c):
 def test_direct_config_rejects_out_of_range(kwargs):
     with pytest.raises(ValueError, match=next(iter(kwargs))):
         DirectConfig(**kwargs)
+
+
+@pytest.mark.parametrize("key", ["max_evals", "max_iters"])
+def test_direct_config_rejects_non_integer(key):
+    # max_evals = 60.5 used to stop inside DIRECT on a float slice index.
+    with pytest.raises(ValueError, match=f"{key} must be an integer, got 60.5"):
+        DirectConfig(**{key: 60.5})
+    assert getattr(DirectConfig(**{key: np.int64(60)}), key) == 60
+
+
+@pytest.mark.parametrize(
+    "lower, upper, message",
+    [
+        ([0.0, 0.0], [1.0], "lower/upper lengths differ"),
+        ([0.0, 1.0], [1.0, 1.0], r"coordinate 1 of the box: need lower < upper \(lower 1,"),
+        ([-np.inf, 0.0], [np.inf, 1.0], "coordinate 0 of the box: a bound is not finite"),
+        ([0.0, np.nan], [1.0, 1.0], "coordinate 1 of the box: a bound is not finite"),
+        ([], [], "the box has no coordinates"),
+        ([-1e308] * 2, [1e308] * 2, "coordinate 0 of the box: upper - lower overflows"),
+    ],
+    ids=["lengths_differ", "lower_not_below_upper", "infinite", "nan", "empty", "span_overflows"],
+)
+def test_bounds_rejected(lower, upper, message):
+    # Each box used to stop a loop later, inside numpy or DIRECT: the
+    # infinite and the overflowing ones in rng.uniform with an
+    # OverflowError, or in DIRECT as a nan objective value; the empty one
+    # in a reshape.
+    with pytest.raises(DimensionMismatch, match=message):
+        Bounds(lower, upper)
 
 
 class TestDirectMinimize:
@@ -283,6 +312,12 @@ class TestEvaluator:
         evaluate(self.centers[::-1])
         assert evaluate.best_x.tobytes() == expected.tobytes()
         assert evaluate.count == 8
+
+    def test_values_of_the_wrong_shape_rejected(self):
+        evaluate = _Evaluator(lambda X: [1.0, 2.0], self.bounds, 100)
+        with pytest.raises(DimensionMismatch, match=r"shape \(2,\) for 4 points"):
+            evaluate(self.centers)
+        assert evaluate.count == 0
 
     def test_list_and_array_values_agree(self):
         bounds = Bounds([-3.0, -2.0], [3.0, 2.0])

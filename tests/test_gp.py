@@ -144,6 +144,40 @@ class TestKernelBits:
         assert not data.columns.flags.writeable
 
 
+class TestInputChecks:
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: Dataset(np.zeros((3, 2)), np.zeros(2)), r"\|X\| = 3 but \|Y\| = 2"),
+            (lambda: Dataset([[0.0, np.inf]], [1.0]), "non-finite"),
+            (lambda: Dataset([[0.0, 1.0]], [np.nan]), "non-finite"),
+            (lambda: Dataset([[0.0, 1.0]], [1.0]).append([0.5], 2.0), "point has dim 1, dataset has 2"),
+        ],
+        ids=["lengths_differ", "non_finite_x", "non_finite_y", "append_of_wrong_dim"],
+    )
+    def test_dataset_rejected(self, build, message):
+        with pytest.raises(DimensionMismatch, match=message):
+            build()
+
+    @pytest.mark.parametrize("x_star", [np.zeros(3), np.zeros((4, 3)), np.zeros((1, 2, 2))])
+    def test_predict_on_points_of_wrong_shape(self, x_star):
+        model = gp_fit(Dataset([[0.0, 1.0], [1.0, 0.0]], [1.0, 2.0]), hyper(2))
+        with pytest.raises(DimensionMismatch, match="for a 2-d model"):
+            gp_predict(model, x_star)
+
+    @pytest.mark.parametrize(
+        "data, h, message",
+        [
+            (Dataset(np.zeros((0, 2)), np.zeros(0)), hyper(2), "at least one observation"),
+            (Dataset([[0.0, 1.0]], [1.0]), hyper(3), "hyper dim 3 != data dim 2"),
+        ],
+        ids=["no_observations", "hyper_of_wrong_dim"],
+    )
+    def test_fit_rejected(self, data, h, message):
+        with pytest.raises(DimensionMismatch, match=message):
+            gp_fit(data, h)
+
+
 class TestKernelFloor:
     """Kernel values below eps^2 * sigma_f^2 are exactly 0."""
 
@@ -195,6 +229,18 @@ class TestFitPredict:
         model = gp_fit(Dataset([[0.5]], [3.0]), hyper(1))
         assert abs(model.alpha[0]) < 1e-14
         assert model.mean_shift == 3.0
+
+    def test_mean_shift_is_read_from_the_data(self):
+        # The fit, the O(n^2) append and the refit after a zero pivot all
+        # centre on the mean of the model's own targets.
+        data = Dataset([[0.0], [1.0], [2.0]], [1.0, 2.0, 6.0])
+        model = gp_fit(data, hyper(1, ls=1e-9, sn2=1e-20))
+        grown = gp_augment(model, [3.0], 11.0, retrain=False)
+        refit = gp_augment(model, [1.0], 11.0, retrain=False)  # a repeated point
+        assert refit.factor.jitter_used > 0.0
+        for m, mean in ((model, 3.0), (grown, 5.0), (refit, 5.0)):
+            assert m.mean_shift == mean == float(np.mean(m.data.Y))
+            assert np.array_equal(m.data._centred[1], m.data.Y - mean)
 
     def test_duplicate_inputs_regularized(self):
         data = Dataset([[1.0], [1.0]], [0.0, 1.0])
@@ -641,6 +687,51 @@ class TestTraining:
         factorized = [args[0].tobytes() for args in calls]
         assert len(factorized) > 10
         assert len(set(factorized)) == len(factorized)
+
+    @pytest.mark.parametrize(
+        "n, warm_dim, message",
+        [
+            (1, None, "at least two observations"),
+            (10, 3, "warm start dim 3 != data dim 2"),
+        ],
+        ids=["one_observation", "warm_start_of_wrong_dim"],
+    )
+    def test_bad_input_rejected(self, n, warm_dim, message):
+        data = styblinski_tang_data(np.random.default_rng(31), n, 2)
+        warm = None if warm_dim is None else hyper(warm_dim)
+        with pytest.raises(DimensionMismatch, match=message):
+            train_hyperparams(data, restarts=1, rng=0, warm_start=warm)
+
+    @pytest.mark.parametrize("name", ["_fit", "chol_inverse_lower"])
+    def test_one_failure_inside_the_ascent(self, monkeypatch, name):
+        # The second call fails.  Of _fit, that is the first trial point of
+        # the line search, whose step is then cut tenfold; of
+        # chol_inverse_lower (LAPACK's dpotri), the gradient after the first
+        # step, which stops the ascent there.  Either way training returns
+        # a point whose LML is no lower than its start's.
+        calls = []
+        original = getattr(gp_module, name)
+
+        def fails_second_call(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise NotPositiveDefinite("injected")
+            return original(*args)
+
+        data = styblinski_tang_data(np.random.default_rng(36), 12, 2)
+        var_y = float(np.var(data.Y))
+        start = KernelHyperparams(
+            np.log(np.ptp(data.X, axis=0)), math.log(var_y), math.log(1e-2 * var_y)
+        )
+        monkeypatch.setattr(gp_module, name, fails_second_call)
+        trained = train_hyperparams(data, restarts=0, warm_start=start, max_iter=20)
+        monkeypatch.undo()
+        if name == "_fit":
+            assert len(calls) > 2  # the line search went on after the failure
+        else:
+            assert len(calls) == 2  # no gradient after the failed one
+        assert not np.array_equal(trained.to_vector(), start.to_vector())
+        assert log_marginal_likelihood(data, trained) >= log_marginal_likelihood(data, start)
 
     def test_no_start_rejected(self):
         data = styblinski_tang_data(np.random.default_rng(32), 10, 2)

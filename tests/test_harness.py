@@ -2,13 +2,14 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from xml.etree import ElementTree
 
 import numpy as np
 import pytest
 
 import dimsched.cli as cli
+import dimsched.harness as harness
 from dimsched.errors import ConfigError, ParseError, RunAborted
 from dimsched.harness import (
     CampaignConfig,
@@ -23,7 +24,7 @@ from dimsched.harness import (
 )
 from dimsched.direct import Bounds, DirectConfig
 from dimsched.gp import Dataset
-from dimsched.objectives import benchmark_catalog
+from dimsched.objectives import ObjectiveSpec, benchmark_catalog
 from dimsched.optimize import (
     Incumbent,
     IterationRecord,
@@ -199,8 +200,10 @@ class TestConfigLoading:
              r"\[campaign\] algorithms must list at least one algorithm"),
             ("algorithms = bo, dsa", "algorithms = bo, dsa, bo",
              r"\[campaign\] algorithms lists 'bo' more than once"),
+            ("objective = sphere-2\n", "", r"\[campaign\] objective is required"),
+            (FAST_CONFIG[: FAST_CONFIG.index("[run]")], "", r"missing \[campaign\] section"),
         ],
-        ids=["runs", "no_algorithms", "repeated_algorithm"],
+        ids=["runs", "no_algorithms", "repeated_algorithm", "no_objective", "no_campaign_section"],
     )
     def test_campaign_checks_from_file(self, tmp_path, old, new, message):
         text = FAST_CONFIG.replace(old, new)
@@ -226,11 +229,16 @@ class TestCampaignConfig:
              r"\[run\] subset_size must be in \[1, 2\], the dimension of sphere-2, got 3"),
             ({"algorithms": ("dsa-parallel",), "run_config": RunConfig(subset_size=0)},
              r"\[run\] subset_size must be in \[1, 2\], the dimension of sphere-2, got 0"),
+            ({"runs": 1.5}, r"\[campaign\] runs must be an integer, got 1.5"),
+            ({"algorithms": ("dsa-parallel",), "workers": 2.0},
+             r"\[campaign\] workers must be an integer, got 2.0"),
+            ({"base_seed": 0.5}, r"\[campaign\] base_seed must be an integer, got 0.5"),
         ],
         ids=[
             "runs", "no_algorithms", "unknown_algorithm", "workers", "unknown_objective",
             "negative_base_seed", "repeated_algorithm", "subset_size_above_d",
-            "subset_size_zero",
+            "subset_size_zero", "runs_not_integer", "workers_not_integer",
+            "base_seed_not_integer",
         ],
     )
     def test_rejected_when_built(self, tmp_path, kwargs, message):
@@ -401,6 +409,15 @@ class TestTracePersistence:
         with pytest.raises(ParseError, match="malformed"):
             read_trace(str(path))
 
+    def test_row_of_wrong_length(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text(
+            "iter,subset,x0,y,y_best,wall_ms,eval_ms,gp_size\n"
+            "0,-,0.5,1.0,1.0,0.0,0.0\n"
+        )
+        with pytest.raises(ParseError, match="malformed row"):
+            read_trace(str(path))
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")
@@ -466,6 +483,30 @@ class TestCampaign:
         assert loaded == summary
         assert set(loaded.aggregates) == {"bo", "dsa"}
 
+    def test_abort_raised_after_outputs_written(self, tmp_path, monkeypatch):
+        # The objective turns nan at its sixth call: after the 4-point
+        # design and one iteration of BO.
+        calls = []
+
+        def turns_nan(x):
+            calls.append(x)
+            return sphere(x) if len(calls) <= 5 else float("nan")
+
+        catalog = {"broken-2": ObjectiveSpec("broken-2", Bounds([-1.0] * 2, [1.0] * 2), turns_nan)}
+        monkeypatch.setattr(harness, "benchmark_catalog", lambda: catalog)
+        run_config = RunConfig(
+            n_init=4, max_iter=3, direct_config=DirectConfig(max_evals=60, max_iters=20)
+        )
+        out = tmp_path / "out"
+        config = CampaignConfig("broken-2", ("bo",), runs=1, run_config=run_config,
+                                output_dir=str(out))
+        with pytest.raises(RunAborted):
+            run_campaign(config)
+        assert len(read_trace(str(out / "broken-2_bo_run0.csv"))) == 4 + 1
+        with open(out / "summary.json") as fh:
+            (entry,) = CampaignSummary.from_json(fh.read()).entries
+        assert entry.best_objective == min(sphere(x) for x in calls[:5])
+
     def test_bad_summary_json(self):
         with pytest.raises(ParseError):
             CampaignSummary.from_json(json.dumps({"objective": "x"}))
@@ -516,6 +557,50 @@ class TestPlotAndReport:
         emit_convergence_plot(paths, out, log_scale=True)
         with open(out) as fh:
             assert "<polyline" in fh.read()
+
+    def test_log_scale_of_values_at_or_below_zero(self, tmp_path):
+        # Negative running bests, as on styblinski_tang, used to be floored
+        # at one value, so every point of every polyline had one height.
+        paths = []
+        for i, offset in enumerate((-20.0, -30.0)):
+            result = run_bo(
+                lambda x: sphere(x) + offset,
+                Bounds([-1.0, -1.0], [1.0, 1.0]),
+                RunConfig(n_init=4, max_iter=3, direct_config=DirectConfig(max_evals=60)),
+            )
+            paths.append(str(tmp_path / f"trace{i}.csv"))
+            write_trace(paths[-1], result)
+        out = str(tmp_path / "plot.svg")
+        emit_convergence_plot(paths, out, log_scale=True)
+        svg = ElementTree.parse(out)
+        heights = {
+            float(point.split(",")[1])
+            for line in svg.iter("{http://www.w3.org/2000/svg}polyline")
+            for point in line.get("points").split()
+        }
+        assert len(heights) > 2
+        texts = [el.text for el in svg.iter("{http://www.w3.org/2000/svg}text")]
+        assert any(t.startswith("running best minus its lowest") for t in texts)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            ["0,-,0.5,-1.0,-1.0,0.0,0.1,1"],
+            ["0,-,0.5,2.0,2.0,0.0,0.1,1", "1,-,0.1,3.0,2.0,0.0,0.1,2"],
+        ],
+        ids=["one_row", "constant"],
+    )
+    @pytest.mark.parametrize("log_scale", [False, True], ids=["linear", "log"])
+    def test_degenerate_traces(self, tmp_path, rows, log_scale):
+        # A single point or a flat line is drawn inside the plot area.
+        path = tmp_path / "trace.csv"
+        path.write_text("\n".join(["iter,subset,x0,y,y_best,wall_ms,eval_ms,gp_size", *rows]))
+        out = str(tmp_path / "plot.svg")
+        emit_convergence_plot([str(path)], out, log_scale=log_scale)
+        (line,) = ElementTree.parse(out).iter("{http://www.w3.org/2000/svg}polyline")
+        for point in line.get("points").split():
+            x, y = map(float, point.split(","))
+            assert 60.0 <= x <= 660.0 and 60.0 <= y <= 420.0
 
     def test_empty_trace_list(self, tmp_path):
         with pytest.raises(ParseError):
@@ -621,6 +706,15 @@ class TestCli:
         assert cli.main(["run", "--config", bad, "--out", str(tmp_path / "out")]) == 2
         assert "[direct] max_evals must be >= 1" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_plot_exit(self, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        run_campaign(replace(load_campaign_config(write_config(tmp_path)), output_dir=str(out_dir)))
+        out = str(tmp_path / "plot.svg")
+        traces = sorted(str(p) for p in out_dir.glob("*.csv"))
+        assert cli.main(["plot", "--traces", *traces, "--out", out, "--log-scale"]) == 0
+        assert capsys.readouterr().out == out + "\n"
+        assert ElementTree.parse(out).getroot().tag == "{http://www.w3.org/2000/svg}svg"
 
     def test_io_error_exit(self, tmp_path, capsys):
         missing = str(tmp_path / "missing.csv")

@@ -57,6 +57,12 @@ class TestInitialDesign:
         design, _ = initial_design(sphere, bounds, 5, np.random.default_rng(2))
         assert design.Y.min() == min(sphere(x) for x in design.X)
 
+    def test_fewer_than_two_points_rejected_before_evaluation(self):
+        objective = CountingObjective(sphere)
+        with pytest.raises(DimensionMismatch, match="n_init >= 2"):
+            initial_design(objective, Bounds([-1.0], [1.0]), 1, np.random.default_rng(0))
+        assert objective.calls == 0
+
     @pytest.mark.parametrize("run", [run_bo, run_dsa])
     def test_design_of_other_dimension_rejected(self, run):
         # A 3-d design on a 2-d box is refused before any evaluation, not
@@ -110,6 +116,21 @@ class TestRunConfig:
         with pytest.raises(ValueError, match=f"{key} must be >= {least}"):
             RunConfig(**{key: least - 1})
         assert getattr(RunConfig(**{key: least}), key) == least
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("n_init", 4.5), ("max_iter", 2.5), ("subset_size", 1.5), ("pca_period", 2.5),
+            ("seed", 1.5), ("retrain_period", 2.5), ("train_max_iter", 2.5),
+            ("retrain_max_iter", 2.5),
+        ],
+    )
+    def test_non_integer_rejected(self, key, value):
+        # max_iter = 2.5 used to run 3 iterations, and n_init = 4.5 or
+        # subset_size = 1.5 to stop inside numpy with a TypeError, mid-run.
+        with pytest.raises(ValueError, match=f"{key} must be an integer, got {value}"):
+            RunConfig(**{key: value})
+        assert getattr(RunConfig(**{key: np.int64(int(value))}), key) == int(value)
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -0.5, 2.0])
     def test_floor_eps_outside_unit_interval_rejected(self, value):
@@ -329,6 +350,14 @@ class TestRunDsa:
         config = RunConfig(n_init=5, max_iter=2, direct_config=small_direct())
         with pytest.raises(ValueError, match="workers must be >= 1, got 0"):
             run_dsa_parallel(objective, Bounds([-1.0, -1.0], [1.0, 1.0]), config, workers=0)
+        assert objective.calls == 0
+
+    def test_non_integer_workers_rejected_before_design(self):
+        # workers = 1.5 used to give exactly the records of workers = 2.
+        objective = CountingObjective(sphere)
+        config = RunConfig(n_init=5, max_iter=2, direct_config=small_direct())
+        with pytest.raises(ValueError, match="workers must be an integer, got 1.5"):
+            run_dsa_parallel(objective, Bounds([-1.0, -1.0], [1.0, 1.0]), config, workers=1.5)
         assert objective.calls == 0
 
     def test_partial_result_on_nonfinite(self):

@@ -47,6 +47,11 @@ class TestProbabilities:
             assert abs(P.sum() - 1.0) < 1e-12
             assert np.all(P >= 0.1 / d - 1e-12)
 
+    @pytest.mark.parametrize("shape", [(1, 3), (5, 1)], ids=["one_point", "one_coordinate"])
+    def test_too_few_points_or_coordinates_rejected(self, shape):
+        with pytest.raises(DimensionMismatch, match="at least 2 points and 2 dims"):
+            compute_dimension_probabilities(np.zeros(shape))
+
     def test_importance_equals_covariance_diagonal(self):
         # s_j must equal C_jj, the diagonal of the sample covariance.
         rng = np.random.default_rng(3)
