@@ -13,35 +13,31 @@ from .linalg import std_normal_cdf, std_normal_pdf
 _SIGMA_EPS = 1e-12
 
 
-def expected_improvement(model: GpModel, y_best: float, x):
+def expected_improvement(model: GpModel, y_best: float, X) -> np.ndarray:
     """Expected amount by which f falls below the incumbent value y_best.
 
-    A float at a point, shape (d,); an array at the rows of an (m, d) matrix.
+    X is an (m, d) matrix of points; the result is an array of m values.
+    Where the posterior std is below 1e-12, EI is its sigma -> 0 limit,
+    max(y_best - mu, 0).
     """
-    x = np.asarray(x, dtype=float)
-    mu, var = gp_predict(model, x if x.ndim > 1 else x.reshape(1, -1))
+    mu, var = gp_predict(model, X)
     sigma = np.sqrt(var)
     gap = y_best - mu
     flat = sigma < _SIGMA_EPS
-    any_flat = flat.any()
-    z = gap / (np.where(flat, 1.0, sigma) if any_flat else sigma)
-    ei = gap * std_normal_cdf(z) + sigma * std_normal_pdf(z)
-    if any_flat:
-        ei = np.where(flat, gap, ei)
+    z = gap / np.where(flat, 1.0, sigma)
+    ei = np.where(flat, gap, gap * std_normal_cdf(z) + sigma * std_normal_pdf(z))
     np.maximum(ei, 0.0, out=ei)
-    return ei if x.ndim == 2 else float(ei[0])
+    return ei
 
 
-def acquisition_objective(
-    model: GpModel, y_best: float
-) -> Callable[[np.ndarray], np.ndarray | float]:
+def acquisition_objective(model: GpModel, y_best: float) -> Callable[[np.ndarray], np.ndarray]:
     """Negated EI, ready for a minimizing inner solver such as DIRECT.
 
-    Like ``expected_improvement`` it takes a point or an (m, d) matrix of
-    points, and returns a float or an array of m values.
+    Like ``expected_improvement`` it takes an (m, d) matrix of points and
+    returns an array of m values.
     """
 
-    def neg_ei(x):
-        return -expected_improvement(model, y_best, x)
+    def neg_ei(X):
+        return -expected_improvement(model, y_best, X)
 
     return neg_ei

@@ -23,7 +23,7 @@ import functools
 import heapq
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
 import numpy as np
@@ -37,10 +37,12 @@ class Bounds:
 
     lower: np.ndarray
     upper: np.ndarray
+    span: np.ndarray = field(init=False, repr=False)  # upper - lower
 
     def __post_init__(self):
-        lo = np.asarray(self.lower, dtype=float).ravel()
-        hi = np.asarray(self.upper, dtype=float).ravel()
+        # Copies: a caller's later edit to its arrays cannot leave span stale.
+        lo = np.array(self.lower, dtype=float).ravel()
+        hi = np.array(self.upper, dtype=float).ravel()
         if lo.shape != hi.shape:
             raise DimensionMismatch("lower/upper lengths differ")
         if lo.size == 0:
@@ -61,14 +63,11 @@ class Bounds:
             )
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
+        object.__setattr__(self, "span", span)
 
     @property
     def d(self) -> int:
         return self.lower.shape[0]
-
-    @property
-    def span(self) -> np.ndarray:
-        return self.upper - self.lower
 
     def subset(self, dims) -> "Bounds":
         dims = list(dims)
@@ -77,7 +76,7 @@ class Bounds:
 
 # The least improvement, relative to |f_min|, a potentially optimal
 # rectangle must promise: Jones, Perttunen & Stuckman (J. Optim. Theory
-# Appl. 1993) recommend 1e-4, and no caller has ever set another value.
+# Appl. 1993) recommend 1e-4.
 _EPSILON = 1e-4
 
 
@@ -167,14 +166,14 @@ class _Evaluator:
         return values
 
 
-def potentially_optimal(heads: list[Rect], f_min: float, epsilon: float) -> list[int]:
+def potentially_optimal(heads: list[Rect], f_min: float) -> list[int]:
     """Indices of the heads on the lower-right hull of (diameter, f_center).
 
     heads holds one rect per diameter class, in ascending diameter, as
     _Classes.heads() returns them; the indices come in that order.  A head
     qualifies if some slope K >= 0 makes it the minimizer of
-    f_center - K * diameter and achieves the epsilon improvement
-    f_center - K * diameter <= f_min - epsilon * |f_min|.  The last hull
+    f_center - K * diameter and achieves the improvement
+    f_center - K * diameter <= f_min - _EPSILON * |f_min|.  The last hull
     vertex always qualifies.
     """
     # Lower convex hull over (diameter, f) by monotone chain.
@@ -197,7 +196,7 @@ def potentially_optimal(heads: list[Rect], f_min: float, epsilon: float) -> list
     selected: list[int] = []
     for (d, f, i), (d_next, f_next, _) in zip(hull, hull[1:]):
         k_max = (f_next - f) / (d_next - d)
-        if f - k_max * d <= f_min - epsilon * abs(f_min):
+        if f - k_max * d <= f_min - _EPSILON * abs(f_min):
             selected.append(i)
     return selected + [i for _, _, i in hull[-1:]]
 
@@ -267,7 +266,7 @@ def direct_minimize(
         plans = []
         probes = []
         # In ascending diameter, as the hull returns them.
-        for i in potentially_optimal(heads, evaluate.best_f, _EPSILON):
+        for i in potentially_optimal(heads, evaluate.best_f):
             rect = heads[i]
             heapq.heappop(live[rect.diameter])  # rect heads its class
             # Once the budget runs out a rect gets no probes and stays

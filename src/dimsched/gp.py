@@ -251,24 +251,19 @@ def gp_fit(data: Dataset, hyper: KernelHyperparams) -> GpModel:
     return GpModel(data=data, hyper=hyper, factor=fit.factor, alpha=fit.alpha)
 
 
-def gp_predict(model: GpModel, x_star):
-    """Posterior mean and (clamped nonnegative) variance.
+def gp_predict(model: GpModel, X) -> tuple[np.ndarray, np.ndarray]:
+    """Posterior means and (clamped nonnegative) variances at the rows of X.
 
-    At a point, shape (d,), both are floats; at the rows of an (m, d)
-    matrix they are arrays of length m.
+    X is an (m, d) matrix of points; both results are arrays of length m.
     """
-    x_star = np.asarray_chkfinite(x_star, dtype=float)
-    point = x_star.ndim < 2
-    X = x_star.reshape(1, -1) if point else x_star
+    X = np.asarray_chkfinite(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != model.d:
-        raise DimensionMismatch(f"test points of shape {x_star.shape} for a {model.d}-d model")
+        raise DimensionMismatch(f"test points of shape {X.shape} for a {model.d}-d model")
     k_star = _cross_cov(np.ascontiguousarray(X.T), model.data.columns, model.hyper)
     mean = model.mean_shift + k_star @ model.alpha
     v = solve_tri(model.factor.L, k_star.T, lower=True)
     var = model.hyper.signal_variance - np.add.reduce(v * v, axis=0)
     np.maximum(var, 0.0, out=var)
-    if point:
-        return float(mean[0]), float(var[0])
     return mean, var
 
 

@@ -202,7 +202,7 @@ def write_trace(path: str, result: RunResult) -> None:
     ]
     lines = [",".join(_header(design.d))]
     lines += [_trace_row(r) for r in design_rows + result.records]
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
@@ -218,7 +218,8 @@ def read_trace(path: str) -> list[IterationRecord]:
     """The rows of a trace written by ``write_trace``, design rows first.
 
     ``write_trace`` always writes the initial design's rows, so a trace
-    with a header and no rows is rejected.
+    with a header and no rows is rejected; it never writes a non-finite
+    number, so a row that holds one is malformed.
     """
     lines = [ln for ln in _read_text(path).splitlines() if ln.strip()]
     if not lines:
@@ -233,6 +234,8 @@ def read_trace(path: str) -> list[IterationRecord]:
         if len(parts) != len(header):
             raise ParseError(f"{path}: malformed row {ln!r}")
         try:
+            if not all(math.isfinite(float(v)) for v in parts[2:]):
+                raise ValueError("non-finite number")
             subset = None if parts[1] == "-" else tuple(
                 int(s) for s in parts[1].split("|")
             )
@@ -321,7 +324,7 @@ def run_campaign(config: CampaignConfig) -> CampaignSummary:
         entries=tuple(entries),
         aggregates=_algorithm_means(entries),
     )
-    with open(os.path.join(config.output_dir, "summary.json"), "w") as fh:
+    with open(os.path.join(config.output_dir, "summary.json"), "w", encoding="utf-8") as fh:
         fh.write(summary.to_json() + "\n")
     if any_aborted:
         raise RunAborted("one or more runs aborted on a non-finite objective")
@@ -401,7 +404,7 @@ def emit_convergence_plot(trace_paths: list[str], out: str, log_scale: bool = Fa
             f'<text x="{width - margin - 142}" y="{ly}" font-size="12">{escape(label)}</text>'
         )
     parts.append("</svg>")
-    with open(out, "w") as fh:
+    with open(out, "w", encoding="utf-8") as fh:
         fh.write("\n".join(parts) + "\n")
 
 

@@ -68,7 +68,7 @@ def test_criterion_1_gp_oracle_equivalence():
         mean_o = shift + k_star @ K_inv @ (data.Y - shift)
         var_o = np.exp(hyper.log_signal_variance) - k_star @ K_inv @ k_star
 
-        mean, var = gp_predict(model, x_star)
+        (mean,), (var,) = gp_predict(model, x_star[None, :])
         rel_mean = abs(mean - mean_o) / max(abs(mean_o), 1e-12)
         rel_var = abs(var - max(var_o, 0.0)) / max(abs(var_o), 1e-12)
         worst = max(worst, rel_mean, rel_var)
@@ -127,7 +127,7 @@ def test_criterion_3_ei_monte_carlo():
                 log_noise_variance=-12.0,
             ),
         )
-        closed = expected_improvement(model, y_best, np.zeros(1))
+        (closed,) = expected_improvement(model, y_best, np.zeros((1, 1)))
         worst = max(worst, abs(closed - mc))
     elapsed = time.perf_counter() - t0
     ok = worst < 2e-3 and elapsed < 60.0

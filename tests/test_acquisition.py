@@ -1,9 +1,12 @@
 import math
+from functools import partial
 
 import numpy as np
+import pytest
 
 from dimsched import acquisition
 from dimsched.acquisition import acquisition_objective, expected_improvement
+from dimsched.errors import DimensionMismatch
 from dimsched.gp import Dataset, KernelHyperparams, gp_fit, gp_predict
 from dimsched.linalg import std_normal_cdf, std_normal_pdf
 
@@ -31,17 +34,16 @@ def toy_model():
     return gp_fit(Dataset(X, Y), hyper), float(Y.min())
 
 
-def where_ei(model, y_best, x):
+def where_ei(model, y_best, X):
     """EI with both np.where passes taken on every call."""
-    x = np.asarray(x, dtype=float)
-    mu, var = gp_predict(model, np.atleast_2d(x))
+    mu, var = gp_predict(model, X)
     sigma = np.sqrt(var)
     gap = y_best - mu
     flat = sigma < 1e-12
     z = gap / np.where(flat, 1.0, sigma)
     ei = np.where(flat, gap, gap * std_normal_cdf(z) + sigma * std_normal_pdf(z))
     np.maximum(ei, 0.0, out=ei)
-    return ei if x.ndim == 2 else float(ei[0])
+    return ei
 
 
 class TestBits:
@@ -66,8 +68,10 @@ class TestBits:
                 expected_improvement(model, y_best, probes[:-3]),
                 where_ei(model, y_best, probes[:-3]),
             )
-            for x in (probes[0], probes[-1]):
-                assert expected_improvement(model, y_best, x) == where_ei(model, y_best, x)
+            for x in (probes[:1], probes[-1:]):  # one-row matrices
+                assert np.array_equal(
+                    expected_improvement(model, y_best, x), where_ei(model, y_best, x)
+                )
 
     def test_reaches_gp_predict_through_the_module(self, monkeypatch):
         # perfbench's layer trace wraps acquisition.gp_predict by name.
@@ -80,7 +84,7 @@ class TestBits:
 
         monkeypatch.setattr(acquisition, "gp_predict", counted)
         model, y_best = toy_model()
-        expected_improvement(model, y_best, np.zeros(2))
+        expected_improvement(model, y_best, np.zeros((1, 2)))
         expected_improvement(model, y_best, np.zeros((3, 2)))
         assert calls == [(1, 2), (3, 2)]
 
@@ -118,7 +122,7 @@ class TestOnGp:
         rng = np.random.default_rng(2)
         for _ in range(500):
             x = rng.uniform(-3, 3, size=2)
-            assert expected_improvement(model, y_best, x) >= 0.0
+            assert expected_improvement(model, y_best, x[None, :])[0] >= 0.0
 
     def test_objective_is_negation(self):
         model, y_best = toy_model()
@@ -126,20 +130,28 @@ class TestOnGp:
         rng = np.random.default_rng(3)
         for _ in range(50):
             x = rng.uniform(-2, 2, size=2)
-            assert neg(x) == -expected_improvement(model, y_best, x)
-        # On a matrix, row by row: the values of the scalar calls.
+            assert neg(x[None, :])[0] == -expected_improvement(model, y_best, x[None, :])[0]
+        # On a matrix, row by row: the values of the one-row calls.
         X = rng.uniform(-2, 2, size=(50, 2))
         np.testing.assert_allclose(
-            neg(X), [-expected_improvement(model, y_best, x) for x in X], rtol=1e-12, atol=1e-15
+            neg(X), [-expected_improvement(model, y_best, x[None, :])[0] for x in X],
+            rtol=1e-12, atol=1e-15,
         )
 
     def test_argmin_matches_argmax_on_grid(self):
         model, y_best = toy_model()
         neg = acquisition_objective(model, y_best)
         grid = [np.array([a, b]) for a in np.linspace(-1, 1, 9) for b in np.linspace(-1, 1, 9)]
-        ei_vals = [expected_improvement(model, y_best, x) for x in grid]
-        neg_vals = [neg(x) for x in grid]
+        ei_vals = [expected_improvement(model, y_best, x[None, :])[0] for x in grid]
+        neg_vals = [neg(x[None, :])[0] for x in grid]
         assert int(np.argmax(ei_vals)) == int(np.argmin(neg_vals))
+
+    def test_point_rejected_naming_its_shape(self):
+        model, y_best = toy_model()
+        ei_forms = (partial(expected_improvement, model, y_best), acquisition_objective(model, y_best))
+        for ei in ei_forms:
+            with pytest.raises(DimensionMismatch, match=r"shape \(2,\) for a 2-d model"):
+                ei(np.zeros(2))
 
     def test_flat_landscape_direct_terminates(self):
         from dimsched.direct import Bounds, DirectConfig, direct_minimize

@@ -101,6 +101,17 @@ def test_bounds_rejected(lower, upper, message):
         Bounds(lower, upper)
 
 
+def test_bounds_keep_their_own_copy():
+    # span is computed once, so the box must not move when the caller's
+    # arrays do.
+    lower, upper = np.array([-1.0, 0.0]), np.array([3.0, 0.5])
+    bounds = Bounds(lower, upper)
+    lower[0], upper[1] = -10.0, 9.0
+    assert bounds.lower.tolist() == [-1.0, 0.0] and bounds.upper.tolist() == [3.0, 0.5]
+    assert np.array_equal(bounds.span, bounds.upper - bounds.lower)
+    assert np.array_equal(bounds.subset([1]).span, [0.5])
+
+
 class TestDirectMinimize:
     def test_optimum_at_center(self):
         bounds = Bounds([0.0, 2.0], [4.0, 6.0])
@@ -264,8 +275,8 @@ class TestDirectMinimize:
         iterations = [0]
         orig_po = mod.potentially_optimal
 
-        def spy(rects, f_min, eps):
-            selected = orig_po(rects, f_min, eps)
+        def spy(rects, f_min):
+            selected = orig_po(rects, f_min)
             iterations[0] += bool(selected)
             return selected
 
@@ -401,20 +412,20 @@ class TestPotentiallyOptimal:
                     selected.add(rects[j].index)
         return selected
 
-    def select(self, rects, f_min, eps):
+    def select(self, rects, f_min):
         """The indices of the rects the hull selects from rects' class heads."""
         live = _Classes()
         live.push(rects)
         heads = live.heads()
-        return [heads[i].index for i in potentially_optimal(heads, f_min, eps)]
+        return [heads[i].index for i in potentially_optimal(heads, f_min)]
 
     def test_single_rect_selected(self):
         r = self.rect([0], 3.0, 0)
-        assert potentially_optimal([r], 3.0, 1e-4) == [0]
+        assert potentially_optimal([r], 3.0) == [0]
 
     def test_equal_diameter_dominance(self):
         rects = [self.rect([0, 0], 2.0, 0), self.rect([0, 0], 1.0, 1)]
-        assert self.select(rects, 1.0, 1e-4) == [1]
+        assert self.select(rects, 1.0) == [1]
         assert self.oracle(rects, 1.0, 1e-4) == {1}
 
     def test_hand_built_config_matches_k_sweep(self):
@@ -425,7 +436,7 @@ class TestPotentiallyOptimal:
             self.rect([1, 1], 4.5, 2),
             self.rect([1, 1], 6.0, 3),
         ]
-        got = set(self.select(rects, 4.0, 1e-4))
+        got = set(self.select(rects, 4.0))
         expected = self.oracle(rects, 4.0, 1e-4)
         assert got == expected
 
@@ -437,7 +448,7 @@ class TestPotentiallyOptimal:
                 depth = rng.integers(0, 4, size=2)
                 rects.append(self.rect(depth, float(rng.uniform(0, 10)), i))
             f_min = min(r.f_center for r in rects)
-            got = self.select(rects, f_min, 1e-4)
+            got = self.select(rects, f_min)
             expected = self.oracle(rects, f_min, 1e-4)
             assert set(got) == expected
             # The selection comes in ascending diameter, the order DIRECT divides in.
@@ -467,7 +478,7 @@ class TestPotentiallyOptimal:
             assert [r.index for r in heads] == [best[d].index for d in sorted(best)]
             # The last hull vertex, the largest head, is always selected.
             f_min = min(r.f_center for r in rects) - float(rng.uniform(0, 1))
-            selected = potentially_optimal(heads, f_min, 1e-4)
+            selected = potentially_optimal(heads, f_min)
             assert selected == sorted(set(selected)) and selected[-1] == len(heads) - 1
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -118,7 +119,8 @@ class TestKernelBits:
         assert np.array_equal(var, expected_var)
         x_new = rng.uniform(-2, 2, size=10)
         k_new = kernel_matrix(x_new[None, :], data.X, h)
-        assert gp_predict(model, x_new)[0] == model.mean_shift + float((k_new @ model.alpha)[0])
+        (mean_new,), _ = gp_predict(model, x_new[None, :])
+        assert mean_new == model.mean_shift + float((k_new @ model.alpha)[0])
         grown = gp_augment(model, x_new, 0.3, retrain=False)
         row = solve_tri(model.factor.L, k_new[0], lower=True)
         assert np.array_equal(grown.factor.L[-1, :-1], row)
@@ -159,10 +161,14 @@ class TestInputChecks:
         with pytest.raises(DimensionMismatch, match=message):
             build()
 
-    @pytest.mark.parametrize("x_star", [np.zeros(3), np.zeros((4, 3)), np.zeros((1, 2, 2))])
+    # The last is one point of the model's dimension, which is passed as one row.
+    @pytest.mark.parametrize(
+        "x_star", [np.zeros(3), np.zeros((4, 3)), np.zeros((1, 2, 2)), np.zeros(2)]
+    )
     def test_predict_on_points_of_wrong_shape(self, x_star):
         model = gp_fit(Dataset([[0.0, 1.0], [1.0, 0.0]], [1.0, 2.0]), hyper(2))
-        with pytest.raises(DimensionMismatch, match="for a 2-d model"):
+        message = re.escape(f"shape {x_star.shape} for a 2-d model")
+        with pytest.raises(DimensionMismatch, match=message):
             gp_predict(model, x_star)
 
     @pytest.mark.parametrize(
@@ -281,8 +287,8 @@ class TestFitPredict:
                 if X2.shape[0] == n:
                     assert np.all(np.diag(K) == sf2)
             # gp_predict builds k* itself; check it against the dense oracle
-            # at a training row and at a fresh point of the box, one point at
-            # a time and both as the rows of one matrix.
+            # at a training row and at a fresh point of the box, as the rows
+            # of one matrix.
             Y = y_rng.normal(size=n)
             model = gp_fit(Dataset(X, Y), h)
             K = np.array([[se_kernel(a, b, h) for b in X] for a in X])
@@ -295,9 +301,8 @@ class TestFitPredict:
                 k_star = np.array([se_kernel(a, x, h) for a in X])
                 mean_o = np.mean(Y) + k_star @ np.linalg.solve(K, yc)
                 var_o = sf2 - k_star @ np.linalg.solve(K, k_star)
-                for mean, var in (gp_predict(model, x), (row_mean, row_var)):
-                    assert abs(mean - mean_o) <= 1e-8
-                    assert abs(var - max(var_o, 0.0)) <= 1e-12 * sf2
+                assert abs(row_mean - mean_o) <= 1e-8
+                assert abs(row_var - max(var_o, 0.0)) <= 1e-12 * sf2
             one_mean, one_var = gp_predict(model, x_star[None, :])
             assert one_mean.shape == one_var.shape == (1,)
 
@@ -306,7 +311,7 @@ class TestFitPredict:
         X = rng.uniform(-1, 1, size=(6, 2))
         Y = rng.normal(size=6)
         model = gp_fit(Dataset(X, Y), hyper(2, sn2=1e-10))
-        mean, var = gp_predict(model, X[2])
+        (mean,), (var,) = gp_predict(model, X[2:3])
         assert abs(mean - Y[2]) < 1e-4
         assert var < 1e-4
 
@@ -315,7 +320,7 @@ class TestFitPredict:
         X = rng.uniform(-1, 1, size=(5, 2))
         Y = rng.normal(size=5)
         model = gp_fit(Dataset(X, Y), hyper(2, ls=0.5, sf2=2.0))
-        mean, var = gp_predict(model, [50.0, 50.0])
+        (mean,), (var,) = gp_predict(model, [[50.0, 50.0]])
         assert abs(mean - model.mean_shift) < 1e-10
         assert abs(var - 2.0) < 1e-10
 
@@ -326,7 +331,7 @@ class TestFitPredict:
             model = gp_fit(data, h)
             for _ in range(5):
                 x_star = rng.uniform(-2, 2, size=data.d)
-                mean, var = gp_predict(model, x_star)
+                (mean,), (var,) = gp_predict(model, x_star[None, :])
                 mean_o, var_o = naive_predict(data, h, x_star)
                 assert abs(mean - mean_o) < 1e-8 * max(abs(mean_o), 1.0)
                 assert abs(var - max(var_o, 0.0)) < 1e-8 * max(abs(var_o), 1.0)
@@ -338,8 +343,8 @@ class TestFitPredict:
         m1, m2 = gp_fit(data, h), gp_fit(shifted, h)
         for _ in range(10):
             x_star = rng.uniform(-2, 2, size=2)
-            mu1, v1 = gp_predict(m1, x_star)
-            mu2, v2 = gp_predict(m2, x_star)
+            (mu1,), (v1,) = gp_predict(m1, x_star[None, :])
+            (mu2,), (v2,) = gp_predict(m2, x_star[None, :])
             assert abs((mu2 - mu1) - 13.5) < 1e-9
             assert abs(v2 - v1) < 1e-12
 
@@ -614,7 +619,7 @@ class TestTraining:
         data = Dataset(X, np.full(8, 2.0))
         trained = train_hyperparams(data, restarts=2, rng=1)
         model = gp_fit(data, trained)
-        mean, _ = gp_predict(model, [0.0, 0.0])
+        (mean,), _ = gp_predict(model, [[0.0, 0.0]])
         assert abs(mean - 2.0) < 1e-6
         assert trained.log_noise_variance >= math.log(1e-8) - 1e-12
 
@@ -824,7 +829,7 @@ class TestAugment:
         model = gp_fit(data, hyper(2, sn2=1e-8))
         x_new = np.array([0.3, -0.4])
         model2 = gp_augment(model, x_new, 5.0, retrain=False)
-        mean, _ = gp_predict(model2, x_new)
+        (mean,), _ = gp_predict(model2, x_new[None, :])
         assert abs(mean - 5.0) < 1e-2
 
     def test_size_grows_by_one(self):

@@ -401,13 +401,17 @@ class TestTracePersistence:
             read_trace(str(path))
 
     def test_malformed_row(self, tmp_path):
+        # write_trace never writes a non-finite number, so a row with one is malformed.
         path = tmp_path / "bad.csv"
-        path.write_text(
-            "iter,subset,x0,y,y_best,wall_ms,eval_ms,gp_size\n"
-            "0,-,0.5,oops,1.0,0.0,0.0,1\n"
-        )
-        with pytest.raises(ParseError, match="malformed"):
-            read_trace(str(path))
+        for row in (
+            "0,-,0.5,oops,1.0,0.0,0.0,1",
+            "0,-,0.5,nan,nan,0.0,0.0,1",
+            "0,-,0.5,1.0,inf,0.0,0.0,1",
+            "0,-,-inf,1.0,1.0,0.0,0.0,1",
+        ):
+            path.write_text("iter,subset,x0,y,y_best,wall_ms,eval_ms,gp_size\n" + row + "\n")
+            with pytest.raises(ParseError, match="malformed"):
+                read_trace(str(path))
 
     def test_row_of_wrong_length(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -715,6 +719,39 @@ class TestCli:
         assert cli.main(["plot", "--traces", *traces, "--out", out, "--log-scale"]) == 0
         assert capsys.readouterr().out == out + "\n"
         assert ElementTree.parse(out).getroot().tag == "{http://www.w3.org/2000/svg}svg"
+
+    @pytest.mark.parametrize("log_scale", [[], ["--log-scale"]], ids=["linear", "log"])
+    def test_plot_non_finite_trace_exit(self, tmp_path, capsys, log_scale):
+        trace = tmp_path / "t.csv"
+        trace.write_text(
+            "iter,subset,x0,y,y_best,wall_ms,eval_ms,gp_size\n"
+            "0,-,0.5,1.0,1.0,0.0,0.0,1\n"
+            "1,-,0.2,nan,nan,0.0,0.0,2\n"
+        )
+        out = tmp_path / "plot.svg"
+        assert cli.main(["plot", "--traces", str(trace), "--out", str(out), *log_scale]) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "malformed row '1,-,0.2,nan" in err[0]
+        assert not out.exists()
+
+    def test_outputs_written_in_utf8(self, tmp_path):
+        # Under -X warn_default_encoding an open() that falls back on the
+        # locale's encoding warns, and -W error makes the command fail.
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
+
+        def dimsched(*argv):
+            proc = subprocess.run(
+                [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+                 "-m", "dimsched.cli", *argv],
+                capture_output=True, text=True, env=env, timeout=120,
+            )
+            assert proc.returncode == 0, (argv[0], proc.stderr)
+
+        out_dir = tmp_path / "out"
+        dimsched("run", "--config", write_config(tmp_path), "--out", str(out_dir))
+        dimsched("report", "--summaries", str(out_dir / "summary.json"))
+        traces = sorted(str(p) for p in out_dir.glob("*.csv"))
+        dimsched("plot", "--traces", *traces, "--out", str(tmp_path / "plot.svg"), "--log-scale")
 
     def test_io_error_exit(self, tmp_path, capsys):
         missing = str(tmp_path / "missing.csv")
