@@ -4,21 +4,24 @@ Works in the normalized unit cube with an affine map to the caller's
 bounds.  Rectangles are trisected along their longest sides; candidates
 for division are the potentially optimal rectangles on the lower-right
 convex hull of (diameter, center value).  A rectangle stores its center
-as a tuple of floats and how often each side was trisected, and its
-diameter is cached by these levels.
+as a tuple of floats and how often each side was trisected; its
+diameter, its longest sides and a third of their length are cached by
+these levels, and the children of one trisected side share one lookup.
 Live rectangles sit in one min-heap per diameter class, ordered by
 (center value, creation index) as in Gablonsky & Kelley (J. Global
 Optim. 2001): only a class's best rectangle can be potentially optimal,
 so each iteration reads the hull off the class heads alone.  The classes
 alone decide grouping and order: they hand the hull one head per
 diameter, in ascending diameter, and the heads it selects are divided in
-that order.  The probes of one iteration are built as float tuples and
-handed to the objective as one array, which it scores in one call.
-Deterministic for a given objective, bounds and configuration.
+that order.  The classes are listed in that order as they appear, so no
+iteration sorts them.  The probes of one iteration are built as float
+tuples and handed to the objective as one array, which it scores in one
+call.  Deterministic for a given objective, bounds and configuration.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import heapq
 import itertools
@@ -31,9 +34,12 @@ import numpy as np
 from .errors import DimensionMismatch, NonFiniteObjective, _as_int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Bounds:
-    """A box of at least one coordinate, each with a finite, positive span."""
+    """A box of at least one coordinate, each with a finite, positive span.
+
+    Two boxes are equal when their lower and upper bounds are.
+    """
 
     lower: np.ndarray
     upper: np.ndarray
@@ -64,6 +70,15 @@ class Bounds:
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
         object.__setattr__(self, "span", span)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Bounds):
+            return NotImplemented
+        return np.array_equal(self.lower, other.lower) and np.array_equal(self.upper, other.upper)
+
+    def __hash__(self) -> int:
+        # From floats, which hash -0.0 as 0.0, as array_equal compares them.
+        return hash((tuple(self.lower.tolist()), tuple(self.upper.tolist())))
 
     @property
     def d(self) -> int:
@@ -107,24 +122,37 @@ class Rect:
     __slots__ = ("center", "levels", "f_center", "index", "diameter")
 
     def __init__(self, center: tuple[float, ...], levels: tuple[int, ...], f_center: float,
-                 index: int):
+                 index: int, diameter: float | None = None):
         self.center = center        # in [0,1]^d
         self.levels = levels        # side j is _side(levels[j])
         self.f_center = f_center
         self.index = index          # creation order, used for tie-breaking
-        self.diameter = _diameter(levels)
+        # _diameter(levels), unless the caller has looked it up already.
+        self.diameter = _diameter(levels) if diameter is None else diameter
 
 
 class _Classes(dict):
-    """Live rects by diameter, each class a min-heap of (f_center, index, rect)."""
+    """Live rects by diameter, each class a min-heap of (f_center, index, rect).
+
+    The heaps are also listed in ascending diameter, as their classes
+    appear, so the classes are never sorted.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self._ascending: list[tuple[float, list]] = []  # (diameter, heap)
 
     def push(self, rects: list[Rect]) -> None:
         for r in rects:
-            heapq.heappush(self.setdefault(r.diameter, []), (r.f_center, r.index, r))
+            heap = self.get(r.diameter)
+            if heap is None:  # a new class; its diameter is in no other
+                heap = self[r.diameter] = []
+                bisect.insort(self._ascending, (r.diameter, heap))
+            heapq.heappush(heap, (r.f_center, r.index, r))
 
     def heads(self) -> list[Rect]:
         """The best rect of each nonempty class, in ascending diameter."""
-        return [heap[0][2] for _, heap in sorted(self.items()) if heap]
+        return [heap[0][2] for _, heap in self._ascending if heap]
 
 
 class _Evaluator:
@@ -148,7 +176,8 @@ class _Evaluator:
         Counted, checked and compared with the best in row order, as if
         g had been called on one row after the other.
         """
-        X = self.lower + centers * self.span
+        X = centers * self.span
+        X += self.lower
         values = np.asarray(self.g(X), dtype=float)
         if values.shape != (X.shape[0],):
             raise DimensionMismatch(
@@ -181,37 +210,51 @@ def potentially_optimal(heads: list[Rect], f_min: float) -> list[int]:
     for i, r in enumerate(heads):
         d, f = r.diameter, r.f_center
         while len(hull) >= 2:
-            (d1, f1, _), (d2, f2, _) = hull[-2], hull[-1]
+            d1, f1, _ = hull[-2]
+            d2, f2, _ = hull[-1]
             # Drop the middle point unless it lies strictly below the chord.
             if (f2 - f1) * (d - d1) >= (f - f1) * (d2 - d1):
                 hull.pop()
             else:
                 break
         hull.append((d, f, i))
+    if not hull:
+        return []
 
-    # K >= 0 restricts the hull to diameters at or beyond the min-f vertex.
-    fs = [f for _, f, _ in hull]
-    hull = hull[fs.index(min(fs)) if fs else 0 :]  # from the first minimum
-
+    # K >= 0 restricts the hull to diameters at or beyond the min-f vertex,
+    # the first minimum.  A vertex but the last qualifies if it achieves
+    # the improvement at the largest K that keeps it the minimizer: the
+    # slope to the next vertex.
+    fs = [vertex[1] for vertex in hull]
+    start = fs.index(min(fs))
+    target = f_min - _EPSILON * abs(f_min)
     selected: list[int] = []
-    for (d, f, i), (d_next, f_next, _) in zip(hull, hull[1:]):
-        k_max = (f_next - f) / (d_next - d)
-        if f - k_max * d <= f_min - _EPSILON * abs(f_min):
+    d, f, i = hull[start]
+    for d_next, f_next, i_next in hull[start + 1 :]:
+        if f - (f_next - f) / (d_next - d) * d <= target:
             selected.append(i)
-    return selected + [i for _, _, i in hull[-1:]]
+        d, f, i = d_next, f_next, i_next
+    selected.append(i)  # the last hull vertex
+    return selected
 
 
-def _probes(rect: Rect, budget: int) -> tuple[list[int], list[tuple[float, ...]]]:
+@functools.lru_cache(maxsize=1 << 16)
+def _longest(levels: tuple[int, ...]) -> tuple[tuple[int, ...], float]:
+    """The longest sides' dimensions, in index order, and a third of their length."""
+    top = min(levels)
+    return tuple(j for j, k in enumerate(levels) if k == top), _side(top + 1)
+
+
+def _probes(rect: Rect, budget: int) -> tuple[tuple[int, ...], list[tuple[float, ...]]]:
     """The dimensions to split rect along, and the centers to probe.
 
     These are rect's longest sides, in index order, as many as budget
     evaluations pay for.  Centers 2k and 2k + 1 step the k-th dimension
     up and down by a third of the longest side.
     """
-    center, levels = rect.center, rect.levels
-    top = min(levels)
-    dims = [j for j, k in enumerate(levels) if k == top][: max(budget, 0) // 2]
-    delta = _side(top + 1)  # a third of the longest side
+    center = rect.center
+    dims, delta = _longest(rect.levels)
+    dims = dims[: max(budget, 0) // 2]
     centers = []
     for j in dims:
         head, c, tail = center[:j], center[j], center[j + 1 :]
@@ -219,8 +262,8 @@ def _probes(rect: Rect, budget: int) -> tuple[list[int], list[tuple[float, ...]]
     return dims, centers
 
 
-def _split(rect: Rect, dims: list[int], centers: list[tuple[float, ...]], values: list[float],
-           indices: Iterator[int]) -> list[Rect]:
+def _split(rect: Rect, dims: tuple[int, ...], centers: list[tuple[float, ...]],
+           values: list[float], indices: Iterator[int]) -> list[Rect]:
     """Trisect rect along dims from its probes, best dimensions first.
 
     The children take their creation indices from indices, in the order
@@ -229,15 +272,19 @@ def _split(rect: Rect, dims: list[int], centers: list[tuple[float, ...]], values
     """
     if not dims:
         return [rect]
-    order = sorted(range(len(dims)), key=lambda k: (min(values[2 * k : 2 * k + 2]), dims[k]))
+    order = range(len(dims))
+    if len(dims) > 1:  # by the lower value of the two probes, then by dimension
+        order = sorted(order, key=lambda k: (min(values[2 * k], values[2 * k + 1]), dims[k]))
     children: list[Rect] = []
     levels = list(rect.levels)
     for k in order:
         levels[dims[k]] += 1
         child_levels = tuple(levels)
+        diameter = _diameter(child_levels)
         for row in (2 * k, 2 * k + 1):
-            children.append(Rect(centers[row], child_levels, values[row], next(indices)))
-    children.append(Rect(rect.center, tuple(levels), rect.f_center, next(indices)))
+            children.append(Rect(centers[row], child_levels, values[row], next(indices), diameter))
+    # The center keeps the last pair's geometry.
+    children.append(Rect(rect.center, child_levels, rect.f_center, next(indices), diameter))
     return children
 
 

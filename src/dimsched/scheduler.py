@@ -9,6 +9,10 @@ of the sample covariance.
 
 from __future__ import annotations
 
+import bisect
+import itertools
+import math
+
 import numpy as np
 
 from .errors import DimensionMismatch
@@ -34,25 +38,39 @@ def compute_dimension_probabilities(X, floor_eps: float = 0.1) -> np.ndarray:
 def sample_subset(p, k: int, rng: np.random.Generator) -> tuple[int, ...]:
     """k draws without replacement, weighted by p and renormalizing after each.
 
-    Once the weight left is all zero, the rest are drawn uniformly among
-    the coordinates not yet picked.  Each pick takes one ``rng.random()``.
-    Returns the k distinct picked coordinates, sorted.
+    p holds one finite, nonnegative weight per coordinate; they need not
+    sum to 1, but their sum must be finite.  Once the weight left is all
+    zero, the rest are drawn uniformly among the coordinates not yet
+    picked.  Each pick takes one ``rng.random()``.  Returns the k distinct
+    picked coordinates, sorted.
     """
-    weights = np.array(p, dtype=float)  # a copy: picked weights are zeroed
-    d = weights.shape[0]
+    weights = np.asarray(p, dtype=float)
+    if weights.ndim != 1:
+        raise DimensionMismatch(f"weights of shape {weights.shape}; need one per coordinate")
+    weights = weights.tolist()  # a copy: picked weights are zeroed
+    d = len(weights)
     if not 1 <= k <= d:
         raise DimensionMismatch(f"subset size {k} outside [1, {d}]")
+    for j, w in enumerate(weights):
+        if not 0.0 <= w < math.inf:  # nan fails both
+            cause = "not finite" if not math.isfinite(w) else "negative"
+            raise ValueError(f"weight {j} is {cause} ({w:g})")
     picked: list[int] = []
     for _ in range(k):
-        cum = np.cumsum(weights)
+        # Running sums, added left to right.
+        cum = list(itertools.accumulate(weights))
+        if cum[-1] == math.inf:
+            raise ValueError("the weights sum to more than the largest float")
         u = rng.random()
         if cum[-1] > 0.0:
-            # Inverse-CDF draw; side='right' skips zeroed-out entries.
-            idx = min(int(np.searchsorted(cum, u * cum[-1], side="right")), d - 1)
+            # Inverse-CDF draw; the first sum above u * total skips
+            # zeroed-out entries.
+            idx = bisect.bisect_right(cum, u * cum[-1])
+            if idx == d:  # u * total rounded up to a subnormal total: the last weighted one
+                idx = max(j for j, w in enumerate(weights) if w > 0.0)
         else:
             left = [j for j in range(d) if j not in picked]
             idx = left[int(u * len(left))]
         picked.append(idx)
         weights[idx] = 0.0
     return tuple(sorted(picked))
-

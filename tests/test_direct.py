@@ -13,6 +13,7 @@ from dimsched.direct import (
     DirectConfig,
     Rect,
     _Classes,
+    _diameter,
     _Evaluator,
     _probes,
     _side,
@@ -21,6 +22,7 @@ from dimsched.direct import (
     potentially_optimal,
 )
 from dimsched.errors import DimensionMismatch, NonFiniteObjective
+from dimsched.objectives import benchmark_catalog
 
 
 def rowwise(f):
@@ -110,6 +112,28 @@ def test_bounds_keep_their_own_copy():
     assert bounds.lower.tolist() == [-1.0, 0.0] and bounds.upper.tolist() == [3.0, 0.5]
     assert np.array_equal(bounds.span, bounds.upper - bounds.lower)
     assert np.array_equal(bounds.subset([1]).span, [0.5])
+
+
+def test_bounds_compare_and_hash_by_value():
+    # The generated dataclass methods compared the arrays as a tuple and
+    # raised ValueError; hash() raised TypeError.
+    box = Bounds([0, 0], [1, 1])
+    same = Bounds(np.zeros(2), [1.0, 1.0])
+    assert box == same and hash(box) == hash(same) and len({box, same}) == 1
+    for other in (Bounds([0, 0], [1, 2]), Bounds([0, -1], [1, 1]), Bounds([0], [1])):
+        assert box != other
+    assert Bounds([-0.0], [1.0]) == Bounds([0.0], [1.0])
+    assert hash(Bounds([-0.0], [1.0])) == hash(Bounds([0.0], [1.0]))
+    assert box != (box.lower, box.upper)
+    assert box.subset([1]) == Bounds([0], [1])
+
+
+def test_catalog_specs_compare_without_raising():
+    first, second = benchmark_catalog(), benchmark_catalog()
+    for name, spec in first.items():
+        assert spec.bounds == second[name].bounds
+        assert isinstance(spec == second[name], bool)
+        hash(spec.bounds)
 
 
 class TestDirectMinimize:
@@ -482,7 +506,76 @@ class TestPotentiallyOptimal:
             assert selected == sorted(set(selected)) and selected[-1] == len(heads) - 1
 
 
+def chain_over_all_heads(heads, f_min, eps=1e-4):
+    """The hull selection as a monotone chain over every head, cut at its first minimum.
+
+    Kept apart from the library's loop as the reference for its bits: the
+    cut and each slope test must round as this form does, even where a
+    product of differences underflows to a signed zero.
+    """
+    hull = []
+    for i, r in enumerate(heads):
+        d, f = r.diameter, r.f_center
+        while len(hull) >= 2:
+            (d1, f1, _), (d2, f2, _) = hull[-2], hull[-1]
+            if (f2 - f1) * (d - d1) >= (f - f1) * (d2 - d1):
+                hull.pop()
+            else:
+                break
+        hull.append((d, f, i))
+    fs = [f for _, f, _ in hull]
+    hull = hull[fs.index(min(fs)) :]
+    selected = []
+    for (d, f, i), (d_next, f_next, _) in zip(hull, hull[1:]):
+        k_max = (f_next - f) / (d_next - d)
+        if f - k_max * d <= f_min - eps * abs(f_min):
+            selected.append(i)
+    return selected + [hull[-1][2]]
+
+
+def test_hull_matches_chain_over_all_heads():
+    # Values drawn from signed zeros, subnormals and huge numbers, and with
+    # many ties, as EI takes them where it underflows.
+    rng = np.random.default_rng(21)
+    geometries = sorted(
+        {Rect((0.5,) * 3, tuple(int(k) for k in rng.integers(0, 7, size=3)), 0.0, 0).diameter
+         for _ in range(400)}
+    )
+    pool = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1e-300, 1.0, -1.0, 2.0, 1e300, -1e300]
+    for _ in range(5000):
+        n = int(rng.integers(1, 14))
+        diameters = np.sort(rng.choice(geometries, size=n, replace=False))
+        heads = []
+        for i, d in enumerate(diameters):
+            f = pool[rng.integers(len(pool))] if rng.random() < 0.6 else float(
+                rng.uniform(-3, 3) * 10.0 ** rng.integers(-320, 3))
+            heads.append(Rect((0.5,), (0,), f, i, float(d)))
+        below = [0.0, 5e-324, float(rng.random())][rng.integers(3)]
+        f_min = min(r.f_center for r in heads) - below
+        assert potentially_optimal(heads, f_min) == chain_over_all_heads(heads, f_min)
+    assert potentially_optimal([], 0.0) == []
+
+
 class TestTrisect:
+    def test_children_ranked_by_lower_probe_then_dimension(self):
+        # Ties in the lower value, signed zeros among them, fall to the
+        # lower dimension; the children come pair by pair in that order.
+        rng = np.random.default_rng(8)
+        for _ in range(300):
+            d = int(rng.integers(1, 6))
+            rect = Rect((0.5,) * d, (1,) * d, 0.0, 0)
+            dims, centers = _probes(rect, 2 * d)
+            values = [float(v) for v in rng.choice([-0.0, 0.0, 1.0, 2.0], size=2 * d)]
+            children = _split(rect, dims, centers, values, itertools.count(1))
+            order = sorted(
+                range(len(dims)), key=lambda k: (min(values[2 * k : 2 * k + 2]), dims[k])
+            )
+            assert [c.center for c in children] == [
+                centers[row] for k in order for row in (2 * k, 2 * k + 1)
+            ] + [rect.center]
+            assert [c.index for c in children] == list(range(1, 2 * d + 2))
+            assert all(c.diameter == _diameter(c.levels) for c in children)
+
     def test_unit_square_constant(self):
         rect = Rect((0.5, 0.5), (0, 0), 1.0, 0)
         evals = []

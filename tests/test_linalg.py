@@ -327,7 +327,38 @@ class TestLapackModule:
             chol_inverse_lower(CholFactor(L=L, jitter_used=0.0))
 
 
+def fromiter_cdf(z):
+    """The normal cdf as math.erfc mapped over the values through np.fromiter."""
+    w = np.asarray(z, dtype=float) / -math.sqrt(2.0)
+    erfc = np.fromiter(map(math.erfc, w.ravel().tolist()), dtype=float, count=w.size)
+    return 0.5 * erfc.reshape(w.shape)
+
+
+# Signed zeros, the tails where erfc leaves [0, 2] or underflows,
+# subnormals, the largest floats and the non-finite values.
+EXTREMES = [0.0, -0.0, 8.3, -8.3, 38.0, -38.0, 40.0, -40.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308,
+            1e308, -1e308, np.inf, -np.inf, np.nan]
+
+
 class TestNormal:
+    def test_cdf_matches_fromiter_form(self):
+        # The cdf builds its values in a list; each must have the bits of
+        # the np.fromiter form, signed zeros and nan included.
+        rng = np.random.default_rng(5)
+        z = np.concatenate(
+            [EXTREMES, np.linspace(-40.0, 40.0, 200_001), 10.0 * rng.normal(size=10_000)]
+        )
+        assert std_normal_cdf(z).tobytes() == fromiter_cdf(z).tobytes()
+        for shape in [(0,), (1,), (7,), (2, 3), (3, 1, 2)]:
+            zs = z[: math.prod(shape)].reshape(shape)
+            got, expected = std_normal_cdf(zs), fromiter_cdf(zs)
+            assert got.shape == shape and got.tobytes() == expected.tobytes()
+        for scalar in (0.0, -0.0, -1.5, np.float64(38.0), np.array(2.0), np.nan):
+            got, expected = std_normal_cdf(scalar), fromiter_cdf(scalar)
+            assert type(got) is type(expected) is np.float64
+            assert got.tobytes() == expected.tobytes()
+        assert std_normal_cdf([-1.0, 1.0]).tobytes() == fromiter_cdf([-1.0, 1.0]).tobytes()
+
     def test_pdf_at_zero(self):
         assert abs(std_normal_pdf(0.0) - 0.3989422804014327) < 1e-12
 

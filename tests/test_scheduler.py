@@ -131,6 +131,44 @@ class TestSampleSubset:
         with pytest.raises(DimensionMismatch):
             sample_subset(P, 3, np.random.default_rng(0))
 
+    @pytest.mark.parametrize(
+        "p, message",
+        [
+            # Each drew from weights it cannot use: the first picked the
+            # zero-weight coordinate 3 twice, (3, 3); the second took the
+            # uniform branch; the third picked the negative coordinate 1.
+            ([0.5, 0.5, np.inf, 0.0], r"weight 2 is not finite \(inf\)"),
+            ([np.nan] * 4, r"weight 0 is not finite \(nan\)"),
+            ([1.0, -5.0, 1.0, 1.0], r"weight 1 is negative \(-5\)"),
+            ([1.0, 1.0, -np.inf, 1.0], r"weight 2 is not finite \(-inf\)"),
+            ([1e308, 1e308, 1.0], "the weights sum to more than the largest float"),
+        ],
+        ids=["inf", "all_nan", "negative", "minus_inf", "sum_overflows"],
+    )
+    def test_unusable_weights_rejected(self, p, message):
+        with pytest.raises(ValueError, match=message):
+            sample_subset(p, 2, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("p", [[[0.5, 0.5]], 0.5], ids=["matrix", "scalar"])
+    def test_weights_of_wrong_shape_rejected(self, p):
+        with pytest.raises(DimensionMismatch, match="need one per coordinate"):
+            sample_subset(p, 1, np.random.default_rng(0))
+
+    def test_valid_weights_keep_their_draws(self):
+        # The picks of valid weights, pinned from before the checks: one
+        # rng.random() per pick, so the loops' traces stay.
+        rng = np.random.default_rng(17)
+        picks = [sample_subset([0.4, 0.0, 0.3, 0.2, 0.1], 2, rng) for _ in range(8)]
+        assert picks == [(0, 3), (0, 2), (0, 2), (2, 3), (0, 3), (0, 3), (0, 4), (0, 3)]
+        assert sample_subset([0.0, 0.0, 0.0], 2, Draws(0.5, 0.5)) == (1, 2)
+
+    def test_total_rounded_up_picks_a_weighted_coordinate(self):
+        # u * total rounds up to a subnormal total, past the end of the
+        # cumulative sum.  The pick must still have weight: it used to be
+        # the zero-weight last coordinate, (1,) and (0, 2).
+        assert sample_subset([5e-324, 0.0], 1, Draws(0.9)) == (0,)
+        assert sample_subset([1.0, 5e-324, 0.0], 2, Draws(0.1, 0.9)) == (0, 1)
+
 
 class TestCanonicalKey:
     def test_order_insensitive(self):
