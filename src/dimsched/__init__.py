@@ -11,7 +11,6 @@ from .gp import (
     gp_predict,
     log_marginal_likelihood,
     lml_gradient,
-    se_kernel,
     train_hyperparams,
 )
 from .objectives import (
@@ -61,7 +60,6 @@ __all__ = [
     "run_dsa",
     "run_dsa_parallel",
     "sample_subset",
-    "se_kernel",
     "train_hyperparams",
     "weighted_sse",
 ]

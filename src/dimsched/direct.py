@@ -4,17 +4,18 @@ Works in the normalized unit cube with an affine map to the caller's
 bounds.  Rectangles are trisected along their longest sides; candidates
 for division are the potentially optimal rectangles on the lower-right
 convex hull of (diameter, center value).  A rectangle stores its center
-as a tuple of floats and how often each side was trisected; its
-diameter, its longest sides and a third of their length are cached by
-these levels, and the children of one trisected side share one lookup.
+as a tuple of floats and how often each side was trisected; one cache
+keyed by these levels holds its diameter, its longest sides and a third
+of their length, and the children of one trisected side share one lookup.
 Live rectangles sit in one min-heap per diameter class, ordered by
 (center value, creation index) as in Gablonsky & Kelley (J. Global
 Optim. 2001): only a class's best rectangle can be potentially optimal,
-so each iteration reads the hull off the class heads alone.  The classes
-alone decide grouping and order: they hand the hull one head per
-diameter, in ascending diameter, and the heads it selects are divided in
-that order.  The classes are listed in that order as they appear, so no
-iteration sorts them.  The probes of one iteration are built as float
+so each iteration decides from the class heads alone.  The classes hand
+the hull one head per diameter, in ascending diameter, and the heads it
+selects are divided in that order; the classes are listed in that order
+as they appear, so no iteration sorts them.  The hull starts at the first
+head of least value, which is the best value found so far and gives the
+improvement target.  The probes of one iteration are built as float
 tuples and handed to the objective as one array, which it scores in one
 call.  Deterministic for a given objective, bounds and configuration.
 """
@@ -113,9 +114,12 @@ def _side(level: int) -> float:
 
 
 @functools.lru_cache(maxsize=1 << 16)
-def _diameter(levels: tuple[int, ...]) -> float:
+def _geometry(levels: tuple[int, ...]) -> tuple[float, tuple[int, ...], float]:
+    """The diameter, the longest sides' dimensions in index order, and a third of their length."""
+    top = min(levels)
     # Sorted, so equal geometries give the identical float the hull groups by.
-    return 0.5 * float(np.linalg.norm(np.sort([_side(k) for k in levels])))
+    diameter = 0.5 * float(np.linalg.norm(np.sort([_side(k) for k in levels])))
+    return diameter, tuple(j for j, k in enumerate(levels) if k == top), _side(top + 1)
 
 
 class Rect:
@@ -127,8 +131,8 @@ class Rect:
         self.levels = levels        # side j is _side(levels[j])
         self.f_center = f_center
         self.index = index          # creation order, used for tie-breaking
-        # _diameter(levels), unless the caller has looked it up already.
-        self.diameter = _diameter(levels) if diameter is None else diameter
+        # From _geometry(levels), unless the caller has looked it up already.
+        self.diameter = _geometry(levels)[0] if diameter is None else diameter
 
 
 class _Classes(dict):
@@ -195,20 +199,28 @@ class _Evaluator:
         return values
 
 
-def potentially_optimal(heads: list[Rect], f_min: float) -> list[int]:
+def potentially_optimal(heads: list[Rect]) -> list[int]:
     """Indices of the heads on the lower-right hull of (diameter, f_center).
 
     heads holds one rect per diameter class, in ascending diameter, as
     _Classes.heads() returns them; the indices come in that order.  A head
     qualifies if some slope K >= 0 makes it the minimizer of
     f_center - K * diameter and achieves the improvement
-    f_center - K * diameter <= f_min - _EPSILON * |f_min|.  The last hull
-    vertex always qualifies.
+    f_center - K * diameter <= f_min - _EPSILON * |f_min|, where f_min is
+    the least head value.  In direct_minimize that is the best value found
+    so far: every evaluated point is the center of a live rect, and each
+    head is the least of its class.  The last hull vertex always qualifies.
     """
-    # Lower convex hull over (diameter, f) by monotone chain.
+    if not heads:
+        return []
+    fs = [r.f_center for r in heads]
+    f_min = min(fs)
+    # K >= 0 leaves the heads from the first of least value on, so the
+    # lower convex hull is a monotone chain from that head, which no
+    # rounding can pop.
     hull: list[tuple[float, float, int]] = []  # (diameter, f_center, index)
-    for i, r in enumerate(heads):
-        d, f = r.diameter, r.f_center
+    for i in range(fs.index(f_min), len(heads)):
+        d, f = heads[i].diameter, fs[i]
         while len(hull) >= 2:
             d1, f1, _ = hull[-2]
             d2, f2, _ = hull[-1]
@@ -218,31 +230,18 @@ def potentially_optimal(heads: list[Rect], f_min: float) -> list[int]:
             else:
                 break
         hull.append((d, f, i))
-    if not hull:
-        return []
 
-    # K >= 0 restricts the hull to diameters at or beyond the min-f vertex,
-    # the first minimum.  A vertex but the last qualifies if it achieves
-    # the improvement at the largest K that keeps it the minimizer: the
-    # slope to the next vertex.
-    fs = [vertex[1] for vertex in hull]
-    start = fs.index(min(fs))
+    # A vertex but the last qualifies if it achieves the improvement at the
+    # largest K that keeps it the minimizer: the slope to the next vertex.
     target = f_min - _EPSILON * abs(f_min)
     selected: list[int] = []
-    d, f, i = hull[start]
-    for d_next, f_next, i_next in hull[start + 1 :]:
+    d, f, i = hull[0]
+    for d_next, f_next, i_next in hull[1:]:
         if f - (f_next - f) / (d_next - d) * d <= target:
             selected.append(i)
         d, f, i = d_next, f_next, i_next
     selected.append(i)  # the last hull vertex
     return selected
-
-
-@functools.lru_cache(maxsize=1 << 16)
-def _longest(levels: tuple[int, ...]) -> tuple[tuple[int, ...], float]:
-    """The longest sides' dimensions, in index order, and a third of their length."""
-    top = min(levels)
-    return tuple(j for j, k in enumerate(levels) if k == top), _side(top + 1)
 
 
 def _probes(rect: Rect, budget: int) -> tuple[tuple[int, ...], list[tuple[float, ...]]]:
@@ -253,7 +252,7 @@ def _probes(rect: Rect, budget: int) -> tuple[tuple[int, ...], list[tuple[float,
     up and down by a third of the longest side.
     """
     center = rect.center
-    dims, delta = _longest(rect.levels)
+    _, dims, delta = _geometry(rect.levels)
     dims = dims[: max(budget, 0) // 2]
     centers = []
     for j in dims:
@@ -280,7 +279,7 @@ def _split(rect: Rect, dims: tuple[int, ...], centers: list[tuple[float, ...]],
     for k in order:
         levels[dims[k]] += 1
         child_levels = tuple(levels)
-        diameter = _diameter(child_levels)
+        diameter = _geometry(child_levels)[0]
         for row in (2 * k, 2 * k + 1):
             children.append(Rect(centers[row], child_levels, values[row], next(indices), diameter))
     # The center keeps the last pair's geometry.
@@ -313,7 +312,7 @@ def direct_minimize(
         plans = []
         probes = []
         # In ascending diameter, as the hull returns them.
-        for i in potentially_optimal(heads, evaluate.best_f):
+        for i in potentially_optimal(heads):
             rect = heads[i]
             heapq.heappop(live[rect.diameter])  # rect heads its class
             # Once the budget runs out a rect gets no probes and stays

@@ -28,8 +28,10 @@ keeps the noise-free K for the gradient.  ``gp_fit``, the public LML and
 its gradient wrap it, and training calls it directly on theta vectors:
 each trial point is fitted once, and a ``KernelHyperparams`` is built
 only for the value returned.  A dataset centres its targets once, for
-every fit, training and O(n^2) append on it, and a model reads its mean
-shift from its data; the append solves for alpha as the fit core does.
+every fit, training and O(n^2) append on it, and refuses, by name, targets
+whose mean, centred values or mean square overflows; training takes its
+target variance from the same pass.  A model reads its mean shift from
+its data; the append solves for alpha as the fit core does.
 Trial points may overflow or fail to factorize, so one
 ``np.errstate(all="ignore")`` spans a training's starts and ascents; the
 fit core and the gradient enter none of their own.
@@ -44,7 +46,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotPositiveDefinite
+from .errors import DimensionMismatch, DimschedError, NotPositiveDefinite
 from .linalg import (
     CholFactor,
     chol_append,
@@ -105,10 +107,28 @@ class Dataset:
         return _sq_diffs(self.columns, self.columns)
 
     @cached_property
-    def _centred(self) -> tuple[float, np.ndarray]:
-        """The targets' mean and the targets centred on it, checked finite."""
-        mean = float(np.mean(self.Y))
-        return mean, np.asarray_chkfinite(self.Y - mean)
+    def _centred(self) -> tuple[float, np.ndarray, float]:
+        """The targets' mean, the targets centred on it, and the mean of their squares.
+
+        Raises DimschedError, naming the targets' range, if any of them overflows.
+        """
+        n = self.Y.shape[0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            # The sums np.mean and np.var take, without their Python overhead.
+            mean = float(np.add.reduce(self.Y)) / n
+            yc = self.Y - mean
+            var = float(np.add.reduce(yc * yc)) / n
+        if not math.isfinite(var):
+            cause = (
+                "their mean" if not math.isfinite(mean)
+                else "the centred targets" if not np.isfinite(yc).all()
+                else "the mean of their squares"
+            )
+            raise DimschedError(
+                f"targets from {self.Y.min():g} to {self.Y.max():g} cannot be centred: "
+                f"{cause} overflows"
+            )
+        return mean, yc, var
 
     def append(self, x, y: float) -> "Dataset":
         x = np.asarray(x, dtype=float).ravel()
@@ -184,18 +204,6 @@ class GpModel:
         return self.data.n
 
 
-def se_kernel(x, x2, hyper: KernelHyperparams) -> float:
-    """Squared-exponential covariance between two points."""
-    x = np.asarray(x, dtype=float).ravel()
-    x2 = np.asarray(x2, dtype=float).ravel()
-    if x.shape[0] != x2.shape[0] or x.shape[0] != hyper.d:
-        raise DimensionMismatch(
-            f"dims {x.shape[0]}, {x2.shape[0]} vs hyper dim {hyper.d}"
-        )
-    diff = (x - x2) / hyper.lengthscales
-    return hyper.signal_variance * math.exp(-0.5 * float(diff @ diff))
-
-
 _FLOAT_MAX = np.finfo(float).max
 # Kernel exponents below 2 ln(eps) give 0 (see the module docstring).
 _EXPONENT_FLOOR = 2.0 * math.log(np.finfo(float).eps)
@@ -243,6 +251,10 @@ def kernel_matrix(X, X2, hyper: KernelHyperparams) -> np.ndarray:
     """Cross-covariance matrix k(X, X2), built as the fit core builds K."""
     Xt = np.ascontiguousarray(np.asarray(X, dtype=float).T)
     X2t = np.ascontiguousarray(np.asarray(X2, dtype=float).T)
+    if not Xt.shape[0] == X2t.shape[0] == hyper.d:
+        raise DimensionMismatch(
+            f"points of dims {Xt.shape[0]}, {X2t.shape[0]} for a {hyper.d}-d kernel"
+        )
     return _cross_cov(Xt, X2t, hyper)
 
 
@@ -512,9 +524,9 @@ def train_hyperparams(
     if restarts < 1 and warm_start is None:
         raise ValueError(f"training needs a warm start or a restart, got restarts={restarts}")
     rng = np.random.default_rng(rng)
-    var_y = max(float(np.var(data.Y)), _NOISE_FLOOR)
+    _, yc, var_y = data._centred
+    var_y = max(var_y, _NOISE_FLOOR)
     ranges = _coordinate_ranges(data, bounds_ranges)
-    yc = data._centred[1]
 
     log_r = np.log(ranges)
     noise_floor = math.log(max(_NOISE_FLOOR, _NOISE_FLOOR * var_y))

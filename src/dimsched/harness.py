@@ -284,12 +284,13 @@ def run_campaign(config: CampaignConfig) -> CampaignSummary:
     """Seeded runs of each algorithm; compared runs share the initial design.
 
     Writes one trace CSV per (algorithm, run) and summary.json into
-    output_dir.  Raises if any run aborts (after writing what exists).
+    output_dir.  Raises if any run aborts (after writing what exists),
+    naming each aborted run's algorithm, run index and stopping iteration.
     """
     spec = benchmark_catalog()[config.objective_name]
     os.makedirs(config.output_dir, exist_ok=True)
     entries = []
-    any_aborted = False
+    aborted = []
     for r in range(config.runs):
         seed = config.base_seed + r
         design_rng = np.random.default_rng(seed)
@@ -301,7 +302,10 @@ def run_campaign(config: CampaignConfig) -> CampaignSummary:
             loop = _LOOPS[algorithm]
             workers = {"workers": config.workers} if loop is run_dsa_parallel else {}
             result = loop(spec.evaluator, spec.bounds, run_config, initial=initial, **workers)
-            any_aborted = any_aborted or result.aborted
+            if result.aborted:
+                aborted.append(
+                    f"{algorithm} run {r} at iteration {result.design.n + len(result.records)}"
+                )
             trace_path = os.path.join(
                 config.output_dir,
                 f"{config.objective_name}_{algorithm}_run{r}.csv",
@@ -326,8 +330,8 @@ def run_campaign(config: CampaignConfig) -> CampaignSummary:
     )
     with open(os.path.join(config.output_dir, "summary.json"), "w", encoding="utf-8") as fh:
         fh.write(summary.to_json() + "\n")
-    if any_aborted:
-        raise RunAborted("one or more runs aborted on a non-finite objective")
+    if aborted:
+        raise RunAborted(f"runs aborted on a non-finite objective: {', '.join(aborted)}")
     return summary
 
 

@@ -2,19 +2,21 @@ import hashlib
 import itertools
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dimsched.acquisition import acquisition_objective
 from dimsched.direct import (
     Bounds,
     DirectConfig,
     Rect,
     _Classes,
-    _diameter,
     _Evaluator,
+    _geometry,
     _probes,
     _side,
     _split,
@@ -22,6 +24,7 @@ from dimsched.direct import (
     potentially_optimal,
 )
 from dimsched.errors import DimensionMismatch, NonFiniteObjective
+from dimsched.gp import Dataset, KernelHyperparams, gp_fit
 from dimsched.objectives import benchmark_catalog
 
 
@@ -245,6 +248,56 @@ class TestDirectMinimize:
             assert abs(total - 1.0) < 1e-12
 
     @pytest.mark.parametrize(
+        "case", ["six_hump_camel", "quadratic_10d", "ties_2d", "ei_1d", "ei_2d", "ei_4d"]
+    )
+    def test_least_head_is_best_value(self, case, monkeypatch):
+        # potentially_optimal takes its improvement target from the least
+        # class head, which must be the best value evaluated so far: every
+        # evaluated point is the center of a live rect, and each head is the
+        # least of its class.
+        from dimsched import direct as mod
+
+        if case.startswith("ei"):
+            d = int(case[-2])
+            rng = np.random.default_rng(d)
+            X = rng.uniform(-1.0, 1.0, size=(12, d))
+            data = Dataset(X, np.sum(np.sin(3.0 * X), axis=1) + rng.normal(0.0, 0.1, size=12))
+            hyper = KernelHyperparams(np.full(d, math.log(0.3)), 0.0, math.log(1e-4))
+            objective = acquisition_objective(gp_fit(data, hyper), float(data.Y.min()))
+            bounds = Bounds(-np.ones(d), np.ones(d))
+            config = DirectConfig(max_evals=150, max_iters=50)
+        else:
+            f, bounds = {
+                "six_hump_camel": (six_hump_camel, Bounds([-3.0, -2.0], [3.0, 2.0])),
+                "quadratic_10d": (
+                    lambda x: float(np.sum((x - 0.3) ** 2)), Bounds(-np.ones(10), np.ones(10))
+                ),
+                "ties_2d": (bump([0.1, -0.3]), Bounds(-np.ones(2), np.ones(2))),
+            }[case]
+            objective, config = rowwise(f), DirectConfig(max_evals=300, max_iters=60)
+
+        best = [math.inf]
+        checked = []
+        orig_call = mod._Evaluator.__call__
+        orig_heads = mod._Classes.heads
+
+        def call(evaluator, centers):
+            values = orig_call(evaluator, centers)
+            best[0] = min([best[0], *values])
+            return values
+
+        def heads(live):
+            found = orig_heads(live)
+            checked.append(min(r.f_center for r in found) == best[0])
+            return found
+
+        monkeypatch.setattr(mod._Evaluator, "__call__", call)
+        monkeypatch.setattr(mod._Classes, "heads", heads)
+        _, f_best, _ = direct_minimize(objective, bounds, config)
+        assert len(checked) > 5 and all(checked)
+        assert f_best == best[0]
+
+    @pytest.mark.parametrize(
         "objective, bounds, config, count, sha256",
         [
             (
@@ -299,8 +352,8 @@ class TestDirectMinimize:
         iterations = [0]
         orig_po = mod.potentially_optimal
 
-        def spy(rects, f_min):
-            selected = orig_po(rects, f_min)
+        def spy(heads):
+            selected = orig_po(heads)
             iterations[0] += bool(selected)
             return selected
 
@@ -436,20 +489,20 @@ class TestPotentiallyOptimal:
                     selected.add(rects[j].index)
         return selected
 
-    def select(self, rects, f_min):
+    def select(self, rects):
         """The indices of the rects the hull selects from rects' class heads."""
         live = _Classes()
         live.push(rects)
         heads = live.heads()
-        return [heads[i].index for i in potentially_optimal(heads, f_min)]
+        return [heads[i].index for i in potentially_optimal(heads)]
 
     def test_single_rect_selected(self):
         r = self.rect([0], 3.0, 0)
-        assert potentially_optimal([r], 3.0) == [0]
+        assert potentially_optimal([r]) == [0]
 
     def test_equal_diameter_dominance(self):
         rects = [self.rect([0, 0], 2.0, 0), self.rect([0, 0], 1.0, 1)]
-        assert self.select(rects, 1.0) == [1]
+        assert self.select(rects) == [1]
         assert self.oracle(rects, 1.0, 1e-4) == {1}
 
     def test_hand_built_config_matches_k_sweep(self):
@@ -460,7 +513,7 @@ class TestPotentiallyOptimal:
             self.rect([1, 1], 4.5, 2),
             self.rect([1, 1], 6.0, 3),
         ]
-        got = set(self.select(rects, 4.0))
+        got = set(self.select(rects))
         expected = self.oracle(rects, 4.0, 1e-4)
         assert got == expected
 
@@ -472,7 +525,7 @@ class TestPotentiallyOptimal:
                 depth = rng.integers(0, 4, size=2)
                 rects.append(self.rect(depth, float(rng.uniform(0, 10)), i))
             f_min = min(r.f_center for r in rects)
-            got = self.select(rects, f_min)
+            got = self.select(rects)
             expected = self.oracle(rects, f_min, 1e-4)
             assert set(got) == expected
             # The selection comes in ascending diameter, the order DIRECT divides in.
@@ -501,21 +554,23 @@ class TestPotentiallyOptimal:
                     best[r.diameter] = r
             assert [r.index for r in heads] == [best[d].index for d in sorted(best)]
             # The last hull vertex, the largest head, is always selected.
-            f_min = min(r.f_center for r in rects) - float(rng.uniform(0, 1))
-            selected = potentially_optimal(heads, f_min)
+            rng.uniform(0, 1)  # once an offset of f_min, still drawn so the sets stay
+            selected = potentially_optimal(heads)
             assert selected == sorted(set(selected)) and selected[-1] == len(heads) - 1
 
 
-def chain_over_all_heads(heads, f_min, eps=1e-4):
-    """The hull selection as a monotone chain over every head, cut at its first minimum.
+def chain_over_all_heads(heads, eps=1e-4):
+    """The hull selection as a monotone chain from the first head of least value.
 
     Kept apart from the library's loop as the reference for its bits: the
-    cut and each slope test must round as this form does, even where a
+    start and each slope test must round as this form does, even where a
     product of differences underflows to a signed zero.
     """
+    fs = [r.f_center for r in heads]
+    f_min = min(fs)
     hull = []
-    for i, r in enumerate(heads):
-        d, f = r.diameter, r.f_center
+    for i in range(fs.index(f_min), len(heads)):
+        d, f = heads[i].diameter, fs[i]
         while len(hull) >= 2:
             (d1, f1, _), (d2, f2, _) = hull[-2], hull[-1]
             if (f2 - f1) * (d - d1) >= (f - f1) * (d2 - d1):
@@ -523,8 +578,6 @@ def chain_over_all_heads(heads, f_min, eps=1e-4):
             else:
                 break
         hull.append((d, f, i))
-    fs = [f for _, f, _ in hull]
-    hull = hull[fs.index(min(fs)) :]
     selected = []
     for (d, f, i), (d_next, f_next, _) in zip(hull, hull[1:]):
         k_max = (f_next - f) / (d_next - d)
@@ -550,10 +603,72 @@ def test_hull_matches_chain_over_all_heads():
             f = pool[rng.integers(len(pool))] if rng.random() < 0.6 else float(
                 rng.uniform(-3, 3) * 10.0 ** rng.integers(-320, 3))
             heads.append(Rect((0.5,), (0,), f, i, float(d)))
-        below = [0.0, 5e-324, float(rng.random())][rng.integers(3)]
-        f_min = min(r.f_center for r in heads) - below
-        assert potentially_optimal(heads, f_min) == chain_over_all_heads(heads, f_min)
-    assert potentially_optimal([], 0.0) == []
+        # Once an offset of f_min, still drawn so the sets stay as they were.
+        rng.random(), rng.integers(3)
+        assert potentially_optimal(heads) == chain_over_all_heads(heads)
+    assert potentially_optimal([]) == []
+
+
+def exact_selection(heads, eps=1e-4):
+    """The selection in exact rational arithmetic, against the target as floats round it.
+
+    A head from the first of least value on qualifies if some slope K makes
+    it the only minimizer of f_center - K * diameter, and it achieves the
+    improvement at the largest such K, the least slope to a larger head;
+    the largest head always qualifies.
+    """
+    fs = [r.f_center for r in heads]
+    f_min = min(fs)
+    target = Fraction(f_min - eps * abs(f_min))
+    points = [(Fraction(r.diameter), Fraction(f)) for r, f in zip(heads, fs)]
+    selected = []
+    for j in range(fs.index(f_min), len(heads)):
+        d, f = points[j]
+        k_min = max(((f - f0) / (d - d0) for d0, f0 in points[:j]), default=None)
+        k_max = min(((f1 - f) / (d1 - d) for d1, f1 in points[j + 1 :]), default=None)
+        if k_max is None or ((k_min is None or k_min < k_max) and f - k_max * d <= target):
+            selected.append(j)
+    return selected
+
+
+@pytest.mark.parametrize(
+    "values, diameters",
+    [
+        (
+            [5e-324, 0.0, 0.0, 1e-300, 2.7801594165407783e-118, 1.660107145958822e-100,
+             1.0148237469427998e-102, 1.1740675451160102e-117, 1.5114502596871392e-54],
+            [0.00624858270174506, 0.01874574810523518, 0.020472992533058024,
+             0.1756834310627214, 0.5003470488571635, 0.5003808943951494,
+             0.5270502931881642, 0.527371513551783, 0.7071337242329551],
+        ),
+        (
+            [5e-324, 5e-324, 1e-300, -5e-324, 0.0],
+            [0.0011879635168510817, 0.006542792876659435, 0.008968927867367641,
+             0.010691671651659736, 0.020472992533058024],
+        ),
+        (
+            [1e-310, 5e-324, 5e-324, 1e300, 0.0, 8.884061795134288e-158, -0.0],
+            [0.019628378629978304, 0.058596834839087, 0.16666948915740204,
+             0.1666920673627932, 0.5000762020883797, 0.5003808943951494, 0.5270502931881642],
+        ),
+        (
+            [-0.0, -5e-324, 5e-324],
+            [0.008968927867367641, 0.16668077864239678, 0.5030811599782271],
+        ),
+    ],
+    ids=["zero_after_subnormal", "negative_subnormal", "zero_before_signed_zero", "three_heads"],
+)
+def test_least_head_kept_where_products_underflow(values, diameters):
+    # Each set is from test_hull_matches_chain_over_all_heads.  A chain over
+    # every head pops the first head of least value: (f2 - f1) * (d - d1)
+    # underflows to -0.0, which compares >= the +0.0 on the right.  A head
+    # that in exact arithmetic is a hull vertex, and achieves the
+    # improvement, was never selected.
+    heads = [Rect((0.5,), (0,), f, i, d) for i, (f, d) in enumerate(zip(values, diameters))]
+    first_least = values.index(min(values))
+    selected = potentially_optimal(heads)
+    assert selected == exact_selection(heads)
+    assert selected[0] == first_least
 
 
 class TestTrisect:
@@ -574,7 +689,7 @@ class TestTrisect:
                 centers[row] for k in order for row in (2 * k, 2 * k + 1)
             ] + [rect.center]
             assert [c.index for c in children] == list(range(1, 2 * d + 2))
-            assert all(c.diameter == _diameter(c.levels) for c in children)
+            assert all(c.diameter == _geometry(c.levels)[0] for c in children)
 
     def test_unit_square_constant(self):
         rect = Rect((0.5, 0.5), (0, 0), 1.0, 0)

@@ -7,7 +7,7 @@ import pytest
 from scipy.linalg import lapack, solve_triangular
 
 import dimsched.gp as gp_module
-from dimsched.errors import DimensionMismatch, NotPositiveDefinite
+from dimsched.errors import DimensionMismatch, DimschedError, NotPositiveDefinite
 from dimsched.gp import (
     Dataset,
     KernelHyperparams,
@@ -19,7 +19,6 @@ from dimsched.gp import (
     kernel_matrix,
     log_marginal_likelihood,
     lml_gradient,
-    se_kernel,
     train_hyperparams,
 )
 from dimsched.linalg import solve_tri
@@ -44,6 +43,21 @@ def random_instance(rng, n=None, d=None):
         log_noise_variance=rng.uniform(-5.0, -2.0),
     )
     return Dataset(X, Y), h
+
+
+def se_kernel(x, x2, hyper):
+    """The dense oracle: the squared-exponential covariance of two points.
+
+    Built from the lengthscales, not from the library's kernel weights,
+    and with no floor, so it is a second formula to check the one kernel
+    formula of dimsched.gp against.
+    """
+    x = np.asarray(x, dtype=float).ravel()
+    x2 = np.asarray(x2, dtype=float).ravel()
+    if x.shape[0] != x2.shape[0] or x.shape[0] != hyper.d:
+        raise DimensionMismatch(f"dims {x.shape[0]}, {x2.shape[0]} vs hyper dim {hyper.d}")
+    diff = (x - x2) / hyper.lengthscales
+    return hyper.signal_variance * math.exp(-0.5 * float(diff @ diff))
 
 
 def naive_predict(data, h, x_star):
@@ -71,21 +85,29 @@ def count_calls(monkeypatch, name):
 
 
 class TestSeKernel:
+    """The dense oracle and the library's kernel at closed-form values."""
+
     def test_zero_distance(self):
         h = hyper(3, sf2=2.5)
         assert abs(se_kernel([1, 2, 3], [1, 2, 3], h) - 2.5) < 1e-14
+        assert kernel_matrix([[1, 2, 3]], [[1, 2, 3]], h)[0, 0] == 2.5
 
     def test_huge_lengthscale_limit(self):
         h = hyper(2, ls=1e8, sf2=1.7)
         assert abs(se_kernel([0, 0], [5, -3], h) - 1.7) < 1e-10
+        assert abs(kernel_matrix([[0, 0]], [[5, -3]], h)[0, 0] - 1.7) < 1e-10
 
     def test_unit_case(self):
         h = hyper(1)
         assert abs(se_kernel([0.0], [1.0], h) - math.exp(-0.5)) < 1e-14
+        assert abs(kernel_matrix([[0.0]], [[1.0]], h)[0, 0] - math.exp(-0.5)) < 1e-14
 
     def test_dim_mismatch(self):
         with pytest.raises(DimensionMismatch):
             se_kernel([0.0], [1.0, 2.0], hyper(1))
+        for X in ([[0.0]], [[0.0, 1.0]]):  # one side, then both, of the wrong dimension
+            with pytest.raises(DimensionMismatch, match="for a 1-d kernel"):
+                kernel_matrix(X, [[1.0, 2.0]], hyper(1))
 
 
 class TestKernelBits:
@@ -160,6 +182,34 @@ class TestInputChecks:
     def test_dataset_rejected(self, build, message):
         with pytest.raises(DimensionMismatch, match=message):
             build()
+
+    @pytest.mark.parametrize(
+        "Y, cause",
+        [
+            ([1.7e308, 1.7e308, 0.0], "their mean"),
+            ([1.7e308, -1.7e308, -1.7e308], "the centred targets"),
+            ([1e160, -1e160, 0.0], "the mean of their squares"),
+            ([1e154] * 4 + [-1e154] * 4, "the mean of their squares"),  # each square is finite
+        ],
+        ids=["mean", "centred", "squares", "sum_of_squares"],
+    )
+    def test_targets_that_cannot_be_centred(self, Y, cause):
+        data = Dataset(np.zeros((len(Y), 1)), Y)
+        message = re.escape(
+            f"targets from {min(Y):g} to {max(Y):g} cannot be centred: {cause} overflows"
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DimschedError, match=message):
+                data._centred
+
+    def test_centred_variance_is_numpy_var(self):
+        rng = np.random.default_rng(16)
+        for scale in (1e-300, 1e-8, 1.0, 1e5, 1e150):
+            Y = scale * rng.standard_cauchy(size=int(rng.integers(1, 300)))
+            mean, yc, var = Dataset(np.zeros((Y.size, 1)), Y)._centred
+            assert (mean, var) == (float(np.mean(Y)), float(np.var(Y)))
+            assert np.array_equal(yc, Y - np.mean(Y))
 
     # The last is one point of the model's dimension, which is passed as one row.
     @pytest.mark.parametrize(
@@ -624,13 +674,15 @@ class TestTraining:
         assert trained.log_noise_variance >= math.log(1e-8) - 1e-12
 
     def test_non_finite_centred_targets_rejected(self):
-        # Finite targets whose mean overflows centre to -inf.
+        # Finite targets whose mean overflows are named, before any numpy warning.
         X = np.random.default_rng(12).uniform(-1, 1, size=(3, 2))
         data = Dataset(X, [1.7e308, 1.7e308, 0.0])
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(ValueError, match="infs or NaNs"):
+        message = re.escape("targets from 0 to 1.7e+308 cannot be centred: their mean overflows")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DimschedError, match=message):
                 gp_fit(data, hyper(2))
-            with pytest.raises(ValueError, match="infs or NaNs"):
+            with pytest.raises(DimschedError, match=message):
                 train_hyperparams(data, restarts=1, rng=0)
 
     def test_never_below_best_start(self):

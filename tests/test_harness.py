@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import fields, replace
@@ -489,7 +490,8 @@ class TestCampaign:
 
     def test_abort_raised_after_outputs_written(self, tmp_path, monkeypatch):
         # The objective turns nan at its sixth call: after the 4-point
-        # design and one iteration of BO.
+        # design and one iteration of BO.  DSA, on the same design, aborts
+        # at its first iteration.
         calls = []
 
         def turns_nan(x):
@@ -502,14 +504,19 @@ class TestCampaign:
             n_init=4, max_iter=3, direct_config=DirectConfig(max_evals=60, max_iters=20)
         )
         out = tmp_path / "out"
-        config = CampaignConfig("broken-2", ("bo",), runs=1, run_config=run_config,
+        config = CampaignConfig("broken-2", ("bo", "dsa"), runs=1, run_config=run_config,
                                 output_dir=str(out))
-        with pytest.raises(RunAborted):
+        with pytest.raises(RunAborted, match=re.escape(
+            "runs aborted on a non-finite objective: bo run 0 at iteration 5, "
+            "dsa run 0 at iteration 4"
+        )):
             run_campaign(config)
         assert len(read_trace(str(out / "broken-2_bo_run0.csv"))) == 4 + 1
+        assert len(read_trace(str(out / "broken-2_dsa_run0.csv"))) == 4
         with open(out / "summary.json") as fh:
-            (entry,) = CampaignSummary.from_json(fh.read()).entries
-        assert entry.best_objective == min(sphere(x) for x in calls[:5])
+            bo, dsa = CampaignSummary.from_json(fh.read()).entries
+        assert bo.best_objective == min(sphere(x) for x in calls[:5])
+        assert dsa.best_objective == min(sphere(x) for x in calls[:4])
 
     def test_bad_summary_json(self):
         with pytest.raises(ParseError):

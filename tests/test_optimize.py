@@ -1,4 +1,5 @@
 import re
+import warnings
 from math import comb
 
 import numpy as np
@@ -6,7 +7,12 @@ import pytest
 
 from dimsched import acquisition
 from dimsched.direct import Bounds, DirectConfig
-from dimsched.errors import DimensionMismatch, NonFiniteAcquisition, NonFiniteObjective
+from dimsched.errors import (
+    DimensionMismatch,
+    DimschedError,
+    NonFiniteAcquisition,
+    NonFiniteObjective,
+)
 from dimsched.gp import Dataset
 from dimsched.objectives import benchmark_catalog
 from dimsched.optimize import (
@@ -226,6 +232,22 @@ class TestRunBo:
         assert result.aborted
         assert len(result.records) == 4  # 10 total calls = 6 design + 4 good iterations
         assert [r.iter for r in result.records] == [6, 7, 8, 9]
+
+
+@pytest.mark.parametrize("loop", [run_bo, run_dsa])
+def test_targets_that_cannot_be_centred_fail_by_name(loop):
+    # The sum of the design's values overflows; the first GP fails by name,
+    # before numpy warns.
+    def objective(x):
+        return 1.7e308 if np.sin(7.0 * np.sum(x)) > 0.0 else -1.7e308
+
+    config = RunConfig(n_init=6, max_iter=5, seed=0, direct_config=small_direct())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DimschedError, match=re.escape(
+            "targets from -1.7e+308 to 1.7e+308 cannot be centred: their mean overflows"
+        )):
+            loop(objective, Bounds([-1.0, -1.0, -1.0], [1.0, 1.0, 1.0]), config)
 
 
 class TestRunDsa:
