@@ -5,11 +5,14 @@ is re-added at prediction time.  Hyperparameters live on the log scale
 and are fitted by best-of-restarts maximum likelihood inside a box: each
 log-lengthscale within ln 100 of its coordinate's log range, the log
 signal variance within +-300 and the log noise variance between the
-noise floor and 300.  From each start, projected onto the box, a
-projected BFGS ascent with an Armijo line search climbs the log marginal
-likelihood until its projected gradient or its relative gain per step
-is negligible.  The box is the cheapest form of a lengthscale prior
-scaled to the search space (Hvarfner, Hellsten & Nardi, ICML 2024): it
+noise floor, at most 300, and 300.  From each start, projected onto the
+box, a projected BFGS ascent with an Armijo line search climbs the log
+marginal likelihood until its projected gradient or its relative gain
+per step is negligible.  The starts climb in lockstep, one row each of a
+stack: a round fits every start's next point at once and differentiates
+the ones that passed at once, and each start takes the steps it would
+take alone, bit for bit.  The box is the cheapest form of a lengthscale
+prior scaled to the search space (Hvarfner, Hellsten & Nardi, ICML 2024): it
 keeps the ascent off the plateaus of near-zero lengthscales, where a GP
 is white noise away from its data.
 
@@ -22,12 +25,18 @@ they cannot move alpha, the LML or a prediction, and left in they become
 subnormal numbers in the Cholesky factor, which x86 handles 10-100 times
 slower than normal floats.
 
-One fit core, ``_fit``, builds K + sigma_n^2 I from a log-hyperparameter
-vector theta, factorizes it and solves for alpha; it returns the LML and
-keeps the noise-free K for the gradient.  ``gp_fit``, the public LML and
-its gradient wrap it, and training calls it directly on theta vectors:
-each trial point is fitted once, and a ``KernelHyperparams`` is built
-only for the value returned.  A dataset centres its targets once, for
+One fit core, ``_fit``, builds K + sigma_n^2 I for each row of a stack of
+log-hyperparameter vectors, factorizes each and solves for alpha; it
+returns the LMLs and keeps the noise-free K for the gradient.  The
+stacked forms it and the gradient use give each row the bits of the 1-D
+computation for that row alone: (k, 1, d) @ (d, N), (d, N) @ (k, N, 1),
+(k, p, p) @ (k, p, 1), row dot products (``_rowdot``) and row-wise sums;
+not plain 2-D products or einsum.  Each row is still
+factorized (``cholesky_spd``), solved (``solve_tri``) and inverted
+(``chol_inverse_lower``) by its own call.  ``gp_fit``, the public LML and
+its gradient run it on a stack of one row, and training on the stack of
+its starts: each trial point is fitted once, and a ``KernelHyperparams``
+is built only for the value returned.  A dataset centres its targets once, for
 every fit, training and O(n^2) append on it, and refuses, by name, targets
 whose mean, centred values or mean square overflows; training takes its
 target variance from the same pass.  A model reads its mean shift from
@@ -229,8 +238,12 @@ def _kernel_weights(log_lengthscales: np.ndarray) -> np.ndarray:
     return -0.5 * np.minimum(np.exp(-2.0 * log_lengthscales), _FLOAT_MAX)
 
 
-def _kernel(weights: np.ndarray, sq_diffs: np.ndarray, signal_variance: float) -> np.ndarray:
-    """sigma_f^2 * exp(weights @ sq_diffs), flat (m*n,), 0 below eps^2 * sigma_f^2."""
+def _kernel(weights: np.ndarray, sq_diffs: np.ndarray, signal_variance) -> np.ndarray:
+    """sigma_f^2 * exp(weights @ sq_diffs), 0 below eps^2 * sigma_f^2.
+
+    Flat (m*n,) from weights (d,) and a float sigma_f^2; (k, 1, m*n) from a
+    stack of weights (k, 1, d) and of sigma_f^2 (k, 1, 1).
+    """
     K = weights @ sq_diffs
     kept = K >= _EXPONENT_FLOOR
     # exp runs on normal numbers only; a -inf exponent or a masked copy costs more.
@@ -260,7 +273,7 @@ def kernel_matrix(X, X2, hyper: KernelHyperparams) -> np.ndarray:
 
 def gp_fit(data: Dataset, hyper: KernelHyperparams) -> GpModel:
     fit = _fit_hyper(data, hyper)
-    return GpModel(data=data, hyper=hyper, factor=fit.factor, alpha=fit.alpha)
+    return GpModel(data=data, hyper=hyper, factor=fit.factors[0], alpha=fit.alpha[0])
 
 
 def gp_predict(model: GpModel, X) -> tuple[np.ndarray, np.ndarray]:
@@ -280,33 +293,64 @@ def gp_predict(model: GpModel, X) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _Fit(NamedTuple):
-    """A fit at one log-hyperparameter vector theta."""
+    """Fits at the k rows of a stack of log-hyperparameter vectors, thetas (k, d+2)."""
 
-    lml: float
-    factor: CholFactor
-    alpha: np.ndarray
-    K: np.ndarray  # noise-free k(X, X)
-    weights: np.ndarray  # -0.5 / ell^2
-    noise_variance: float  # sigma_n^2
+    lml: list[float]  # per row; nan where the factorization failed
+    factors: list  # per row, its CholFactor or the DimschedError that factorizing raised
+    alpha: np.ndarray  # (k, n)
+    K: np.ndarray  # (k, n, n), noise-free k(X, X)
+    weights: np.ndarray  # (k, d), -0.5 / ell^2
+    noise_variance: np.ndarray  # (k,), sigma_n^2
 
 
-def _fit(data: Dataset, yc: np.ndarray, theta: np.ndarray) -> _Fit:
-    """The one fit core: K + sigma_n^2 I at theta, its factor, alpha and the LML.
+def _stacked_rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+# The dot product of each row of a with the same row of b, (k, p) each.
+# np.vecdot (numpy 2.0), the stacked (1, p) @ (p, 1) products and the 1-D
+# a[j] @ b[j] all run numpy's one dot kernel (BLAS's ddot where it can), so
+# they give the same bits; a row-wise sum of a * b does not.  np.vecdot has
+# the least overhead.
+_rowdot = getattr(np, "vecdot", _stacked_rowdot)
+
+
+def _fit(data: Dataset, yc: np.ndarray, thetas: np.ndarray) -> _Fit:
+    """The one fit core: K + sigma_n^2 I at each row of thetas, its factor, alpha and LML.
 
     theta is [log ell_1..d, log sigma_f^2, log sigma_n^2] and yc the
-    centred targets, checked finite.  K is built from ``data.sq_diffs``.
+    centred targets, checked finite.  K is built from ``data.sq_diffs`` for
+    the whole stack, in forms that give each row the bits of a fit of that
+    row alone; each row is factorized and solved on its own, and its LML
+    summed as a Python float.  A row whose factorization raises keeps the
+    error in place of its factor.
     """
-    n = data.n
-    weights = _kernel_weights(theta[:-2])
-    noise_variance = math.exp(theta[-1])
-    K = _kernel(weights, data.sq_diffs, math.exp(theta[-2])).reshape(n, n)
-    K_noisy = K.copy()
-    K_noisy.reshape(-1)[:: n + 1] += noise_variance  # a view: K is C-ordered
-    factor = cholesky_spd(K_noisy)
-    alpha = _solve_alpha(factor, yc)
-    log_det = 2.0 * float(np.log(factor.L.diagonal()).sum())
-    lml = -0.5 * (float(yc @ alpha) + log_det + n * _LOG_2PI)
-    return _Fit(lml, factor, alpha, K, weights, noise_variance)
+    k, n = thetas.shape[0], data.n
+    weights = _kernel_weights(thetas[:, :-2])
+    # [sigma_f^2, sigma_n^2] per row, by math.exp: np.exp differs in the last bit.
+    variances = np.array([[math.exp(sf), math.exp(sn)] for sf, sn in thetas[:, -2:].tolist()])
+    K = _kernel(weights[:, None, :], data.sq_diffs, variances[:, :1, None]).reshape(k, n, n)
+    # K's diagonal is sigma_f^2 exactly, as exp(0) = 1.  So sigma_n^2 is added
+    # to it in place for the factorizations, and the diagonal is set back
+    # after them: no copy of K.
+    K_diagonal = K.reshape(k, n * n)[:, :: n + 1]  # a view: K is C-ordered
+    K_diagonal += variances[:, 1:]
+    lml = []
+    factors = []
+    alpha = np.zeros((k, n))
+    for j in range(k):
+        try:
+            factor = cholesky_spd(K[j])
+        except (NotPositiveDefinite, DimensionMismatch) as exc:
+            lml.append(math.nan)
+            factors.append(exc)
+            continue
+        factors.append(factor)
+        alpha[j] = alpha_j = _solve_alpha(factor, yc)
+        log_det = 2.0 * float(np.add.reduce(np.log(factor.L.diagonal())))
+        lml.append(-0.5 * (float(yc @ alpha_j) + log_det + n * _LOG_2PI))
+    K_diagonal[...] = variances[:, :1]
+    return _Fit(lml, factors, alpha, K, weights, variances[:, 1])
 
 
 def _solve_alpha(factor: CholFactor, yc: np.ndarray) -> np.ndarray:
@@ -315,46 +359,67 @@ def _solve_alpha(factor: CholFactor, yc: np.ndarray) -> np.ndarray:
 
 
 def _fit_hyper(data: Dataset, hyper: KernelHyperparams) -> _Fit:
-    """The fit at hyper to the centred targets."""
+    """The fit at hyper to the centred targets, a stack of one row; raises if it fails."""
     if data.n < 1:
         raise DimensionMismatch("need at least one observation")
     if hyper.d != data.d:
         raise DimensionMismatch(f"hyper dim {hyper.d} != data dim {data.d}")
-    return _fit(data, data._centred[1], hyper.to_vector())
+    fit = _fit(data, data._centred[1], hyper.to_vector()[None])
+    if not isinstance(fit.factors[0], CholFactor):
+        raise fit.factors[0]
+    return fit
 
 
 def log_marginal_likelihood(data: Dataset, hyper: KernelHyperparams) -> float:
-    return _fit_hyper(data, hyper).lml
+    return _fit_hyper(data, hyper).lml[0]
 
 
-def _lml_gradient(data: Dataset, fit: _Fit) -> np.ndarray:
-    """Gradient of the LML w.r.t. [log ell_1..d, log sigma_f^2, log sigma_n^2].
+def _lml_gradient(data: Dataset, fit: _Fit, rows: list[int]) -> np.ndarray:
+    """LML gradients w.r.t. [log ell_1..d, log sigma_f^2, log sigma_n^2], one per row of rows.
 
-    Uses the trace identity 0.5 * tr((alpha alpha^T - K^-1) dK/dtheta)
-    (Rasmussen & Williams 2006, eq. 5.9), with K^-1 from the fit's factor.
+    rows are ascending rows of ``fit`` whose factorization succeeded.  Uses
+    the trace identity 0.5 * tr((alpha alpha^T - K^-1) dK/dtheta)
+    (Rasmussen & Williams 2006, eq. 5.9), with K^-1 from each row's factor.
     With W = (alpha alpha^T - K^-1) o K, every lengthscale component comes
     from one product with ``data.sq_diffs``, times 0.5/ell^2 = -weights.
+    A row whose K^-1 cannot be formed is nan.
     """
     n, d = data.n, data.d
-    K_inv = chol_inverse_lower(fit.factor)
-    # W = alpha alpha^T - K^-1 without forming the symmetric K^-1: subtract
-    # the lower triangle, then its transpose with the diagonal zeroed.
-    W = np.outer(fit.alpha, fit.alpha)
-    W -= K_inv
-    K_inv.flat[:: n + 1] = 0.0
-    W -= K_inv.T
-    trace_m = float(np.trace(W))
-    W *= fit.K
+    m = len(rows)
+    every = m == len(fit.factors)
+    alpha, weights, noise_variance = fit.alpha, fit.weights, fit.noise_variance
+    if not every:
+        alpha, weights, noise_variance = alpha[rows], weights[rows], noise_variance[rows]
+    W = alpha[:, :, None] * alpha[:, None, :]
+    for i, j in enumerate(rows):
+        try:
+            K_inv = chol_inverse_lower(fit.factors[j])
+        except NotPositiveDefinite:
+            W[i] = np.nan
+            continue
+        # alpha alpha^T - K^-1 without forming the symmetric K^-1: subtract
+        # the lower triangle, then its transpose with the diagonal zeroed.
+        W[i] -= K_inv
+        upper = K_inv.T  # C-ordered: LAPACK's K_inv is Fortran-ordered
+        upper.reshape(n * n)[:: n + 1] = 0.0
+        W[i] -= upper
+    W_flat = W.reshape(m, n * n)
+    trace_m = np.add.reduce(W_flat[:, :: n + 1], axis=1)
+    if every:
+        W *= fit.K
+    else:  # no copy of the rows of K
+        for i, j in enumerate(rows):
+            W[i] *= fit.K[j]
 
-    grad = np.empty(d + 2)
-    grad[:d] = -(data.sq_diffs @ W.ravel()) * fit.weights
-    grad[d] = 0.5 * float(W.sum())
-    grad[d + 1] = 0.5 * fit.noise_variance * trace_m
+    grad = np.empty((m, d + 2))
+    grad[:, :d] = -(data.sq_diffs @ W_flat[:, :, None])[:, :, 0] * weights
+    grad[:, d] = 0.5 * np.add.reduce(W_flat, axis=1)
+    grad[:, d + 1] = 0.5 * noise_variance * trace_m
     return grad
 
 
 def lml_gradient(data: Dataset, hyper: KernelHyperparams) -> np.ndarray:
-    return _lml_gradient(data, _fit_hyper(data, hyper))
+    return _lml_gradient(data, _fit_hyper(data, hyper), [0])[0]
 
 
 # Log sigma_f^2 and log sigma_n^2 are trained below this bound, and log
@@ -369,50 +434,11 @@ _GRAD_TOL = 1e-5
 _REL_GAIN_TOL = 2.2e-9
 
 
-def _safe_fit(data: Dataset, yc: np.ndarray, theta: np.ndarray) -> _Fit | None:
-    """The fit at theta, or None if it fails or its LML is not finite."""
-    try:
-        fit = _fit(data, yc, theta)
-    except (NotPositiveDefinite, DimensionMismatch):
-        return None
-    return fit if math.isfinite(fit.lml) else None
-
-
-def _armijo(
-    data: Dataset, yc: np.ndarray, theta: np.ndarray, f: float,
-    pg: np.ndarray, p: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, _Fit] | None:
-    """Backtracking from the full step along p, projected on the box [lo, hi].
-
-    pg is the projected gradient at theta, whose LML is f.  Returns the
-    first trial point, with its step and fit, whose LML gain is at least
-    1e-4 times the gain pg predicts for it, or None once that prediction
-    is no larger than the relative gain at which the ascent stops anyway.
-    """
-    t = 1.0
-    while True:
-        cand = np.minimum(np.maximum(theta + t * p, lo), hi)
-        s = cand - theta
-        predicted = float(pg @ s)
-        if not predicted > _REL_GAIN_TOL * max(abs(f), 1.0):
-            return None
-        trial = _safe_fit(data, yc, cand)
-        if trial is None:  # no parabola to fit: cut the step tenfold
-            t *= 0.1
-            continue
-        gain = trial.lml - f
-        if gain >= 1e-4 * predicted:
-            return cand, s, trial
-        # The peak of the parabola through f, the predicted slope and the
-        # trial, kept within [0.1 t, 0.5 t] (Nocedal & Wright, sec. 3.5).
-        t *= min(max(0.5 * predicted / (predicted - gain), 0.1), 0.5)
-
-
 def _ascend(
-    data: Dataset, yc: np.ndarray, theta: np.ndarray, fit: _Fit,
+    data: Dataset, yc: np.ndarray, thetas: np.ndarray,
     lo: np.ndarray, hi: np.ndarray, max_iter: int,
-) -> tuple[float, np.ndarray]:
-    """Projected BFGS ascent on the LML inside the box [lo, hi], from theta and its fit.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Projected BFGS ascents on the LML inside the box [lo, hi], one from each row of thetas.
 
     A coordinate at a bound whose gradient points out of the box is held;
     the others move along H g, with H the dense BFGS estimate of the
@@ -420,57 +446,209 @@ def _ascend(
     L-BFGS-B, Byrd, Lu, Nocedal & Zhu 1995).  H starts as the identity,
     with the step scaled to at most 1 in every coordinate, and is scaled by
     s^T y / y^T y at its first update.  An update whose curvature s^T y is
-    not positive is skipped, and H is reset when H g is not an ascent
-    direction or no step along it passes.  Each trial point is fitted
-    once, and the accepted trial's fit gives the next gradient.  Returns
-    the last accepted point and its LML.
+    not positive is skipped.  Along a direction, an Armijo search
+    backtracks from the full step, projected on the box, to the first
+    trial point whose LML gain is at least 1e-4 times the gain the
+    projected gradient pg predicts for it.  A trial point that cannot be
+    fitted cuts the step tenfold; any other cuts it to the peak of the
+    parabola through the LML, the predicted slope and the trial, kept
+    within [0.1 t, 0.5 t] (Nocedal & Wright, sec. 3.5).  The search gives
+    up once the predicted gain is no larger than the relative gain at
+    which the ascent stops anyway.  H is reset when H pg is not an ascent
+    direction or its search gives up, and the ascent stops when the
+    search along pg gives up.
+
+    The starts climb in lockstep, one row each of every stack.  A round
+    fits the next point of every row as one stack, then differentiates
+    the rows whose point passed as one stack; a row leaves when its ascent
+    stops.  Each row takes the steps it would take alone, bit for bit:
+    per-row scalars are Python floats, as in a single ascent, and the
+    stacked forms give each row the bits of its own 1-D computation.
+    Each trial point is fitted once, and the accepted trial's fit gives
+    the next gradient.  Returns each start's LML, -inf where its first
+    fit fails, and its last accepted point.
     """
-    f = fit.lml
-    H = None  # the identity, unscaled
-    s = None
-    for _ in range(max_iter):
-        try:
-            g_next = _lml_gradient(data, fit)
-        except NotPositiveDefinite:
-            break
-        if s is not None:
-            y = g - g_next
-            sy = float(s @ y)
-            if sy > 0.0:
-                if H is None:
-                    H = np.diag(np.full(len(s), sy / float(y @ y)))
-                # (I - rho s y^T) H (I - rho y s^T) + rho s s^T, as H + v s^T + s v^T.
-                Hy = H @ y
-                rho = 1.0 / sy
-                v = s * (0.5 * rho * rho * (sy + float(y @ Hy)))
-                v -= rho * Hy
-                W = v[:, None] * s
-                H += W
-                H += W.T
-        g = g_next
-        held = np.where(g > 0.0, theta >= hi, theta <= lo)
-        pg = g.copy()
-        pg[held] = 0.0
-        pg_max = float(np.maximum.reduce(np.abs(pg)))  # nan or inf if a free component is
-        if not (math.isfinite(pg_max) and pg_max >= _GRAD_TOL):
-            break
-        # Along H pg, or pg scaled to at most 1 per coordinate without an H;
-        # if no step along H pg passes, H is reset and the latter is tried.
-        while True:
-            p = pg / max(1.0, pg_max) if H is None else H @ pg
-            p[held] = 0.0
-            slope = float(p @ pg)  # not finite unless p is
-            found = _armijo(data, yc, theta, f, pg, p, lo, hi) if 0.0 < slope < math.inf else None
-            if found is not None or H is None:
+    k, p = thetas.shape
+    f_end = np.full(k, -np.inf)
+    theta_end = thetas.copy()
+
+    # Row i of every stack and list is the ascent from start[i].
+    start = list(range(k))
+    theta = cand = thetas  # the last accepted point, and the point to fit next
+    step = s = g = pg = direction = np.zeros((k, p))  # replaced, never written in place
+    held = np.zeros((k, p), dtype=bool)
+    pg_max = np.zeros(k)
+    H = np.zeros((k, p, p))
+    f = [-math.inf] * k  # the LML at theta
+    predicted = [0.0] * k  # the LML gain pg predicts for cand - theta
+    t = [1.0] * k  # the Armijo step length
+    has_H = [False] * k  # else H is the identity, unscaled
+    gradients = [0] * k
+    first = True
+
+    def trial(full_steps: bool):
+        """Every row's point at step t along its direction, projected on the
+        box, its step from theta and the LML gain pg predicts for that step;
+        full_steps if every t is 1."""
+        moved = direction if full_steps else np.array(t)[:, None] * direction
+        c = np.minimum(np.maximum(theta + moved, lo), hi)
+        c_step = c - theta
+        return c, c_step, _rowdot(pg, c_step).tolist()
+
+    def along_pg():
+        """pg scaled to at most 1 in every coordinate, held coordinates zeroed."""
+        scaled = pg / np.maximum(pg_max, 1.0)[:, None]
+        scaled[held] = 0.0
+        return scaled
+
+    while True:
+        m = len(start)
+        fit = _fit(data, yc, cand)
+        passed = []  # rows whose point is accepted
+        climb = []  # of these, the rows that take a gradient
+        searching = []  # rows that backtrack along their direction
+        stop = set()
+        for i, value in enumerate(fit.lml):
+            if not math.isfinite(value):
+                if first:
+                    stop.add(i)  # f stays -inf
+                else:  # no parabola to fit: cut the step tenfold
+                    t[i] *= 0.1
+                    searching.append(i)
+                continue
+            if not first:
+                gain = value - f[i]
+                if not gain >= 1e-4 * predicted[i]:
+                    # The peak of the parabola through f, the predicted slope
+                    # and the trial, within [0.1 t, 0.5 t].
+                    t[i] *= min(max(0.5 * predicted[i] / (predicted[i] - gain), 0.1), 0.5)
+                    searching.append(i)
+                    continue
+            f_last, f[i] = f[i], value
+            passed.append(i)
+            if not first and gain <= _REL_GAIN_TOL * max(abs(value), abs(f_last), 1.0):
+                stop.add(i)
+            elif gradients[i] == max_iter:
+                stop.add(i)
+            else:
+                gradients[i] += 1
+                climb.append(i)
+        if passed and not first:
+            if len(passed) == m:
+                theta, s = cand, step
+            else:
+                theta, s = theta.copy(), s.copy()
+                theta[passed] = cand[passed]
+                s[passed] = step[passed]
+
+        new = []  # rows that start a new search
+        if climb:
+            g_climb = _lml_gradient(data, fit, climb)
+            if len(climb) == m:
+                g_next = g_climb
+            else:  # the other rows keep g, so their y is 0 and H stays
+                g_next = g.copy()
+                g_next[climb] = g_climb
+            if not first:
+                # BFGS update of H by the step just taken, where s^T y > 0
+                # (never on a y of 0, nor on one that is not finite).
+                y = g - g_next
+                sy = _rowdot(s, y).tolist()
+                update = [v > 0.0 for v in sy]
+                if any(update):
+                    for i in climb:
+                        if update[i] and not has_H[i]:
+                            H[i] = np.diag(np.full(p, sy[i] / float(y[i] @ y[i])))
+                            has_H[i] = True
+                    # (I - rho s y^T) H (I - rho y s^T) + rho s s^T, as H + v s^T + s v^T.
+                    Hy = (H @ y[:, :, None])[:, :, 0]  # as H[j] @ y[j], by gemv
+                    coefficients = []  # [rho, 0.5 rho^2 (s^T y + y^T H y)] per row
+                    for u, a, b in zip(update, sy, _rowdot(y, Hy).tolist()):
+                        rho = 1.0 / a if u else 0.0
+                        coefficients.append((rho, 0.5 * rho * rho * (a + b)))
+                    c = np.array(coefficients)
+                    v = s * c[:, 1:]
+                    v -= c[:, :1] * Hy
+                    W = v[:, :, None] * s[:, None, :]
+                    if all(update):
+                        H += W
+                        H += W.transpose(0, 2, 1)
+                    else:
+                        H_next = H + W
+                        H_next += W.transpose(0, 2, 1)
+                        H = np.where(np.array(update)[:, None, None], H_next, H)
+            # Rows without a new gradient keep theta and g, so these stay too.
+            g = g_next
+            held = np.where(g > 0.0, theta >= hi, theta <= lo)
+            pg = np.where(held, 0.0, g)
+            pg_max = np.maximum.reduce(np.abs(pg), axis=1)  # nan or inf if a free component is
+            pg_maxes = pg_max.tolist()
+            for i in climb:
+                if math.isfinite(pg_maxes[i]) and pg_maxes[i] >= _GRAD_TOL:
+                    new.append(i)
+                    t[i] = 1.0
+                else:
+                    stop.add(i)
+
+        # A new search goes along H pg, or along pg scaled to at most 1 per
+        # coordinate without an H; it is tried where that is an ascent
+        # direction and its trial point predicts a gain worth a fit.  A
+        # search that gives up resets H and goes along pg; one along pg that
+        # gives up stops the ascent.
+        slopes = [1.0] * m  # a backtracking row's direction is one of ascent
+        if new:
+            if any(has_H):
+                aimed = (H @ pg[:, :, None])[:, :, 0]
+                aimed[held] = 0.0
+                if not all(has_H):
+                    aimed = np.where(np.array(has_H)[:, None], aimed, along_pg())
+            else:
+                aimed = along_pg()
+            if len(new) == m:
+                direction = aimed
+            else:
+                direction = direction.copy()
+                direction[new] = aimed[new]
+            slopes = _rowdot(direction, pg).tolist()  # not finite unless the direction is
+            for i in searching:
+                slopes[i] = 1.0
+        full_steps = not searching
+        while True:  # a second pass only for rows whose H was reset
+            cand, step, predicted = trial(full_steps)
+            reset = []
+            for i in new + searching:
+                if not (
+                    0.0 < slopes[i] < math.inf
+                    and predicted[i] > _REL_GAIN_TOL * max(abs(f[i]), 1.0)
+                ):
+                    if has_H[i]:
+                        reset.append(i)
+                    else:
+                        stop.add(i)
+            if not reset:
                 break
-            H = None
-        if found is None:
-            break
-        theta, s, fit = found
-        f_last, f = f, fit.lml
-        if f - f_last <= _REL_GAIN_TOL * max(abs(f), abs(f_last), 1.0):
-            break
-    return f, theta
+            for i in reset:
+                has_H[i] = False
+                t[i] = 1.0
+            direction = direction.copy()
+            direction[reset] = along_pg()[reset]
+            slopes = _rowdot(direction, pg).tolist()
+            new, searching = reset, []
+
+        if stop:
+            for i in stop:
+                f_end[start[i]] = f[i]
+                theta_end[start[i]] = theta[i]
+            if len(stop) == m:
+                return f_end, theta_end
+            keep = [i for i in range(m) if i not in stop]
+            start, f, predicted, t, has_H, gradients = (
+                [values[i] for i in keep] for values in (start, f, predicted, t, has_H, gradients)
+            )
+            theta, cand, step, s, g, pg, held, pg_max, direction, H = (
+                a[keep] for a in (theta, cand, step, s, g, pg, held, pg_max, direction, H)
+            )
+        first = False
 
 
 def _random_start(rng: np.random.Generator, ranges: np.ndarray, var_y: float) -> np.ndarray:
@@ -505,14 +683,16 @@ def train_hyperparams(
     The box holds each log ell_j within ln 100 of log r_j, where r_j is
     the coordinate's range: bounds_ranges if given, else the data's.  It
     holds log sigma_f^2 within +-300, and log sigma_n^2 between the noise
-    floor, log max(1e-8, 1e-8 var(Y)), and 300.  Every start is projected
-    onto the box: the warm start if given, then ``restarts`` random ones.
-    From each, a projected BFGS ascent (``_ascend``) runs for at most
-    max_iter gradients.  It stops earlier at a projected gradient below
+    floor, log max(1e-8, 1e-8 var(Y)) but at most 300, and 300.  Every
+    start is projected onto the box: the warm start if given, then
+    ``restarts`` random ones.  From every start at once, projected BFGS
+    ascents (``_ascend``) climb in lockstep, each for at most max_iter
+    gradients.  An ascent stops earlier at a projected gradient below
     1e-5, at an LML gain per step of at most 2.2e-9 relative to the LML,
     or when no step along its direction or the gradient's passes the
     Armijo test.  An ascent ends at a point whose LML is at least its
-    start's, so the best start is kept if every ascent stalls.
+    start's, so the best start is kept if every ascent stalls; of equal
+    ones, the first.
 
     rng is what ``np.random.default_rng`` takes: None, a seed, or a
     Generator, which is used as it is.
@@ -529,7 +709,8 @@ def train_hyperparams(
     ranges = _coordinate_ranges(data, bounds_ranges)
 
     log_r = np.log(ranges)
-    noise_floor = math.log(max(_NOISE_FLOOR, _NOISE_FLOOR * var_y))
+    # Capped, so the box is not empty when var(Y) exceeds about 1.9e138.
+    noise_floor = min(math.log(max(_NOISE_FLOOR, _NOISE_FLOOR * var_y)), _LOG_CLIP)
     lo = np.concatenate([log_r - _LOG_LENGTHSCALE_SPAN, [-_LOG_CLIP, noise_floor]])
     hi = np.concatenate([log_r + _LOG_LENGTHSCALE_SPAN, [_LOG_CLIP, _LOG_CLIP]])
 
@@ -537,20 +718,13 @@ def train_hyperparams(
     if warm_start is not None:
         starts.append(warm_start.to_vector())
     starts.extend(_random_start(rng, ranges, var_y) for _ in range(restarts))
-    starts = [np.minimum(np.maximum(theta, lo), hi) for theta in starts]
+    starts = np.minimum(np.maximum(np.array(starts), lo), hi)
 
-    best_f = -np.inf
-    best = starts[0]
-    # _safe_fit and the ascent reject what overflows (module docstring).
+    # The fit core and the ascent reject what overflows (module docstring).
     with np.errstate(all="ignore"):
-        for theta in starts:
-            fit = _safe_fit(data, yc, theta)
-            if fit is None:
-                continue
-            f_end, theta_end = _ascend(data, yc, theta, fit, lo, hi, max_iter=max_iter)
-            if f_end > best_f:
-                best_f, best = f_end, theta_end
-    return KernelHyperparams.from_vector(best)
+        f, theta = _ascend(data, yc, starts, lo, hi, max_iter=max_iter)
+    # The first best start; the first start if every one fails.
+    return KernelHyperparams.from_vector(theta[int(np.argmax(f))])
 
 
 def gp_augment(

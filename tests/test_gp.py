@@ -1,6 +1,8 @@
+import collections
 import math
 import re
 import warnings
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -123,10 +125,10 @@ class TestKernelBits:
                 for lo, hi in ((-0.5, 1.5), (-40.0, 20.0)):
                     log_ls = rng.uniform(lo, hi, size=d)
                     h = KernelHyperparams(log_ls, float(rng.uniform(-5, 5)), -3.0)
-                    fit = gp_module._fit(data, data.Y - np.mean(data.Y), h.to_vector())
+                    fit = gp_module._fit(data, data.Y - np.mean(data.Y), h.to_vector()[None])
                     K = kernel_matrix(X, X, h)
                     assert K.shape == (n, n)
-                    assert np.array_equal(K, fit.K), (d, n, lo)
+                    assert np.array_equal(K, fit.K[0]), (d, n, lo)
 
     def test_predict_and_augment_use_the_same_bits(self):
         rng = np.random.default_rng(23)
@@ -522,16 +524,16 @@ class TestOnePassGradient:
     def symmetrized_gradient(data, fit, noise_variance):
         """The gradient from W = alpha alpha^T - K^-1 with K^-1 symmetrized first."""
         n, d = data.n, data.d
-        K_inv, info = lapack.dpotri(fit.factor.L, lower=1)
+        K_inv, info = lapack.dpotri(fit.factors[0].L, lower=1)
         assert info == 0
         K_inv += K_inv.T
         K_inv.flat[:: n + 1] *= 0.5
-        W = np.outer(fit.alpha, fit.alpha)
+        W = np.outer(fit.alpha[0], fit.alpha[0])
         W -= K_inv
         trace_m = float(np.trace(W))
-        W *= fit.K
+        W *= fit.K[0]
         grad = np.empty(d + 2)
-        grad[:d] = -(data.sq_diffs @ W.ravel()) * fit.weights
+        grad[:d] = -(data.sq_diffs @ W.ravel()) * fit.weights[0]
         grad[d] = 0.5 * float(W.sum())
         grad[d + 1] = 0.5 * noise_variance * trace_m
         return grad
@@ -561,10 +563,10 @@ class TestOnePassGradient:
         jittered = 0
         for data, theta in cases:
             yc = data.Y - np.mean(data.Y)
-            fit = gp_module._fit(data, yc, theta)
-            jittered += fit.factor.jitter_used > 0.0
+            fit = gp_module._fit(data, yc, theta[None])
+            jittered += fit.factors[0].jitter_used > 0.0
             noise = math.exp(theta[-1])
-            got = gp_module._lml_gradient(data, fit)
+            got = gp_module._lml_gradient(data, fit, [0])[0]
             assert got.tobytes() == self.symmetrized_gradient(data, fit, noise).tobytes()
         assert jittered > 20
 
@@ -615,7 +617,8 @@ def training_box(data, ranges):
     """The box train_hyperparams keeps theta in, built from its docstring."""
     var_y = max(float(np.var(data.Y)), 1e-8)
     log_r = np.log(ranges)
-    lo = np.r_[log_r - math.log(100.0), -300.0, math.log(max(1e-8, 1e-8 * var_y))]
+    noise_floor = min(math.log(max(1e-8, 1e-8 * var_y)), 300.0)
+    lo = np.r_[log_r - math.log(100.0), -300.0, noise_floor]
     hi = np.r_[log_r + math.log(100.0), 300.0, 300.0]
     return lo, hi
 
@@ -642,6 +645,220 @@ def trained_spawns():
         )
         spawns.append((data, seed, trained))
     return spawns
+
+
+# The sequential ascent that train_hyperparams ran before its starts climbed
+# in lockstep: one start at a time, one theta per fit.  It is the reference
+# the lockstep ascent must match bit for bit.  It calls cholesky_spd and
+# chol_inverse_lower through dimsched.gp, so a test can count those calls
+# on both sides.
+
+
+class OracleFit(NamedTuple):
+    lml: float
+    factor: object
+    alpha: np.ndarray
+    K: np.ndarray
+    weights: np.ndarray
+    noise_variance: float
+
+
+def oracle_fit(data, yc, theta):
+    n = data.n
+    weights = gp_module._kernel_weights(theta[:-2])
+    noise_variance = math.exp(theta[-1])
+    K = gp_module._kernel(weights, data.sq_diffs, math.exp(theta[-2])).reshape(n, n)
+    K_noisy = K.copy()
+    K_noisy.reshape(-1)[:: n + 1] += noise_variance
+    factor = gp_module.cholesky_spd(K_noisy)
+    alpha = gp_module._solve_alpha(factor, yc)
+    log_det = 2.0 * float(np.log(factor.L.diagonal()).sum())
+    lml = -0.5 * (float(yc @ alpha) + log_det + n * gp_module._LOG_2PI)
+    return OracleFit(lml, factor, alpha, K, weights, noise_variance)
+
+
+def oracle_safe_fit(data, yc, theta):
+    try:
+        fit = oracle_fit(data, yc, theta)
+    except (NotPositiveDefinite, DimensionMismatch):
+        return None
+    return fit if math.isfinite(fit.lml) else None
+
+
+def oracle_gradient(data, fit):
+    n, d = data.n, data.d
+    K_inv = gp_module.chol_inverse_lower(fit.factor)
+    W = np.outer(fit.alpha, fit.alpha)
+    W -= K_inv
+    K_inv.flat[:: n + 1] = 0.0
+    W -= K_inv.T
+    trace_m = float(np.trace(W))
+    W *= fit.K
+    grad = np.empty(d + 2)
+    grad[:d] = -(data.sq_diffs @ W.ravel()) * fit.weights
+    grad[d] = 0.5 * float(W.sum())
+    grad[d + 1] = 0.5 * fit.noise_variance * trace_m
+    return grad
+
+
+def oracle_armijo(data, yc, theta, f, pg, p, lo, hi):
+    t = 1.0
+    while True:
+        cand = np.minimum(np.maximum(theta + t * p, lo), hi)
+        s = cand - theta
+        predicted = float(pg @ s)
+        if not predicted > gp_module._REL_GAIN_TOL * max(abs(f), 1.0):
+            return None
+        trial = oracle_safe_fit(data, yc, cand)
+        if trial is None:
+            t *= 0.1
+            continue
+        gain = trial.lml - f
+        if gain >= 1e-4 * predicted:
+            return cand, s, trial
+        t *= min(max(0.5 * predicted / (predicted - gain), 0.1), 0.5)
+
+
+def oracle_ascend(data, yc, theta, fit, lo, hi, max_iter, events):
+    f = fit.lml
+    H = None
+    s = None
+    steps = 0
+    for _ in range(max_iter):
+        try:
+            g_next = oracle_gradient(data, fit)
+        except NotPositiveDefinite:
+            break
+        if s is not None:
+            y = g - g_next
+            sy = float(s @ y)
+            if sy > 0.0:
+                if H is None:
+                    H = np.diag(np.full(len(s), sy / float(y @ y)))
+                Hy = H @ y
+                rho = 1.0 / sy
+                v = s * (0.5 * rho * rho * (sy + float(y @ Hy)))
+                v -= rho * Hy
+                W = v[:, None] * s
+                H += W
+                H += W.T
+        g = g_next
+        held = np.where(g > 0.0, theta >= hi, theta <= lo)
+        pg = g.copy()
+        pg[held] = 0.0
+        pg_max = float(np.maximum.reduce(np.abs(pg)))
+        if not (math.isfinite(pg_max) and pg_max >= gp_module._GRAD_TOL):
+            break
+        while True:
+            p = pg / max(1.0, pg_max) if H is None else H @ pg
+            p[held] = 0.0
+            slope = float(p @ pg)
+            found = (
+                oracle_armijo(data, yc, theta, f, pg, p, lo, hi)
+                if 0.0 < slope < math.inf else None
+            )
+            if found is not None or H is None:
+                break
+            H = None
+            events["H reset"] += 1
+        if found is None:
+            break
+        theta, s, fit = found
+        steps += 1
+        f_last, f = f, fit.lml
+        if f - f_last <= gp_module._REL_GAIN_TOL * max(abs(f), abs(f_last), 1.0):
+            break
+    if steps == 1:
+        events["stopped after one step"] += 1
+    return f, theta
+
+
+def oracle_train(data, restarts=3, rng=None, bounds_ranges=None, max_iter=200, warm_start=None):
+    """train_hyperparams with its starts climbing one after another."""
+    events = collections.Counter()
+    rng = np.random.default_rng(rng)
+    _, yc, var_y = data._centred
+    var_y = max(var_y, 1e-8)
+    ranges = _coordinate_ranges(data, bounds_ranges)
+    lo, hi = training_box(data, ranges)
+    starts = [] if warm_start is None else [warm_start.to_vector()]
+    starts.extend(_random_start(rng, ranges, var_y) for _ in range(restarts))
+    best_f, best = -np.inf, np.minimum(np.maximum(starts[0], lo), hi)
+    with np.errstate(all="ignore"):
+        for theta in starts:
+            theta = np.minimum(np.maximum(theta, lo), hi)
+            fit = oracle_safe_fit(data, yc, theta)
+            if fit is None:
+                events["first fit failed"] += 1
+                continue
+            f_end, theta_end = oracle_ascend(data, yc, theta, fit, lo, hi, max_iter, events)
+            if f_end > best_f:
+                best_f, best = f_end, theta_end
+    return best, events
+
+
+def assert_matches_oracle(monkeypatch, data, **kwargs):
+    """train_hyperparams and oracle_train give the same bits from the same
+    calls to cholesky_spd and chol_inverse_lower; returns the oracle's events."""
+    counts = {}
+    for name in ("cholesky_spd", "chol_inverse_lower"):
+        counts[name] = count_calls(monkeypatch, name)
+    trained = train_hyperparams(data, **kwargs).to_vector()
+    lockstep_counts = {name: len(calls) for name, calls in counts.items()}
+    for calls in counts.values():
+        calls.clear()
+    expected, events = oracle_train(data, **kwargs)
+    monkeypatch.undo()
+    assert trained.tobytes() == expected.tobytes()
+    assert lockstep_counts == {name: len(calls) for name, calls in counts.items()}
+    return events
+
+
+class TestLockstepMatchesSequential:
+    """train_hyperparams against the sequential ascent it replaced."""
+
+    def test_spawn_sized_st10(self, monkeypatch, trained_spawns):
+        for data, seed, _ in trained_spawns:
+            assert_matches_oracle(
+                monkeypatch, data, restarts=3, rng=seed, bounds_ranges=SPAWN_RANGES,
+                max_iter=100,
+            )
+
+    @pytest.mark.parametrize("n", [30, 90, 160, 220])
+    def test_retrain_shaped(self, monkeypatch, n):
+        # As a BO retrain: 10-d, the data's ranges, a warm start from the
+        # model of the first n - 10 points and one random restart.
+        rng = np.random.default_rng(38 + n)
+        data = styblinski_tang_data(rng, n, 10)
+        head = Dataset(data.X[:-10], data.Y[:-10])
+        warm = train_hyperparams(head, restarts=1, rng=rng, max_iter=20)
+        seed = int(rng.integers(2**32))
+        assert_matches_oracle(
+            monkeypatch, data, restarts=1, rng=seed, warm_start=warm, max_iter=20
+        )
+
+    def test_edge_cases(self, monkeypatch):
+        # max_iter of 0, 1 and 2; a warm start whose first fit fails (a nan
+        # lengthscale); small and duplicated data; starts far outside the box.
+        # Over all of them, ascents stop after one step and reset H.
+        rng = np.random.default_rng(39)
+        events = collections.Counter()
+        for case in range(60):
+            d = int(rng.integers(1, 6))
+            n = int(rng.integers(2, 30))
+            data = styblinski_tang_data(rng, n, d, duplicates=int(rng.integers(0, n // 2 + 1)))
+            warm = None
+            if case % 3 == 1:
+                warm = KernelHyperparams.from_vector(rng.uniform(-5.0, 5.0, size=d + 2))
+            elif case % 3 == 2:
+                warm = KernelHyperparams(np.full(d, np.nan), 0.0, -2.0)
+            events += assert_matches_oracle(
+                monkeypatch, data, restarts=int(rng.integers(1, 4)), rng=case,
+                max_iter=[0, 1, 2, 30][case % 4], warm_start=warm,
+            )
+        assert events["first fit failed"] >= 20
+        assert events["stopped after one step"] >= 10
+        assert events["H reset"] >= 1
 
 
 class TestTraining:
@@ -759,13 +976,13 @@ class TestTraining:
         with pytest.raises(DimensionMismatch, match=message):
             train_hyperparams(data, restarts=1, rng=0, warm_start=warm)
 
-    @pytest.mark.parametrize("name", ["_fit", "chol_inverse_lower"])
+    @pytest.mark.parametrize("name", ["cholesky_spd", "chol_inverse_lower"])
     def test_one_failure_inside_the_ascent(self, monkeypatch, name):
-        # The second call fails.  Of _fit, that is the first trial point of
-        # the line search, whose step is then cut tenfold; of
-        # chol_inverse_lower (LAPACK's dpotri), the gradient after the first
-        # step, which stops the ascent there.  Either way training returns
-        # a point whose LML is no lower than its start's.
+        # The second call fails.  Of cholesky_spd, that is the factorization
+        # of the first trial point of the line search, whose step is then cut
+        # tenfold; of chol_inverse_lower (LAPACK's dpotri), the gradient after
+        # the first step, which stops the ascent there.  Either way training
+        # returns a point whose LML is no lower than its start's.
         calls = []
         original = getattr(gp_module, name)
 
@@ -783,7 +1000,7 @@ class TestTraining:
         monkeypatch.setattr(gp_module, name, fails_second_call)
         trained = train_hyperparams(data, restarts=0, warm_start=start, max_iter=20)
         monkeypatch.undo()
-        if name == "_fit":
+        if name == "cholesky_spd":
             assert len(calls) > 2  # the line search went on after the failure
         else:
             assert len(calls) == 2  # no gradient after the failed one
@@ -829,6 +1046,21 @@ class TestTraining:
             theta = trained.to_vector()
             assert np.all(theta >= lo - 1e-12) and np.all(theta <= hi + 1e-12)
 
+    def test_huge_targets_train_inside_the_box(self):
+        # Targets of +-1e150 have variance 1e300: the noise floor
+        # log(1e-8 var(Y)) = 672.4 lies above log sigma_n^2's upper bound of
+        # 300, and is capped there, so the box is not empty.
+        rng = np.random.default_rng(40)
+        X = rng.uniform(-1.0, 1.0, size=(12, 3))
+        data = Dataset(X, np.where(np.sin(7.0 * X.sum(axis=1)) > 0.0, 1e150, -1e150))
+        lo, hi = training_box(data, _coordinate_ranges(data))
+        assert lo[-1] == hi[-1] == 300.0
+        for warm in (None, KernelHyperparams(np.zeros(3), 0.0, 0.0)):
+            trained = train_hyperparams(data, restarts=2, rng=0, warm_start=warm, max_iter=30)
+            theta = trained.to_vector()
+            assert np.all((lo <= theta) & (theta <= hi))
+            assert trained.log_noise_variance == 300.0
+
     def test_matches_lbfgsb_in_the_box(self, trained_spawns):
         # scipy.optimize only here: importing it would add to every run's setup.
         from scipy.optimize import minimize
@@ -862,7 +1094,8 @@ class TestTraining:
 
     def test_bo_retrain_fits_per_gradient(self, monkeypatch):
         # A retrain's full steps pass: at most 1.3 fits per gradient, counting
-        # the fit at each start.
+        # the fit at each start.  A call fits or differentiates a stack of
+        # starts, so its rows are counted.
         rng = np.random.default_rng(36)
         data = styblinski_tang_data(rng, 120, 10)
         head = Dataset(data.X[:110], data.Y[:110])
@@ -870,8 +1103,10 @@ class TestTraining:
         fits = count_calls(monkeypatch, "_fit")
         gradients = count_calls(monkeypatch, "_lml_gradient")
         train_hyperparams(data, restarts=1, rng=rng, warm_start=warm, max_iter=20)
-        assert len(gradients) >= 20
-        assert len(fits) <= 1.3 * len(gradients)
+        fitted = sum(len(thetas) for _, _, thetas in fits)
+        differentiated = sum(len(rows) for _, _, rows in gradients)
+        assert differentiated >= 20
+        assert fitted <= 1.3 * differentiated
 
 
 class TestAugment:

@@ -250,6 +250,22 @@ def test_targets_that_cannot_be_centred_fail_by_name(loop):
             loop(objective, Bounds([-1.0, -1.0, -1.0], [1.0, 1.0, 1.0]), config)
 
 
+@pytest.mark.parametrize("loop", [run_bo, run_dsa])
+def test_huge_targets_run_to_the_end(loop):
+    # Values of +-1e150: their variance, 1e300, still centres, and the
+    # trainer's noise floor is capped at its upper bound, so both loops run
+    # every iteration without a floating-point warning.
+    def objective(x):
+        return 1e150 if np.sin(7.0 * np.sum(x)) > 0.0 else -1e150
+
+    config = RunConfig(n_init=6, max_iter=10, seed=0, direct_config=small_direct())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = loop(objective, Bounds([-1.0, -1.0, -1.0], [1.0, 1.0, 1.0]), config)
+    assert not result.aborted
+    assert len(result.records) == 10
+
+
 class TestRunDsa:
     def test_state_machine_invariants(self):
         objective = CountingObjective(sphere)
