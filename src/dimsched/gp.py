@@ -9,9 +9,13 @@ noise floor, at most 300, and 300.  From each start, projected onto the
 box, a projected BFGS ascent with an Armijo line search climbs the log
 marginal likelihood until its projected gradient or its relative gain
 per step is negligible.  The starts climb in lockstep, one row each of a
-stack: a round fits every start's next point at once and differentiates
-the ones that passed at once, and each start takes the steps it would
-take alone, bit for bit.  The box is the cheapest form of a lengthscale
+stack: a round fits every start's next point and differentiates the ones
+that passed, and each start takes the steps it would take alone, bit for
+bit.  A round costs each start's own calls (its factorization, solves,
+inverse and log-determinant) plus one set of stacked numpy calls, the
+same at every stack height: rows that move while others wait are written
+in place, one row at a time, and a stack is gathered only when a start
+stops.  The box is the cheapest form of a lengthscale
 prior scaled to the search space (Hvarfner, Hellsten & Nardi, ICML 2024): it
 keeps the ascent off the plateaus of near-zero lengthscales, where a GP
 is white noise away from its data.
@@ -19,7 +23,8 @@ is white noise away from its data.
 One kernel formula: k(X, X2) = sigma_f^2 * exp(w @ D), where D holds the
 squared coordinate differences coordinate-major, (d, m*n), and w the
 weights -0.5 * min(1/ell^2, max float).  The fit core, prediction and the
-O(n^2) append all build the kernel so, and so agree bit for bit.  Values
+O(n^2) append all build the kernel so, as ``_correlation`` scaled by
+sigma_f^2, and so agree bit for bit.  Values
 below eps^2 * sigma_f^2 (exponents below 2 ln eps) are set to exactly 0:
 they cannot move alpha, the LML or a prediction, and left in they become
 subnormal numbers in the Cholesky factor, which x86 handles 10-100 times
@@ -55,7 +60,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionMismatch, DimschedError, NotPositiveDefinite
+from .errors import DimensionMismatch, DimschedError, NotPositiveDefinite, _as_int
 from .linalg import (
     CholFactor,
     chol_append,
@@ -111,7 +116,7 @@ class Dataset:
 
         Column i*n + j is (x_i - x_j)**2.  Training evaluates many
         hyperparameters on one dataset, and every kernel it needs is
-        ``_kernel(weights, sq_diffs, sigma_f^2)`` for some weights.
+        sigma_f^2 * ``_correlation(weights, sq_diffs)`` for some weights.
         """
         return _sq_diffs(self.columns, self.columns)
 
@@ -235,14 +240,16 @@ def _kernel_weights(log_lengthscales: np.ndarray) -> np.ndarray:
     1/ell^2 is capped at the largest float, so a zero difference times an
     overflowed 1/ell^2 is 0, never nan.
     """
-    return -0.5 * np.minimum(np.exp(-2.0 * log_lengthscales), _FLOAT_MAX)
+    weights = np.exp(-2.0 * log_lengthscales)
+    np.minimum(weights, _FLOAT_MAX, out=weights)
+    weights *= -0.5
+    return weights
 
 
-def _kernel(weights: np.ndarray, sq_diffs: np.ndarray, signal_variance) -> np.ndarray:
-    """sigma_f^2 * exp(weights @ sq_diffs), 0 below eps^2 * sigma_f^2.
+def _correlation(weights: np.ndarray, sq_diffs: np.ndarray) -> np.ndarray:
+    """exp(weights @ sq_diffs), 0 below eps^2: the kernel before sigma_f^2.
 
-    Flat (m*n,) from weights (d,) and a float sigma_f^2; (k, 1, m*n) from a
-    stack of weights (k, 1, d) and of sigma_f^2 (k, 1, 1).
+    Flat (m*n,) from weights (d,); (k, 1, m*n) from a stack of weights (k, 1, d).
     """
     K = weights @ sq_diffs
     kept = K >= _EXPONENT_FLOOR
@@ -250,13 +257,13 @@ def _kernel(weights: np.ndarray, sq_diffs: np.ndarray, signal_variance) -> np.nd
     np.maximum(K, _EXPONENT_FLOOR, out=K)
     np.exp(K, out=K)
     K *= kept
-    K *= signal_variance
     return K
 
 
 def _cross_cov(Xt: np.ndarray, X2t: np.ndarray, hyper: KernelHyperparams) -> np.ndarray:
     """k(X, X2), (m, n), from coordinate-major Xt (d, m) and X2t (d, n)."""
-    K = _kernel(hyper._weights, _sq_diffs(Xt, X2t), hyper.signal_variance)
+    K = _correlation(hyper._weights, _sq_diffs(Xt, X2t))
+    K *= hyper.signal_variance
     return K.reshape(Xt.shape[1], X2t.shape[1])
 
 
@@ -297,10 +304,10 @@ class _Fit(NamedTuple):
 
     lml: list[float]  # per row; nan where the factorization failed
     factors: list  # per row, its CholFactor or the DimschedError that factorizing raised
-    alpha: np.ndarray  # (k, n)
+    alpha: np.ndarray  # (k, n); unset where the factorization failed
     K: np.ndarray  # (k, n, n), noise-free k(X, X)
     weights: np.ndarray  # (k, d), -0.5 / ell^2
-    noise_variance: np.ndarray  # (k,), sigma_n^2
+    noise_variance: list[float]  # per row, sigma_n^2
 
 
 def _stacked_rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -319,38 +326,48 @@ def _fit(data: Dataset, yc: np.ndarray, thetas: np.ndarray) -> _Fit:
     """The one fit core: K + sigma_n^2 I at each row of thetas, its factor, alpha and LML.
 
     theta is [log ell_1..d, log sigma_f^2, log sigma_n^2] and yc the
-    centred targets, checked finite.  K is built from ``data.sq_diffs`` for
-    the whole stack, in forms that give each row the bits of a fit of that
-    row alone; each row is factorized and solved on its own, and its LML
-    summed as a Python float.  A row whose factorization raises keeps the
-    error in place of its factor.
+    centred targets, checked finite.  exp(w @ D) is built from
+    ``data.sq_diffs`` for the whole stack, in forms that give each row the
+    bits of a fit of that row alone; each row is then scaled by its own
+    sigma_f^2, factorized and solved on its own, and its LML summed as a
+    Python float.  sigma_f^2 and sigma_n^2 stay Python floats, so a row's
+    scaling and diagonal cost one call each at any stack height, where a
+    stacked form would first build an array of them.  A row whose
+    factorization raises keeps the error in place of its factor.
     """
     k, n = thetas.shape[0], data.n
     weights = _kernel_weights(thetas[:, :-2])
-    # [sigma_f^2, sigma_n^2] per row, by math.exp: np.exp differs in the last bit.
-    variances = np.array([[math.exp(sf), math.exp(sn)] for sf, sn in thetas[:, -2:].tolist()])
-    K = _kernel(weights[:, None, :], data.sq_diffs, variances[:, :1, None]).reshape(k, n, n)
-    # K's diagonal is sigma_f^2 exactly, as exp(0) = 1.  So sigma_n^2 is added
-    # to it in place for the factorizations, and the diagonal is set back
-    # after them: no copy of K.
-    K_diagonal = K.reshape(k, n * n)[:, :: n + 1]  # a view: K is C-ordered
-    K_diagonal += variances[:, 1:]
+    # Each row is scaled by its own sigma_f^2 below.
+    K = _correlation(weights[:, None, :], data.sq_diffs).reshape(k, n, n)
+    # K's diagonal is sigma_f^2 exactly, as exp(0) = 1.  So sigma_n^2 is
+    # added to it in place for each factorization, and the diagonal is set
+    # back after it: no copy of K.
+    K_diagonals = K.reshape(k, n * n)[:, :: n + 1]  # a view: K is C-ordered
     lml = []
     factors = []
-    alpha = np.zeros((k, n))
-    for j in range(k):
+    noise_variance = []
+    alpha = np.empty((k, n))
+    constant = n * _LOG_2PI
+    # sigma_f^2 and sigma_n^2 per row, by math.exp: np.exp differs in the last bit.
+    for j, (sf, sn) in enumerate(thetas[:, -2:].tolist()):
+        signal, noise = math.exp(sf), math.exp(sn)
+        noise_variance.append(noise)
+        K_j = K[j]
+        K_j *= signal
+        K_diagonal = K_diagonals[j]
+        K_diagonal += noise
         try:
-            factor = cholesky_spd(K[j])
+            factor = cholesky_spd(K_j)
         except (NotPositiveDefinite, DimensionMismatch) as exc:
             lml.append(math.nan)
             factors.append(exc)
-            continue
-        factors.append(factor)
-        alpha[j] = alpha_j = _solve_alpha(factor, yc)
-        log_det = 2.0 * float(np.add.reduce(np.log(factor.L.diagonal())))
-        lml.append(-0.5 * (float(yc @ alpha_j) + log_det + n * _LOG_2PI))
-    K_diagonal[...] = variances[:, :1]
-    return _Fit(lml, factors, alpha, K, weights, variances[:, 1])
+        else:
+            factors.append(factor)
+            alpha[j] = alpha_j = _solve_alpha(factor, yc)
+            log_det = 2.0 * float(np.add.reduce(np.log(factor.L.diagonal())))
+            lml.append(-0.5 * (float(yc @ alpha_j) + log_det + constant))
+        K_diagonal[...] = signal
+    return _Fit(lml, factors, alpha, K, weights, noise_variance)
 
 
 def _solve_alpha(factor: CholFactor, yc: np.ndarray) -> np.ndarray:
@@ -381,15 +398,16 @@ def _lml_gradient(data: Dataset, fit: _Fit, rows: list[int]) -> np.ndarray:
     the trace identity 0.5 * tr((alpha alpha^T - K^-1) dK/dtheta)
     (Rasmussen & Williams 2006, eq. 5.9), with K^-1 from each row's factor.
     With W = (alpha alpha^T - K^-1) o K, every lengthscale component comes
-    from one product with ``data.sq_diffs``, times 0.5/ell^2 = -weights.
-    A row whose K^-1 cannot be formed is nan.
+    from one product with ``data.sq_diffs``, times 0.5/ell^2 = -weights;
+    the two variance components are Python floats from W's row sums and
+    traces.  A row whose K^-1 cannot be formed is nan.
     """
     n, d = data.n, data.d
     m = len(rows)
     every = m == len(fit.factors)
-    alpha, weights, noise_variance = fit.alpha, fit.weights, fit.noise_variance
+    alpha, weights = fit.alpha, fit.weights
     if not every:
-        alpha, weights, noise_variance = alpha[rows], weights[rows], noise_variance[rows]
+        alpha, weights = alpha.take(rows, axis=0), weights.take(rows, axis=0)
     W = alpha[:, :, None] * alpha[:, None, :]
     for i, j in enumerate(rows):
         try:
@@ -399,22 +417,27 @@ def _lml_gradient(data: Dataset, fit: _Fit, rows: list[int]) -> np.ndarray:
             continue
         # alpha alpha^T - K^-1 without forming the symmetric K^-1: subtract
         # the lower triangle, then its transpose with the diagonal zeroed.
-        W[i] -= K_inv
+        W_i = W[i]
+        W_i -= K_inv
         upper = K_inv.T  # C-ordered: LAPACK's K_inv is Fortran-ordered
         upper.reshape(n * n)[:: n + 1] = 0.0
-        W[i] -= upper
+        W_i -= upper
     W_flat = W.reshape(m, n * n)
-    trace_m = np.add.reduce(W_flat[:, :: n + 1], axis=1)
+    traces = np.add.reduce(W_flat[:, :: n + 1], axis=1).tolist()
     if every:
         W *= fit.K
     else:  # no copy of the rows of K
         for i, j in enumerate(rows):
             W[i] *= fit.K[j]
+    sums = np.add.reduce(W_flat, axis=1).tolist()
 
     grad = np.empty((m, d + 2))
-    grad[:, :d] = -(data.sq_diffs @ W_flat[:, :, None])[:, :, 0] * weights
-    grad[:, d] = 0.5 * np.add.reduce(W_flat, axis=1)
-    grad[:, d + 1] = 0.5 * noise_variance * trace_m
+    lengthscale = (data.sq_diffs @ W_flat[:, :, None])[:, :, 0]
+    np.negative(lengthscale, out=lengthscale)
+    np.multiply(lengthscale, weights, out=grad[:, :d])
+    for i, j in enumerate(rows):  # the variances' components as Python floats
+        grad[i, d] = 0.5 * sums[i]
+        grad[i, d + 1] = 0.5 * fit.noise_variance[j] * traces[i]
     return grad
 
 
@@ -463,43 +486,39 @@ def _ascend(
     the rows whose point passed as one stack; a row leaves when its ascent
     stops.  Each row takes the steps it would take alone, bit for bit:
     per-row scalars are Python floats, as in a single ascent, and the
-    stacked forms give each row the bits of its own 1-D computation.
-    Each trial point is fitted once, and the accepted trial's fit gives
-    the next gradient.  Returns each start's LML, -inf where its first
-    fit fails, and its last accepted point.
+    stacked forms give each row the bits of its own 1-D computation.  A
+    round's numpy calls act on whole stacks, whatever their height; rows
+    that moved while others did not are written in place, one row at a
+    time, so no stack is copied for them.  Each trial point is fitted
+    once, and the accepted trial's fit gives the next gradient.  Returns
+    each start's LML, -inf where its first fit fails, and its last
+    accepted point.
     """
     k, p = thetas.shape
     f_end = np.full(k, -np.inf)
     theta_end = thetas.copy()
 
-    # Row i of every stack and list is the ascent from start[i].
+    # Row i of every stack and list is the ascent from start[i].  The
+    # stacks are this function's own, so rows are written in place.
     start = list(range(k))
-    theta = cand = thetas  # the last accepted point, and the point to fit next
-    step = s = g = pg = direction = np.zeros((k, p))  # replaced, never written in place
+    theta = cand = thetas.copy()  # the last accepted point, and the point to fit next
+    step, s, g, pg, direction = (np.zeros((k, p)) for _ in range(5))
     held = np.zeros((k, p), dtype=bool)
-    pg_max = np.zeros(k)
     H = np.zeros((k, p, p))
     f = [-math.inf] * k  # the LML at theta
+    pg_max = [0.0] * k  # the largest |pg|, nan or inf if a free component is
     predicted = [0.0] * k  # the LML gain pg predicts for cand - theta
     t = [1.0] * k  # the Armijo step length
     has_H = [False] * k  # else H is the identity, unscaled
     gradients = [0] * k
     first = True
 
-    def trial(full_steps: bool):
-        """Every row's point at step t along its direction, projected on the
-        box, its step from theta and the LML gain pg predicts for that step;
-        full_steps if every t is 1."""
-        moved = direction if full_steps else np.array(t)[:, None] * direction
-        c = np.minimum(np.maximum(theta + moved, lo), hi)
-        c_step = c - theta
-        return c, c_step, _rowdot(pg, c_step).tolist()
-
-    def along_pg():
-        """pg scaled to at most 1 in every coordinate, held coordinates zeroed."""
-        scaled = pg / np.maximum(pg_max, 1.0)[:, None]
-        scaled[held] = 0.0
-        return scaled
+    def along_pg(rows):
+        """Each row's pg scaled to at most 1 in every coordinate, held coordinates zeroed."""
+        for i in rows:
+            scaled = direction[i]
+            np.divide(pg[i], max(pg_max[i], 1.0), out=scaled)
+            scaled[held[i]] = 0.0
 
     while True:
         m = len(start)
@@ -507,11 +526,11 @@ def _ascend(
         passed = []  # rows whose point is accepted
         climb = []  # of these, the rows that take a gradient
         searching = []  # rows that backtrack along their direction
-        stop = set()
+        stop = []
         for i, value in enumerate(fit.lml):
             if not math.isfinite(value):
                 if first:
-                    stop.add(i)  # f stays -inf
+                    stop.append(i)  # f stays -inf
                 else:  # no parabola to fit: cut the step tenfold
                     t[i] *= 0.1
                     searching.append(i)
@@ -527,9 +546,9 @@ def _ascend(
             f_last, f[i] = f[i], value
             passed.append(i)
             if not first and gain <= _REL_GAIN_TOL * max(abs(value), abs(f_last), 1.0):
-                stop.add(i)
+                stop.append(i)
             elif gradients[i] == max_iter:
-                stop.add(i)
+                stop.append(i)
             else:
                 gradients[i] += 1
                 climb.append(i)
@@ -537,101 +556,101 @@ def _ascend(
             if len(passed) == m:
                 theta, s = cand, step
             else:
-                theta, s = theta.copy(), s.copy()
-                theta[passed] = cand[passed]
-                s[passed] = step[passed]
+                for i in passed:
+                    theta[i] = cand[i]
+                    s[i] = step[i]
 
         new = []  # rows that start a new search
         if climb:
-            g_climb = _lml_gradient(data, fit, climb)
-            if len(climb) == m:
-                g_next = g_climb
-            else:  # the other rows keep g, so their y is 0 and H stays
-                g_next = g.copy()
-                g_next[climb] = g_climb
+            g_next = _lml_gradient(data, fit, climb)
+            if len(climb) < m:  # the other rows keep g, so their y is 0 and H stays
+                g_climb, g_next = g_next, g.copy()
+                for i, j in enumerate(climb):
+                    g_next[j] = g_climb[i]
             if not first:
                 # BFGS update of H by the step just taken, where s^T y > 0
                 # (never on a y of 0, nor on one that is not finite).
                 y = g - g_next
                 sy = _rowdot(s, y).tolist()
-                update = [v > 0.0 for v in sy]
-                if any(update):
-                    for i in climb:
-                        if update[i] and not has_H[i]:
+                update = [i for i in climb if sy[i] > 0.0]
+                if update:
+                    for i in update:
+                        if not has_H[i]:
                             H[i] = np.diag(np.full(p, sy[i] / float(y[i] @ y[i])))
                             has_H[i] = True
                     # (I - rho s y^T) H (I - rho y s^T) + rho s s^T, as H + v s^T + s v^T.
                     Hy = (H @ y[:, :, None])[:, :, 0]  # as H[j] @ y[j], by gemv
                     coefficients = []  # [rho, 0.5 rho^2 (s^T y + y^T H y)] per row
-                    for u, a, b in zip(update, sy, _rowdot(y, Hy).tolist()):
-                        rho = 1.0 / a if u else 0.0
+                    for a, b in zip(sy, _rowdot(y, Hy).tolist()):
+                        rho = 1.0 / a if a > 0.0 else 0.0
                         coefficients.append((rho, 0.5 * rho * rho * (a + b)))
                     c = np.array(coefficients)
                     v = s * c[:, 1:]
                     v -= c[:, :1] * Hy
                     W = v[:, :, None] * s[:, None, :]
-                    if all(update):
+                    if len(update) == m:
                         H += W
                         H += W.transpose(0, 2, 1)
                     else:
-                        H_next = H + W
-                        H_next += W.transpose(0, 2, 1)
-                        H = np.where(np.array(update)[:, None, None], H_next, H)
+                        for i in update:
+                            H_i = H[i]
+                            H_i += W[i]
+                            H_i += W[i].T
             # Rows without a new gradient keep theta and g, so these stay too.
+            # theta lies in the box, so it is at a bound exactly when equal to it.
             g = g_next
-            held = np.where(g > 0.0, theta >= hi, theta <= lo)
-            pg = np.where(held, 0.0, g)
-            pg_max = np.maximum.reduce(np.abs(pg), axis=1)  # nan or inf if a free component is
-            pg_maxes = pg_max.tolist()
+            held = theta == np.where(g > 0.0, hi, lo)
+            pg = g.copy()
+            pg[held] = 0.0
+            pg_max = np.maximum.reduce(np.abs(pg), axis=1).tolist()
             for i in climb:
-                if math.isfinite(pg_maxes[i]) and pg_maxes[i] >= _GRAD_TOL:
+                if _GRAD_TOL <= pg_max[i] < math.inf:  # false for nan
                     new.append(i)
                     t[i] = 1.0
                 else:
-                    stop.add(i)
+                    stop.append(i)
 
         # A new search goes along H pg, or along pg scaled to at most 1 per
         # coordinate without an H; it is tried where that is an ascent
         # direction and its trial point predicts a gain worth a fit.  A
         # search that gives up resets H and goes along pg; one along pg that
         # gives up stops the ascent.
-        slopes = [1.0] * m  # a backtracking row's direction is one of ascent
         if new:
-            if any(has_H):
-                aimed = (H @ pg[:, :, None])[:, :, 0]
-                aimed[held] = 0.0
-                if not all(has_H):
-                    aimed = np.where(np.array(has_H)[:, None], aimed, along_pg())
-            else:
-                aimed = along_pg()
-            if len(new) == m:
-                direction = aimed
-            else:
-                direction = direction.copy()
-                direction[new] = aimed[new]
+            aimed = [i for i in new if has_H[i]]
+            if aimed:
+                H_pg = (H @ pg[:, :, None])[:, :, 0]
+                H_pg[held] = 0.0
+                if len(aimed) == m:
+                    direction = H_pg
+                else:
+                    for i in aimed:
+                        direction[i] = H_pg[i]
+            if len(aimed) < len(new):
+                along_pg([i for i in new if not has_H[i]])
             slopes = _rowdot(direction, pg).tolist()  # not finite unless the direction is
-            for i in searching:
-                slopes[i] = 1.0
         full_steps = not searching
         while True:  # a second pass only for rows whose H was reset
-            cand, step, predicted = trial(full_steps)
+            moved = direction if full_steps else np.array(t)[:, None] * direction
+            cand = np.minimum(np.maximum(theta + moved, lo), hi)
+            step = cand - theta
+            predicted = _rowdot(pg, step).tolist()
             reset = []
-            for i in new + searching:
+            for i in new:
                 if not (
                     0.0 < slopes[i] < math.inf
                     and predicted[i] > _REL_GAIN_TOL * max(abs(f[i]), 1.0)
                 ):
-                    if has_H[i]:
-                        reset.append(i)
-                    else:
-                        stop.add(i)
+                    (reset if has_H[i] else stop).append(i)
+            # A backtracking row's direction is one of ascent.
+            for i in searching:
+                if not predicted[i] > _REL_GAIN_TOL * max(abs(f[i]), 1.0):
+                    (reset if has_H[i] else stop).append(i)
             if not reset:
                 break
             for i in reset:
                 has_H[i] = False
                 t[i] = 1.0
-            direction = direction.copy()
-            direction[reset] = along_pg()[reset]
+            along_pg(reset)
             slopes = _rowdot(direction, pg).tolist()
             new, searching = reset, []
 
@@ -642,11 +661,12 @@ def _ascend(
             if len(stop) == m:
                 return f_end, theta_end
             keep = [i for i in range(m) if i not in stop]
-            start, f, predicted, t, has_H, gradients = (
-                [values[i] for i in keep] for values in (start, f, predicted, t, has_H, gradients)
+            start, f, pg_max, predicted, t, has_H, gradients = (
+                [values[i] for i in keep]
+                for values in (start, f, pg_max, predicted, t, has_H, gradients)
             )
-            theta, cand, step, s, g, pg, held, pg_max, direction, H = (
-                a[keep] for a in (theta, cand, step, s, g, pg, held, pg_max, direction, H)
+            theta, cand, step, s, g, pg, held, direction, H = (
+                a.take(keep, axis=0) for a in (theta, cand, step, s, g, pg, held, direction, H)
             )
         first = False
 
@@ -667,7 +687,19 @@ def _coordinate_ranges(data: Dataset, bounds_ranges=None) -> np.ndarray:
             raise DimensionMismatch(f"{ranges.shape[0]} bounds ranges for {data.d}-d data")
         if not np.isfinite(ranges).all():
             raise ValueError(f"bounds ranges must be finite, got {ranges}")
+        negative = np.flatnonzero(ranges < 0.0)
+        if negative.size:
+            j = int(negative[0])
+            raise ValueError(f"bounds range of coordinate {j} is negative: {ranges[j]:g}")
     return np.where(ranges > 0, ranges, 1.0)
+
+
+def _count(name: str, value) -> int:
+    """value as a nonnegative int; else ValueError, naming name."""
+    value = _as_int(name, value)
+    if value < 0:
+        raise ValueError(f"{name} must be >= 0, got {value}")
+    return value
 
 
 def train_hyperparams(
@@ -695,8 +727,11 @@ def train_hyperparams(
     ones, the first.
 
     rng is what ``np.random.default_rng`` takes: None, a seed, or a
-    Generator, which is used as it is.
+    Generator, which is used as it is.  restarts and max_iter must be
+    integers >= 0, and bounds ranges finite and >= 0; a ValueError names
+    the argument, or the coordinate of a negative range.
     """
+    restarts, max_iter = _count("restarts", restarts), _count("max_iter", max_iter)
     if data.n < 2:
         raise DimensionMismatch("training needs at least two observations")
     if warm_start is not None and warm_start.d != data.d:
@@ -743,6 +778,7 @@ def gp_augment(
     retrain=True the hyperparameters are re-optimized, warm-started from
     the current values plus one random restart, and the model is refitted.
     """
+    retrain_max_iter = _count("retrain_max_iter", retrain_max_iter)
     data = model.data.append(x, y)
     hyper = model.hyper
     if retrain:

@@ -25,7 +25,7 @@ import importlib.util
 import math
 import os
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy  # its __init__ prepares the bundled OpenBLAS on some platforms
@@ -64,6 +64,9 @@ _SQRT_2 = math.sqrt(2.0)
 # Jitter ladder, as multiples of the mean diagonal of the input matrix.
 _JITTER_SCALES = (0.0, 1e-10, 1e-8, 1e-6, 1e-4)
 
+# The largest matrix whose symmetry is tested by its bytes (see _as_sym_matrix).
+_BYTES_TEST_MAX_N = 96
+
 
 def _non_finite() -> DimensionMismatch:
     return DimensionMismatch("matrix has non-finite entries")
@@ -73,7 +76,17 @@ def _as_sym_matrix(A) -> np.ndarray:
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise DimensionMismatch(f"expected square matrix, got shape {A.shape}")
-    if (A == A.T).all():  # cheap exact test first; A - A.T is slow to form
+    # The cheap exact test first.  Up to about 100 rows, equal bytes of A
+    # and its transpose are the cheaper test (n = 20: 0.7 against 2.7 µs for
+    # A == A.T); above, their two copies cost more (n = 220: 40 against 30).
+    # Where the bytes differ but the values compare equal (a -0.0 facing a
+    # 0.0), the tolerance test below accepts A as it is, and a nan facing its
+    # own bits passes to the factorization, which rejects it.
+    if A.shape[0] <= _BYTES_TEST_MAX_N:
+        symmetric = A.tobytes() == A.T.tobytes()
+    else:
+        symmetric = np.logical_and.reduce(A == A.T, axis=None)
+    if symmetric:
         return A
     scale = np.abs(A).max()
     if not math.isfinite(scale):
@@ -83,9 +96,12 @@ def _as_sym_matrix(A) -> np.ndarray:
     return A
 
 
-@dataclass(frozen=True)
-class CholFactor:
-    """Lower-triangular Cholesky factor of A + jitter*I."""
+class CholFactor(NamedTuple):
+    """Lower-triangular Cholesky factor of A + jitter*I.
+
+    A named tuple, not a frozen dataclass: it is read-only either way,
+    and the tuple is built in half the time, once per factorization.
+    """
 
     L: np.ndarray
     jitter_used: float
@@ -121,10 +137,12 @@ def _cholesky_lo(A: np.ndarray) -> np.ndarray:
 def _cholesky(A: np.ndarray, jitter: float) -> CholFactor:
     L = _cholesky_lo(A)  # raises LinAlgError if A is not positive definite
     # numpy does not raise on every non-finite input, but a non-finite
-    # entry of A's lower triangle always reaches L's diagonal.
-    if not math.isfinite(L.trace()):
+    # entry of A's lower triangle always reaches L's diagonal.  The diagonal
+    # is positive and at most sqrt(max float), so its sum is finite exactly
+    # when every entry is (L.trace() sums it too, with more overhead).
+    if not math.isfinite(np.add.reduce(L.diagonal())):
         raise _non_finite()
-    return CholFactor(L=L, jitter_used=jitter)
+    return CholFactor(L, jitter)
 
 
 def cholesky_spd(A) -> CholFactor:

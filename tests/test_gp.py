@@ -228,8 +228,11 @@ class TestInputChecks:
         [
             (Dataset(np.zeros((0, 2)), np.zeros(0)), hyper(2), "at least one observation"),
             (Dataset([[0.0, 1.0]], [1.0]), hyper(3), "hyper dim 3 != data dim 2"),
+            # One point: K is its diagonal alone, which a nan lengthscale
+            # makes nan, so sigma_n^2 must be added to it, not set in place.
+            (Dataset([[0.5]], [1.0]), KernelHyperparams([np.nan], 0.0, -2.0), "non-finite"),
         ],
-        ids=["no_observations", "hyper_of_wrong_dim"],
+        ids=["no_observations", "hyper_of_wrong_dim", "nan_lengthscale_one_point"],
     )
     def test_fit_rejected(self, data, h, message):
         with pytest.raises(DimensionMismatch, match=message):
@@ -667,7 +670,8 @@ def oracle_fit(data, yc, theta):
     n = data.n
     weights = gp_module._kernel_weights(theta[:-2])
     noise_variance = math.exp(theta[-1])
-    K = gp_module._kernel(weights, data.sq_diffs, math.exp(theta[-2])).reshape(n, n)
+    K = gp_module._correlation(weights, data.sq_diffs).reshape(n, n)
+    K *= math.exp(theta[-2])
     K_noisy = K.copy()
     K_noisy.reshape(-1)[:: n + 1] += noise_variance
     factor = gp_module.cholesky_spd(K_noisy)
@@ -817,10 +821,13 @@ def assert_matches_oracle(monkeypatch, data, **kwargs):
 class TestLockstepMatchesSequential:
     """train_hyperparams against the sequential ascent it replaced."""
 
-    def test_spawn_sized_st10(self, monkeypatch, trained_spawns):
+    @pytest.mark.parametrize("restarts", [1, 3])
+    def test_spawn_sized_st10(self, monkeypatch, trained_spawns, restarts):
+        # With one restart every round fits and differentiates a stack of
+        # one row, through the whole of each ascent.
         for data, seed, _ in trained_spawns:
             assert_matches_oracle(
-                monkeypatch, data, restarts=3, rng=seed, bounds_ranges=SPAWN_RANGES,
+                monkeypatch, data, restarts=restarts, rng=seed, bounds_ranges=SPAWN_RANGES,
                 max_iter=100,
             )
 
@@ -1022,6 +1029,37 @@ class TestTraining:
         data = styblinski_tang_data(np.random.default_rng(34), 10, 2)
         with pytest.raises(ValueError, match="bounds ranges must be finite"):
             train_hyperparams(data, restarts=1, rng=0, bounds_ranges=[1.0, bad])
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            (dict(max_iter=2.5), "max_iter must be an integer, got 2.5"),
+            (dict(max_iter=-1), "max_iter must be >= 0, got -1"),
+            (dict(restarts=1.5), "restarts must be an integer, got 1.5"),
+            (dict(restarts=-1), "restarts must be >= 0, got -1"),
+            (dict(bounds_ranges=[-1.0, 2.0]), "bounds range of coordinate 0 is negative: -1"),
+        ],
+        ids=["fractional_max_iter", "negative_max_iter", "fractional_restarts",
+             "negative_restarts", "negative_bounds_range"],
+    )
+    def test_argument_named_when_wrong(self, kwargs, message):
+        # Each of these used to train: a max_iter of 2.5 or -1 without a
+        # gradient cap, a negative range as its magnitude, and restarts=-1
+        # from the warm start alone; restarts=1.5 raised range()'s TypeError.
+        data = styblinski_tang_data(np.random.default_rng(41), 20, 2)
+        warm = KernelHyperparams(np.zeros(2), 0.0, -2.0)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            train_hyperparams(data, **{"rng": 0, "warm_start": warm, **kwargs})
+
+    @pytest.mark.parametrize(
+        "value, message", [(2.5, "an integer, got 2.5"), (-1, ">= 0, got -1")],
+        ids=["fractional", "negative"],
+    )
+    def test_retrain_max_iter_named_when_wrong(self, value, message):
+        data = styblinski_tang_data(np.random.default_rng(42), 12, 2)
+        model = gp_fit(data, hyper(2))
+        with pytest.raises(ValueError, match=re.escape(f"retrain_max_iter must be {message}")):
+            gp_augment(model, [0.5, 0.5], 1.0, retrain=True, rng=0, retrain_max_iter=value)
 
     def test_trained_point_stays_in_its_box(self):
         # Starts far outside the box, duplicated rows, data ranges and given

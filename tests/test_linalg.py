@@ -104,6 +104,21 @@ class TestCholesky:
         F = cholesky_spd(A)
         assert np.array_equal(F.L, cholesky_spd(A_lower).L)
 
+    @pytest.mark.parametrize("n", [5, 150], ids=["by_bytes", "by_value"])
+    def test_symmetry_tested_exactly_at_every_size(self, n):
+        # Small matrices are compared with their transpose by bytes, large
+        # ones by value: a -0.0 facing a 0.0 is symmetric either way, and
+        # an asymmetry beyond rounding is not.
+        M = np.random.default_rng(6).normal(size=(n, n))
+        A = M @ M.T + n * np.eye(n)
+        A[0, 1] = A[1, 0] = 0.0
+        expected = cholesky_spd(A).L
+        A[0, 1] = -0.0
+        assert cholesky_spd(A).L.tobytes() == expected.tobytes()
+        A[2, 0] += 1.0
+        with pytest.raises(DimensionMismatch, match="not symmetric"):
+            cholesky_spd(A)
+
     def test_jitter_leaves_input_unchanged(self):
         A = np.array([[1.0, 1.0], [1.0, 1.0]])
         F = cholesky_spd(A)
