@@ -11,6 +11,8 @@ from .linalg import std_normal_cdf, std_normal_pdf
 
 # Below this posterior std the closed form degenerates to its sigma -> 0 limit.
 _SIGMA_EPS = 1e-12
+# The divisor of a flat point's gap; np.where takes a 0-d array faster than a float.
+_ONE = np.array(1.0)
 
 
 def expected_improvement(model: GpModel, y_best: float, X) -> np.ndarray:
@@ -21,11 +23,14 @@ def expected_improvement(model: GpModel, y_best: float, X) -> np.ndarray:
     max(y_best - mu, 0).
     """
     mu, var = gp_predict(model, X)
-    sigma = np.sqrt(var)
-    gap = y_best - mu
+    # gp_predict's arrays are this call's own, so they are overwritten.
+    sigma = np.sqrt(var, out=var)
+    gap = np.subtract(y_best, mu, out=mu)
     flat = sigma < _SIGMA_EPS
-    z = gap / np.where(flat, 1.0, sigma)
-    ei = np.where(flat, gap, gap * std_normal_cdf(z) + sigma * std_normal_pdf(z))
+    z = gap / np.where(flat, _ONE, sigma)
+    ei = gap * std_normal_cdf(z)
+    ei += sigma * std_normal_pdf(z)
+    np.copyto(ei, gap, where=flat)
     np.maximum(ei, 0.0, out=ei)
     return ei
 
@@ -38,6 +43,7 @@ def acquisition_objective(model: GpModel, y_best: float) -> Callable[[np.ndarray
     """
 
     def neg_ei(X):
-        return -expected_improvement(model, y_best, X)
+        ei = expected_improvement(model, y_best, X)
+        return np.negative(ei, out=ei)
 
     return neg_ei

@@ -15,9 +15,13 @@ the hull one head per diameter, in ascending diameter, and the heads it
 selects are divided in that order; the classes are listed in that order
 as they appear, so no iteration sorts them.  The hull starts at the first
 head of least value, which is the best value found so far and gives the
-improvement target.  The probes of one iteration are built as float
-tuples and handed to the objective as one array, which it scores in one
-call.  Deterministic for a given objective, bounds and configuration.
+improvement target; where a product of differences in the hull's test
+underflows, the test is decided in exact rational arithmetic.  The probes
+of one iteration are built as float tuples and handed to the objective as
+one array, which it scores in one call.  The first iteration divides the
+whole box whatever its center's value, so the center is scored in the
+same call as the box's probes.  Deterministic for a given objective,
+bounds and configuration.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Callable, Iterator
 
 import numpy as np
@@ -95,6 +100,9 @@ class Bounds:
 # Appl. 1993) recommend 1e-4.
 _EPSILON = 1e-4
 
+# The least positive normal float.
+_TINY = 2.2250738585072014e-308
+
 
 @dataclass(frozen=True)
 class DirectConfig:
@@ -147,11 +155,14 @@ class _Classes(dict):
         self._ascending: list[tuple[float, list]] = []  # (diameter, heap)
 
     def push(self, rects: list[Rect]) -> None:
+        diameter = heap = None
         for r in rects:
-            heap = self.get(r.diameter)
-            if heap is None:  # a new class; its diameter is in no other
-                heap = self[r.diameter] = []
-                bisect.insort(self._ascending, (r.diameter, heap))
+            if r.diameter != diameter:  # one lookup per run of equal diameters
+                diameter = r.diameter
+                heap = self.get(diameter)
+                if heap is None:  # a new class; its diameter is in no other
+                    heap = self[diameter] = []
+                    bisect.insort(self._ascending, (diameter, heap))
             heapq.heappush(heap, (r.f_center, r.index, r))
 
     def heads(self) -> list[Rect]:
@@ -210,6 +221,9 @@ def potentially_optimal(heads: list[Rect]) -> list[int]:
     the least head value.  In direct_minimize that is the best value found
     so far: every evaluated point is the center of a live rect, and each
     head is the least of its class.  The last hull vertex always qualifies.
+    A chord test whose two products of differences are both zero or
+    subnormal is made in exact rational arithmetic, so no underflow drops
+    a vertex from the hull.
     """
     if not heads:
         return []
@@ -219,13 +233,24 @@ def potentially_optimal(heads: list[Rect]) -> list[int]:
     # lower convex hull is a monotone chain from that head, which no
     # rounding can pop.
     hull: list[tuple[float, float, int]] = []  # (diameter, f_center, index)
+    tiny, neg_tiny = _TINY, -_TINY
     for i in range(fs.index(f_min), len(heads)):
         d, f = heads[i].diameter, fs[i]
         while len(hull) >= 2:
             d1, f1, _ = hull[-2]
             d2, f2, _ = hull[-1]
             # Drop the middle point unless it lies strictly below the chord.
-            if (f2 - f1) * (d - d1) >= (f - f1) * (d2 - d1):
+            left = (f2 - f1) * (d - d1)
+            right = (f - f1) * (d2 - d1)
+            # A zero or subnormal product may have underflowed.  Where one
+            # product is normal, it decides the test in floats; where neither
+            # is, the test is made exactly.  Diameters differ, so a product
+            # is exactly zero where its two values are equal, and two such
+            # zeros need no exact test.
+            if neg_tiny < left < tiny and neg_tiny < right < tiny and (f2 != f1 or f != f1):
+                left = (Fraction(f2) - Fraction(f1)) * (Fraction(d) - Fraction(d1))
+                right = (Fraction(f) - Fraction(f1)) * (Fraction(d2) - Fraction(d1))
+            if left >= right:
                 hull.pop()
             else:
                 break
@@ -255,9 +280,14 @@ def _probes(rect: Rect, budget: int) -> tuple[tuple[int, ...], list[tuple[float,
     _, dims, delta = _geometry(rect.levels)
     dims = dims[: max(budget, 0) // 2]
     centers = []
+    row = list(center)  # one list edited in place: cheaper than slicing the tuple
     for j in dims:
-        head, c, tail = center[:j], center[j], center[j + 1 :]
-        centers += (head + (c + delta,) + tail, head + (c - delta,) + tail)
+        c = center[j]
+        row[j] = c + delta
+        centers.append(tuple(row))
+        row[j] = c - delta
+        centers.append(tuple(row))
+        row[j] = c
     return dims, centers
 
 
@@ -271,8 +301,12 @@ def _split(rect: Rect, dims: tuple[int, ...], centers: list[tuple[float, ...]],
     """
     if not dims:
         return [rect]
+    # By the lower value of the two probes, then by dimension; dims ascend.
     order = range(len(dims))
-    if len(dims) > 1:  # by the lower value of the two probes, then by dimension
+    if len(dims) == 2:
+        if min(values[2], values[3]) < min(values[0], values[1]):
+            order = (1, 0)
+    elif len(dims) > 2:
         order = sorted(order, key=lambda k: (min(values[2 * k], values[2 * k + 1]), dims[k]))
     children: list[Rect] = []
     levels = list(rect.levels)
@@ -293,22 +327,30 @@ def direct_minimize(
     """Minimize g over bounds; returns (x_best, g_best, evaluations used).
 
     g takes an (m, d) array of points and returns their m values.  It is
-    called once for the center of the box and then once per iteration,
-    on every probe of the rectangles that iteration divides: DIRECT fixes
-    them all before it looks at any of their values.
+    called once per iteration, on every probe of the rectangles that
+    iteration divides: DIRECT fixes them all before it looks at any of
+    their values.  The first iteration divides the whole box, which is
+    the only rectangle, whatever its center's value, so the center is
+    scored in the same call as the box's probes, first.  With max_iters 0,
+    or a budget below 3, the center is scored alone and nothing is divided.
     """
     evaluate = _Evaluator(g, bounds, config.max_evals)
-    center = (0.5,) * bounds.d
-    (f0,) = evaluate(np.array([center]))
     indices = itertools.count()  # creation order, for tie-breaking
+    root = Rect((0.5,) * bounds.d, (0,) * bounds.d, math.nan, next(indices))
+    if config.max_iters == 0 or config.max_evals < 3:  # no iteration, or no probe pair paid for
+        evaluate(np.array([root.center]))
+        return evaluate.best_x, evaluate.best_f, evaluate.count
+    dims, centers = _probes(root, config.max_evals - 1)
+    values = evaluate(np.array([root.center, *centers]))
+    root.f_center = values[0]
     live = _Classes()
-    live.push([Rect(center, (0,) * bounds.d, f0, next(indices))])
+    live.push(_split(root, dims, centers, values[1:], indices))
 
-    for _ in range(config.max_iters):
-        if evaluate.remaining < 2:
+    for _ in range(config.max_iters - 1):
+        budget = evaluate.remaining
+        if budget < 2:
             break
         heads = live.heads()
-        budget = evaluate.remaining
         plans = []
         probes = []
         # In ascending diameter, as the hull returns them.
@@ -322,8 +364,9 @@ def direct_minimize(
             plans.append((rect, dims, centers))
             probes += centers
         values = evaluate(np.array(probes))
+        stop = 0
         for rect, dims, centers in plans:
-            live.push(_split(rect, dims, centers, values[: len(centers)], indices))
-            values = values[len(centers) :]
+            start, stop = stop, stop + len(centers)
+            live.push(_split(rect, dims, centers, values[start:stop], indices))
     assert evaluate.best_x is not None
     return evaluate.best_x, evaluate.best_f, evaluate.count

@@ -671,10 +671,20 @@ def _ascend(
         first = False
 
 
-def _random_start(rng: np.random.Generator, ranges: np.ndarray, var_y: float) -> np.ndarray:
-    """A start theta: random log-lengthscales, sigma_f^2 = var_y, sigma_n^2 = var_y / 100."""
-    log_ls = rng.uniform(np.log(0.1 * ranges), np.log(2.0 * ranges))
-    return np.concatenate([log_ls, [math.log(var_y), math.log(1e-2 * var_y)]])
+def _random_starts(rng: np.random.Generator, ranges: np.ndarray, var_y: float,
+                   count: int) -> np.ndarray:
+    """count start thetas, one a row: random log-lengthscales, sigma_f^2 = var_y
+    and sigma_n^2 = var_y / 100.
+
+    The lengthscales come from one draw, which gives the bits, and leaves the
+    generator in the state, of one draw per row.
+    """
+    d = ranges.shape[0]
+    starts = np.empty((count, d + 2))
+    starts[:, :d] = rng.uniform(np.log(0.1 * ranges), np.log(2.0 * ranges), size=(count, d))
+    starts[:, d] = math.log(var_y)
+    starts[:, d + 1] = math.log(1e-2 * var_y)
+    return starts
 
 
 def _coordinate_ranges(data: Dataset, bounds_ranges=None) -> np.ndarray:
@@ -749,11 +759,10 @@ def train_hyperparams(
     lo = np.concatenate([log_r - _LOG_LENGTHSCALE_SPAN, [-_LOG_CLIP, noise_floor]])
     hi = np.concatenate([log_r + _LOG_LENGTHSCALE_SPAN, [_LOG_CLIP, _LOG_CLIP]])
 
-    starts: list[np.ndarray] = []
+    starts = _random_starts(rng, ranges, var_y, restarts)
     if warm_start is not None:
-        starts.append(warm_start.to_vector())
-    starts.extend(_random_start(rng, ranges, var_y) for _ in range(restarts))
-    starts = np.minimum(np.maximum(np.array(starts), lo), hi)
+        starts = np.vstack([warm_start.to_vector(), starts])
+    starts = np.minimum(np.maximum(starts, lo), hi)
 
     # The fit core and the ascent reject what overflows (module docstring).
     with np.errstate(all="ignore"):

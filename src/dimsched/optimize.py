@@ -205,6 +205,7 @@ def _run(
     best = int(np.argmin(design.Y))  # argmin breaks ties by lowest index
     incumbent = Incumbent(point=design.X[best].copy(), value=float(design.Y[best]))
     models: dict[tuple[int, ...], GpModel] = {}
+    boxes: dict[tuple[int, ...], Bounds] = {}  # the box of each model's coordinates
     probs: np.ndarray | None = None
     records: list[IterationRecord] = []
 
@@ -230,18 +231,19 @@ def _run(
                 return None
         dims = list(key)
         if key not in models:
+            boxes[key] = bounds.subset(dims)
             proj = Dataset(np.ascontiguousarray(design.X[:, dims]), design.Y)
             hyper = train_hyperparams(
                 proj,
                 rng=rng,
-                bounds_ranges=bounds.span[dims],
+                bounds_ranges=boxes[key].span,
                 max_iter=config.train_max_iter,
             )
             models[key] = gp_fit(proj, hyper)
         model = models[key]
         try:
             x_sub, _, _ = direct_minimize(
-                acquisition_objective(model, incumbent.value), bounds.subset(dims),
+                acquisition_objective(model, incumbent.value), boxes[key],
                 config.direct_config,
             )
         except NonFiniteObjective as exc:

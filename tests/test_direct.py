@@ -1,4 +1,5 @@
 import hashlib
+import heapq
 import itertools
 import math
 import re
@@ -374,6 +375,88 @@ class TestDirectMinimize:
         assert len(batches) == 1 + iterations[0]  # the center, then one per iteration
 
 
+def center_first_direct(g, bounds, config):
+    """direct_minimize as it was when it scored the box's center alone.
+
+    Kept as the reference for the merged first batch: the center is scored
+    by a call of its own, and the whole box is then divided like any other
+    rect, from the class heads and the hull, with the budget left over.
+    """
+    evaluate = _Evaluator(g, bounds, config.max_evals)
+    center = (0.5,) * bounds.d
+    (f0,) = evaluate(np.array([center]))
+    indices = itertools.count()
+    live = _Classes()
+    live.push([Rect(center, (0,) * bounds.d, f0, next(indices))])
+    for _ in range(config.max_iters):
+        if evaluate.remaining < 2:
+            break
+        heads = live.heads()
+        budget = evaluate.remaining
+        plans, probes = [], []
+        for i in potentially_optimal(heads):
+            rect = heads[i]
+            heapq.heappop(live[rect.diameter])
+            dims, centers = _probes(rect, budget)
+            budget -= len(centers)
+            plans.append((rect, dims, centers))
+            probes += centers
+        values = evaluate(np.array(probes))
+        for rect, dims, centers in plans:
+            live.push(_split(rect, dims, centers, values[: len(centers)], indices))
+            values = values[len(centers) :]
+    return evaluate.best_x, evaluate.best_f, evaluate.count
+
+
+def smooth(d, seed):
+    """A random smooth function of d coordinates: a quadratic plus a sine in each."""
+    rng = np.random.default_rng(seed)
+    a, b, c, w = rng.uniform(0.5, 3.0, size=(4, d))
+    x0 = rng.uniform(-0.8, 0.8, size=d)
+    return lambda x: float(np.sum(w * (x - x0) ** 2 + np.sin(a * x + b) * c))
+
+
+@pytest.mark.parametrize(
+    "objective, d",
+    [
+        (six_hump_camel, 2),
+        (lambda x: float(np.arange(1.0, 11.0) @ (x - np.linspace(-0.45, 0.35, 10)) ** 2), 10),
+        (bump([0.7]), 1),
+        (bump([0.2, -0.35]), 2),
+        (bump([0.1, -0.2, 0.3, 0.05]), 4),
+        *((smooth(d, seed), d) for d in (1, 2, 4, 10) for seed in range(2)),
+    ],
+    ids=["six_hump_camel", "quadratic_10d", "ties_1d", "ties_2d", "ties_4d"]
+    + [f"smooth_{d}d_{seed}" for d in (1, 2, 4, 10) for seed in range(2)],
+)
+def test_center_in_first_batch_as_center_first(objective, d):
+    # The first iteration divides the box, the only rect, whatever its
+    # center's value, so scoring the center with the box's probes must
+    # visit the same points in the same order, and return the same point,
+    # value and count, as scoring it first and alone.  Each row is scored
+    # on its own, so batching cannot change a value.
+    bounds = Bounds(-np.ones(d), np.ones(d))
+    if objective is six_hump_camel:
+        bounds = Bounds([-3.0, -2.0], [3.0, 2.0])
+    for max_iters, max_evals in itertools.product((0, 1, 2, 50), (1, 2, 3, 4, 150)):
+        config = DirectConfig(max_evals=max_evals, max_iters=max_iters)
+        runs = []
+        for minimize in (direct_minimize, center_first_direct):
+            batches = []
+
+            def g(X):
+                batches.append(X.copy())
+                return [objective(x) for x in X]
+
+            x, f, evals = minimize(g, bounds, config)
+            runs.append((np.vstack(batches).tobytes(), x.tobytes(), f, math.copysign(1.0, f),
+                         evals, len(batches)))
+        merged, alone = runs
+        assert merged[:5] == alone[:5], (max_iters, max_evals)
+        # The center rides in the first iteration's call unless no probe is paid for.
+        assert merged[5] == alone[5] - (max_iters >= 1 and max_evals >= 3)
+
+
 class TestEvaluator:
     bounds = Bounds([-1.0, 2.0], [3.0, 2.5])
     centers = np.array([(0.5, 0.5), (1 / 6, 0.5), (5 / 6, 0.5), (0.5, 1 / 6)])
@@ -559,36 +642,11 @@ class TestPotentiallyOptimal:
             assert selected == sorted(set(selected)) and selected[-1] == len(heads) - 1
 
 
-def chain_over_all_heads(heads, eps=1e-4):
-    """The hull selection as a monotone chain from the first head of least value.
-
-    Kept apart from the library's loop as the reference for its bits: the
-    start and each slope test must round as this form does, even where a
-    product of differences underflows to a signed zero.
-    """
-    fs = [r.f_center for r in heads]
-    f_min = min(fs)
-    hull = []
-    for i in range(fs.index(f_min), len(heads)):
-        d, f = heads[i].diameter, fs[i]
-        while len(hull) >= 2:
-            (d1, f1, _), (d2, f2, _) = hull[-2], hull[-1]
-            if (f2 - f1) * (d - d1) >= (f - f1) * (d2 - d1):
-                hull.pop()
-            else:
-                break
-        hull.append((d, f, i))
-    selected = []
-    for (d, f, i), (d_next, f_next, _) in zip(hull, hull[1:]):
-        k_max = (f_next - f) / (d_next - d)
-        if f - k_max * d <= f_min - eps * abs(f_min):
-            selected.append(i)
-    return selected + [hull[-1][2]]
-
-
 def test_hull_matches_chain_over_all_heads():
     # Values drawn from signed zeros, subnormals and huge numbers, and with
-    # many ties, as EI takes them where it underflows.
+    # many ties, as EI takes them where it underflows.  The hull's chain
+    # must select what exact arithmetic selects: a chain in floats alone
+    # differs on 5 of these sets, where a product of differences underflows.
     rng = np.random.default_rng(21)
     geometries = sorted(
         {Rect((0.5,) * 3, tuple(int(k) for k in rng.integers(0, 7, size=3)), 0.0, 0).diameter
@@ -605,7 +663,7 @@ def test_hull_matches_chain_over_all_heads():
             heads.append(Rect((0.5,), (0,), f, i, float(d)))
         # Once an offset of f_min, still drawn so the sets stay as they were.
         rng.random(), rng.integers(3)
-        assert potentially_optimal(heads) == chain_over_all_heads(heads)
+        assert potentially_optimal(heads) == exact_selection(heads)
     assert potentially_optimal([]) == []
 
 
@@ -669,6 +727,17 @@ def test_least_head_kept_where_products_underflow(values, diameters):
     selected = potentially_optimal(heads)
     assert selected == exact_selection(heads)
     assert selected[0] == first_least
+
+
+def test_middle_head_kept_where_products_underflow():
+    # In the chord test from head 0 over head 3 to head 4 both products
+    # underflow to 0.0 (exactly, 1e-324 against 1.5e-324), so a chain in
+    # floats alone pops head 3, which in exact arithmetic is a hull vertex
+    # that achieves the improvement.
+    values = [-5e-324, 9.7e-184, 1e-310, -0.0, 5e-324, 1.0]
+    heads = [Rect((0.5,), (0,), f, i, 0.05 * (i + 1)) for i, f in enumerate(values)]
+    assert exact_selection(heads) == [0, 3, 4, 5]
+    assert potentially_optimal(heads) == [0, 3, 4, 5]
 
 
 class TestTrisect:

@@ -14,7 +14,7 @@ from dimsched.gp import (
     Dataset,
     KernelHyperparams,
     _coordinate_ranges,
-    _random_start,
+    _random_starts,
     gp_augment,
     gp_fit,
     gp_predict,
@@ -777,6 +777,12 @@ def oracle_ascend(data, yc, theta, fit, lo, hi, max_iter, events):
     return f, theta
 
 
+def oracle_random_start(rng, ranges, var_y):
+    """One start theta from a draw of its own, as the trainer once drew each start."""
+    log_ls = rng.uniform(np.log(0.1 * ranges), np.log(2.0 * ranges))
+    return np.concatenate([log_ls, [math.log(var_y), math.log(1e-2 * var_y)]])
+
+
 def oracle_train(data, restarts=3, rng=None, bounds_ranges=None, max_iter=200, warm_start=None):
     """train_hyperparams with its starts climbing one after another."""
     events = collections.Counter()
@@ -786,7 +792,7 @@ def oracle_train(data, restarts=3, rng=None, bounds_ranges=None, max_iter=200, w
     ranges = _coordinate_ranges(data, bounds_ranges)
     lo, hi = training_box(data, ranges)
     starts = [] if warm_start is None else [warm_start.to_vector()]
-    starts.extend(_random_start(rng, ranges, var_y) for _ in range(restarts))
+    starts.extend(oracle_random_start(rng, ranges, var_y) for _ in range(restarts))
     best_f, best = -np.inf, np.minimum(np.maximum(starts[0], lo), hi)
     with np.errstate(all="ignore"):
         for theta in starts:
@@ -816,6 +822,45 @@ def assert_matches_oracle(monkeypatch, data, **kwargs):
     assert trained.tobytes() == expected.tobytes()
     assert lockstep_counts == {name: len(calls) for name, calls in counts.items()}
     return events
+
+
+class TestRandomStarts:
+    """The starts come from one draw, as from the one draw per start they replaced."""
+
+    @pytest.mark.parametrize("restarts", [0, 1, 3])
+    def test_one_draw_as_one_per_start(self, restarts):
+        rng = np.random.default_rng(41)
+        for _ in range(100):
+            d = int(rng.integers(1, 11))
+            ranges = 10.0 ** rng.uniform(-3.0, 3.0, size=d)
+            var_y = float(10.0 ** rng.uniform(-8.0, 8.0))
+            seed = int(rng.integers(2**32))
+            drawn, one_by_one = np.random.default_rng(seed), np.random.default_rng(seed)
+            starts = _random_starts(drawn, ranges, var_y, restarts)
+            expected = [oracle_random_start(one_by_one, ranges, var_y) for _ in range(restarts)]
+            assert starts.shape == (restarts, d + 2)
+            assert starts.tobytes() == np.array(expected).tobytes()
+            assert drawn.bit_generator.state == one_by_one.bit_generator.state
+
+    @pytest.mark.parametrize("restarts", [0, 1, 3])
+    def test_after_a_warm_start(self, restarts):
+        # The warm start comes first; the trainer and the oracle, each on
+        # its own generator of one seed, train alike and leave the two
+        # generators in one state.
+        rng = np.random.default_rng(42)
+        for _ in range(5):
+            data = styblinski_tang_data(rng, 12, 3)
+            warm = KernelHyperparams.from_vector(rng.uniform(-2.0, 2.0, size=5))
+            seed = int(rng.integers(2**32))
+            drawn, one_by_one = np.random.default_rng(seed), np.random.default_rng(seed)
+            trained = train_hyperparams(
+                data, restarts=restarts, rng=drawn, warm_start=warm, max_iter=20
+            )
+            expected, _ = oracle_train(
+                data, restarts=restarts, rng=one_by_one, warm_start=warm, max_iter=20
+            )
+            assert trained.to_vector().tobytes() == expected.tobytes()
+            assert drawn.bit_generator.state == one_by_one.bit_generator.state
 
 
 class TestLockstepMatchesSequential:
@@ -916,13 +961,11 @@ class TestTraining:
             trained = train_hyperparams(data, restarts=3, rng=seed)
             lml_trained = log_marginal_likelihood(data, trained)
             # Rebuild the same starts the trainer saw.
-            from dimsched.gp import _coordinate_ranges, _random_start
-
-            rng2 = np.random.default_rng(seed)
             var_y = max(float(np.var(data.Y)), 1e-8)
             ranges = _coordinate_ranges(data)
-            for _ in range(3):
-                start = KernelHyperparams.from_vector(_random_start(rng2, ranges, var_y))
+            starts = _random_starts(np.random.default_rng(seed), ranges, var_y, 3)
+            for theta in starts:
+                start = KernelHyperparams.from_vector(theta)
                 assert lml_trained >= log_marginal_likelihood(data, start) - 1e-9
 
 
@@ -1114,8 +1157,8 @@ class TestTraining:
             rng = np.random.default_rng(seed)
             var_y = max(float(np.var(data.Y)), 1e-8)
             best = -np.inf
-            for _ in range(3):  # the trainer's starts, projected on the box
-                start = np.clip(_random_start(rng, SPAWN_RANGES, var_y), lo, hi)
+            # The trainer's starts, projected on the box.
+            for start in np.clip(_random_starts(rng, SPAWN_RANGES, var_y, 3), lo, hi):
                 result = minimize(
                     neg_lml, start, args=(data,), jac=True, method="L-BFGS-B",
                     bounds=list(zip(lo, hi)), options={"maxiter": 100},
