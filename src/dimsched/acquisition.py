@@ -1,18 +1,27 @@
-"""Expected Improvement over a GP posterior, minimization convention."""
+"""Expected Improvement over a GP posterior, minimization convention.
+
+EI is evaluated point by point on Python floats, taken from
+``gp_predict``'s two arrays with ``tolist()``: DIRECT scores a handful of
+points per call, and on a handful of values each numpy call costs more
+than its arithmetic.  The square root, the gap, z, the two products and
+their sum are single correctly rounded IEEE operations either way, so
+they give the bits of the array form.  The normal density stays one
+``np.exp`` over the array of z (``math.exp`` differs from it in the last
+bit), and the distribution function is ``math.erfc`` on each z.
+"""
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 import numpy as np
 
 from .gp import GpModel, gp_predict
-from .linalg import std_normal_cdf, std_normal_pdf
+from .linalg import std_normal_cdf_float, std_normal_pdf
 
 # Below this posterior std the closed form degenerates to its sigma -> 0 limit.
 _SIGMA_EPS = 1e-12
-# The divisor of a flat point's gap; np.where takes a 0-d array faster than a float.
-_ONE = np.array(1.0)
 
 
 def expected_improvement(model: GpModel, y_best: float, X) -> np.ndarray:
@@ -23,16 +32,19 @@ def expected_improvement(model: GpModel, y_best: float, X) -> np.ndarray:
     max(y_best - mu, 0).
     """
     mu, var = gp_predict(model, X)
-    # gp_predict's arrays are this call's own, so they are overwritten.
-    sigma = np.sqrt(var, out=var)
-    gap = np.subtract(y_best, mu, out=mu)
-    flat = sigma < _SIGMA_EPS
-    z = gap / np.where(flat, _ONE, sigma)
-    ei = gap * std_normal_cdf(z)
-    ei += sigma * std_normal_pdf(z)
-    np.copyto(ei, gap, where=flat)
-    np.maximum(ei, 0.0, out=ei)
-    return ei
+    gaps, sigmas, zs = [], [], []
+    for m, v in zip(mu.tolist(), var.tolist()):
+        g = y_best - m
+        s = math.sqrt(v)
+        gaps.append(g)
+        sigmas.append(s)
+        zs.append(g if s < _SIGMA_EPS else g / s)
+    ei = []
+    for g, s, z, p in zip(gaps, sigmas, zs, std_normal_pdf(np.array(zs)).tolist()):
+        e = g if s < _SIGMA_EPS else g * std_normal_cdf_float(z) + s * p
+        # np.maximum(e, 0.0): -0.0 becomes +0.0, and nan is kept.
+        ei.append(e if e > 0.0 or e != e else 0.0)
+    return np.array(ei)
 
 
 def acquisition_objective(model: GpModel, y_best: float) -> Callable[[np.ndarray], np.ndarray]:

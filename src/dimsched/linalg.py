@@ -184,12 +184,13 @@ def solve_tri(T: np.ndarray, b: np.ndarray, lower: bool) -> np.ndarray:
 
     This is the LAPACK call that scipy's ``solve_triangular`` makes,
     without its per-call checks, which cost several times the solve
-    itself at GP sizes.  Nothing is checked for finiteness.
+    itself at GP sizes.  Nothing is checked for finiteness.  The flags go
+    by position, (a, b, lower, trans): f2py parses keywords slowly.
     """
     if T.flags.f_contiguous:
-        x, info = _flapack.dtrtrs(T, b, lower=lower)
+        x, info = _flapack.dtrtrs(T, b, lower)
     else:  # trtrs reads Fortran order, so solve the transposed system
-        x, info = _flapack.dtrtrs(T.T, b, lower=not lower, trans=1)
+        x, info = _flapack.dtrtrs(T.T, b, not lower, 1)
     if info != 0:
         raise np.linalg.LinAlgError(f"triangular solve failed (info={info})")
     return x
@@ -198,9 +199,10 @@ def solve_tri(T: np.ndarray, b: np.ndarray, lower: bool) -> np.ndarray:
 def chol_inverse_lower(factor: CholFactor) -> np.ndarray:
     """Lower triangle of (A + jitter*I)^-1, from LAPACK's potri.
 
-    The strict upper triangle is the factor's, all zeros.
+    The strict upper triangle is the factor's, all zeros.  The lower flag
+    goes by position, as in ``solve_tri``.
     """
-    inverse, info = _flapack.dpotri(factor.L, lower=1)
+    inverse, info = _flapack.dpotri(factor.L, 1)
     if info != 0:
         raise NotPositiveDefinite(f"inverse from the Cholesky factor failed (info={info})")
     return inverse
@@ -230,13 +232,16 @@ def std_normal_pdf(z):
     return np.exp(-0.5 * z * z) / _SQRT_2PI
 
 
+def std_normal_cdf_float(z: float) -> float:
+    """Standard normal distribution function at one Python float."""
+    # The erfc form keeps full accuracy in the left tail.  numpy has no
+    # erfc, and scipy.special is slow to import, so math.erfc runs on one
+    # Python float at a time.
+    return 0.5 * math.erfc(z / -_SQRT_2)
+
+
 def std_normal_cdf(z):
     """Standard normal distribution function, elementwise."""
-    # erfc form keeps full accuracy in the left tail.  numpy has no erfc,
-    # and scipy.special is slow to import, so math.erfc runs on each value.
-    # A list comprehension does that in half the time of np.fromiter at
-    # EI's handful of points; a Python float divides and halves with the
-    # IEEE rounding of a float64 array, so the bits are the same.
     w = np.asarray(z, dtype=float)
-    cdf = np.array([0.5 * math.erfc(v / -_SQRT_2) for v in w.ravel().tolist()])
+    cdf = np.array(list(map(std_normal_cdf_float, w.ravel().tolist())))
     return cdf.reshape(w.shape) if w.ndim else cdf[0]

@@ -65,6 +65,40 @@ class TestBits:
                 got = expected_improvement(model, y_best, x)
                 assert got.tobytes() == where_ei(model, y_best, x).tobytes()
 
+    def test_matches_where_formula_at_bo_sizes(self):
+        # BO's one full-space GP: d=10, up to 220 points, about 21 probes a call.
+        rng = np.random.default_rng(6)
+        for n in (60, 120, 220):
+            X = rng.uniform(-5, 5, size=(n, 10))
+            Y = rng.normal(size=n)
+            hyper = KernelHyperparams(rng.uniform(0.5, 2.5, size=10), float(rng.uniform(-1, 1)), -8.0)
+            model, y_best = gp_fit(Dataset(X, Y), hyper), float(Y.min())
+            for m in (1, 2, 5, 21, 25):
+                x = np.vstack([rng.uniform(-5, 5, size=(m - 1, 10)), X[:1]])
+                got = expected_improvement(model, y_best, x)
+                assert got.tobytes() == where_ei(model, y_best, x).tobytes()
+
+    def test_negative_zero_gap_at_a_flat_point_gives_positive_zero(self):
+        # All-zero targets give mu = +0.0, so y_best = -0.0 makes the gap
+        # -0.0; on a training point the lengthscales and noise of
+        # test_matches_where_formula make sigma exactly 0.  np.maximum turns
+        # the sigma -> 0 limit's -0.0 into +0.0.
+        X = np.random.default_rng(7).uniform(-1, 1, size=(5, 2))
+        hyper = KernelHyperparams(np.full(2, -12.0), 0.0, -70.0)
+        model = gp_fit(Dataset(X, np.zeros(5)), hyper)
+        mu, var = gp_predict(model, X)
+        assert mu.tobytes() == np.zeros(5).tobytes() and not var.any()
+        probes = np.vstack([X, [[2.0, 2.0]]])  # and one point far from the data
+        got = expected_improvement(model, -0.0, probes)
+        assert got[:5].tobytes() == np.zeros(5).tobytes() and got[5] > 0.0
+        assert got.tobytes() == where_ei(model, -0.0, probes).tobytes()
+
+    def test_no_points_give_an_empty_array(self):
+        model, y_best = toy_model()
+        for ei in (partial(expected_improvement, model, y_best), acquisition_objective(model, y_best)):
+            got = ei(np.zeros((0, 2)))
+            assert got.dtype == np.float64 and got.shape == (0,)
+
     def test_reaches_gp_predict_through_the_module(self, monkeypatch):
         # perfbench's layer trace wraps acquisition.gp_predict by name.
         calls = []
