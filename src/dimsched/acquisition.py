@@ -5,8 +5,8 @@ EI is evaluated point by point on Python floats, taken from
 points per call, and on a handful of values each numpy call costs more
 than its arithmetic.  The square root, the gap, z, the two products and
 their sum are single correctly rounded IEEE operations either way, so
-they give the bits of the array form.  The normal density stays one
-``np.exp`` over the array of z (``math.exp`` differs from it in the last
+they give the bits of the array form.  The normal density takes one
+``np.exp`` over the list of z (``math.exp`` differs from it in the last
 bit), and the distribution function is ``math.erfc`` on each z.
 """
 
@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .gp import GpModel, gp_predict
-from .linalg import std_normal_cdf_float, std_normal_pdf
+from .linalg import std_normal_cdf_float, std_normal_pdf_floats
 
 # Below this posterior std the closed form degenerates to its sigma -> 0 limit.
 _SIGMA_EPS = 1e-12
@@ -40,7 +40,7 @@ def expected_improvement(model: GpModel, y_best: float, X) -> np.ndarray:
         sigmas.append(s)
         zs.append(g if s < _SIGMA_EPS else g / s)
     ei = []
-    for g, s, z, p in zip(gaps, sigmas, zs, std_normal_pdf(np.array(zs)).tolist()):
+    for g, s, z, p in zip(gaps, sigmas, zs, std_normal_pdf_floats(zs)):
         e = g if s < _SIGMA_EPS else g * std_normal_cdf_float(z) + s * p
         # np.maximum(e, 0.0): -0.0 becomes +0.0, and nan is kept.
         ei.append(e if e > 0.0 or e != e else 0.0)

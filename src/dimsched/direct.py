@@ -3,25 +3,29 @@
 Works in the normalized unit cube with an affine map to the caller's
 bounds.  Rectangles are trisected along their longest sides; candidates
 for division are the potentially optimal rectangles on the lower-right
-convex hull of (diameter, center value).  A rectangle stores its center
-as a tuple of floats and how often each side was trisected; one cache
-keyed by these levels holds its diameter, its longest sides and a third
-of their length, and the children of one trisected side share one lookup.
-Live rectangles sit in one min-heap per diameter class, ordered by
-(center value, creation index) as in Gablonsky & Kelley (J. Global
-Optim. 2001): only a class's best rectangle can be potentially optimal,
-so each iteration decides from the class heads alone.  The classes hand
-the hull one head per diameter, in ascending diameter, and the heads it
-selects are divided in that order; the classes are listed in that order
-as they appear, so no iteration sorts them.  The hull starts at the first
-head of least value, which is the best value found so far and gives the
-improvement target; where a product of differences in the hull's test
-underflows, the test is decided in exact rational arithmetic.  The probes
-of one iteration are built as float tuples and handed to the objective as
-one array, which it scores in one call.  The first iteration divides the
-whole box whatever its center's value, so the center is scored in the
-same call as the box's probes.  Deterministic for a given objective,
-bounds and configuration.
+convex hull of (diameter, center value).  A rectangle is a plain tuple
+that is its own heap entry: its center value and creation index, which
+order it, then its diameter, its center in the unit cube and in the
+caller's coordinates, and its geometry.  One cache keyed by how often
+each side was trisected holds a geometry's diameter, its longest sides
+and a third of their length, and the children of one trisected side
+share one lookup.  Live rectangles sit in one min-heap per diameter
+class, ordered by (center value, creation index) as in Gablonsky &
+Kelley (J. Global Optim. 2001): only a class's best rectangle can be
+potentially optimal, so each iteration decides from the class heads
+alone.  The classes hand the hull one head per diameter, in ascending
+diameter, and the heads it selects are divided in that order; the
+classes are listed in that order as they appear, so no iteration sorts
+them.  The hull starts at the first head of least value, which is the
+best value found so far and gives the improvement target; where a
+product of differences in the hull's test underflows, the test is
+decided in exact rational arithmetic.  A probe's coordinates in the
+caller's box are computed in Python, c * span + lower as numpy would
+round them, and the probes of one iteration go to the objective as one
+array, made in one numpy call, which it scores in one call.  The first
+iteration divides the whole box whatever its center's value, so the
+center is scored in the same call as the box's probes.  Deterministic
+for a given objective, bounds and configuration.
 """
 
 from __future__ import annotations
@@ -122,29 +126,25 @@ def _side(level: int) -> float:
 
 
 @functools.lru_cache(maxsize=1 << 16)
-def _geometry(levels: tuple[int, ...]) -> tuple[float, tuple[int, ...], float]:
-    """The diameter, the longest sides' dimensions in index order, and a third of their length."""
+def _geometry(levels: tuple[int, ...]) -> tuple[float, tuple[int, ...], float, tuple[int, ...]]:
+    """The diameter, the longest sides (in index order), a third of their length, and levels."""
     top = min(levels)
     # Sorted, so equal geometries give the identical float the hull groups by.
     diameter = 0.5 * float(np.linalg.norm(np.sort([_side(k) for k in levels])))
-    return diameter, tuple(j for j, k in enumerate(levels) if k == top), _side(top + 1)
+    return diameter, tuple(j for j, k in enumerate(levels) if k == top), _side(top + 1), levels
 
 
-class Rect:
-    __slots__ = ("center", "levels", "f_center", "index", "diameter")
-
-    def __init__(self, center: tuple[float, ...], levels: tuple[int, ...], f_center: float,
-                 index: int, diameter: float | None = None):
-        self.center = center        # in [0,1]^d
-        self.levels = levels        # side j is _side(levels[j])
-        self.f_center = f_center
-        self.index = index          # creation order, used for tie-breaking
-        # From _geometry(levels), unless the caller has looked it up already.
-        self.diameter = _geometry(levels)[0] if diameter is None else diameter
+# A rect is a plain tuple and its own entry in its class's heap:
+#   (f_center, index, diameter, (center, point), geometry).
+# center is in [0,1]^d and point is the same center in the caller's
+# coordinates, each a tuple of floats; geometry is _geometry(levels), where
+# side j is _side(levels[j]), and diameter its first field.  index, the
+# creation order, is unique, so rects compare by (f_center, index) alone.
+Rect = tuple
 
 
 class _Classes(dict):
-    """Live rects by diameter, each class a min-heap of (f_center, index, rect).
+    """Live rects by diameter, each class a min-heap of rects.
 
     The heaps are also listed in ascending diameter, as their classes
     appear, so the classes are never sorted.
@@ -152,30 +152,24 @@ class _Classes(dict):
 
     def __init__(self):
         super().__init__()
-        self._ascending: list[tuple[float, list]] = []  # (diameter, heap)
+        self._ascending: list[tuple[float, list[Rect]]] = []  # (diameter, heap)
 
-    def push(self, rects: list[Rect]) -> None:
-        diameter = heap = None
-        for r in rects:
-            if r.diameter != diameter:  # one lookup per run of equal diameters
-                diameter = r.diameter
-                heap = self.get(diameter)
-                if heap is None:  # a new class; its diameter is in no other
-                    heap = self[diameter] = []
-                    bisect.insort(self._ascending, (diameter, heap))
-            heapq.heappush(heap, (r.f_center, r.index, r))
+    def new(self, diameter: float) -> list[Rect]:
+        """The heap of a new class; its diameter is in no other."""
+        heap = self[diameter] = []
+        bisect.insort(self._ascending, (diameter, heap))
+        return heap
 
     def heads(self) -> list[Rect]:
         """The best rect of each nonempty class, in ascending diameter."""
-        return [heap[0][2] for _, heap in self._ascending if heap]
+        return [heap[0] for _, heap in self._ascending if heap]
 
 
 class _Evaluator:
     """Counts evaluations, tracks the best point, rejects non-finite values."""
 
-    def __init__(self, g: Callable, bounds: Bounds, max_evals: int):
+    def __init__(self, g: Callable, max_evals: int):
         self.g = g
-        self.lower, self.span = bounds.lower, bounds.span
         self.max_evals = max_evals
         self.count = 0
         self.best_x: np.ndarray | None = None
@@ -185,28 +179,27 @@ class _Evaluator:
     def remaining(self) -> int:
         return self.max_evals - self.count
 
-    def __call__(self, centers: np.ndarray) -> list[float]:
-        """Values of g at the rows of centers, from one call of g.
+    def __call__(self, X: np.ndarray) -> list[float]:
+        """Values of g at the rows of X, from one call of g.
 
         Counted, checked and compared with the best in row order, as if
         g had been called on one row after the other.
         """
-        X = centers * self.span
-        X += self.lower
         values = np.asarray(self.g(X), dtype=float)
         if values.shape != (X.shape[0],):
             raise DimensionMismatch(
                 f"objective returned shape {values.shape} for {X.shape[0]} points"
             )
         values = values.tolist()
-        if not all(map(math.isfinite, values)):
+        # A sum of finite values is finite unless it overflows.
+        if not math.isfinite(sum(values)) and not all(map(math.isfinite, values)):
             i = next(i for i, v in enumerate(values) if not math.isfinite(v))
             raise NonFiniteObjective(f"objective returned {values[i]} at {X[i]}")
-        self.count += X.shape[0]
-        i = values.index(min(values))  # the first row at the minimum
-        if values[i] < self.best_f:
-            self.best_f = values[i]
-            self.best_x = X[i]
+        self.count += len(values)
+        best = min(values)  # the first row at the minimum
+        if best < self.best_f:
+            self.best_f = best
+            self.best_x = X[values.index(best)]
         return values
 
 
@@ -227,18 +220,20 @@ def potentially_optimal(heads: list[Rect]) -> list[int]:
     """
     if not heads:
         return []
-    fs = [r.f_center for r in heads]
+    fs = [r[0] for r in heads]
     f_min = min(fs)
     # K >= 0 leaves the heads from the first of least value on, so the
     # lower convex hull is a monotone chain from that head, which no
-    # rounding can pop.
-    hull: list[tuple[float, float, int]] = []  # (diameter, f_center, index)
+    # rounding can pop.  The chain's last vertex is (d2, f2, i2), and the
+    # vertices before it are in below.
+    i2 = fs.index(f_min)
+    d2, f2 = heads[i2][2], f_min
+    below: list[tuple[float, float, int]] = []  # (diameter, f_center, index)
     tiny, neg_tiny = _TINY, -_TINY
-    for i in range(fs.index(f_min), len(heads)):
-        d, f = heads[i].diameter, fs[i]
-        while len(hull) >= 2:
-            d1, f1, _ = hull[-2]
-            d2, f2, _ = hull[-1]
+    for i in range(i2 + 1, len(heads)):
+        d, f = heads[i][2], fs[i]
+        while below:
+            d1, f1, i1 = below[-1]
             # Drop the middle point unless it lies strictly below the chord.
             left = (f2 - f1) * (d - d1)
             right = (f - f1) * (d2 - d1)
@@ -251,17 +246,20 @@ def potentially_optimal(heads: list[Rect]) -> list[int]:
                 left = (Fraction(f2) - Fraction(f1)) * (Fraction(d) - Fraction(d1))
                 right = (Fraction(f) - Fraction(f1)) * (Fraction(d2) - Fraction(d1))
             if left >= right:
-                hull.pop()
+                below.pop()
+                d2, f2, i2 = d1, f1, i1
             else:
                 break
-        hull.append((d, f, i))
+        below.append((d2, f2, i2))
+        d2, f2, i2 = d, f, i
 
     # A vertex but the last qualifies if it achieves the improvement at the
     # largest K that keeps it the minimizer: the slope to the next vertex.
     target = f_min - _EPSILON * abs(f_min)
     selected: list[int] = []
-    d, f, i = hull[0]
-    for d_next, f_next, i_next in hull[1:]:
+    below.append((d2, f2, i2))
+    d, f, i = below[0]
+    for d_next, f_next, i_next in below[1:]:
         if f - (f_next - f) / (d_next - d) * d <= target:
             selected.append(i)
         d, f, i = d_next, f_next, i_next
@@ -269,56 +267,77 @@ def potentially_optimal(heads: list[Rect]) -> list[int]:
     return selected
 
 
-def _probes(rect: Rect, budget: int) -> tuple[tuple[int, ...], list[tuple[float, ...]]]:
-    """The dimensions to split rect along, and the centers to probe.
+def _probes(rect: Rect, budget: int, lower: list[float], span: list[float],
+            rows: list[float]) -> tuple[tuple[int, ...], list[tuple[tuple, tuple]]]:
+    """The dimensions to split rect along, and the (center, point) of each probe.
 
     These are rect's longest sides, in index order, as many as budget
-    evaluations pay for.  Centers 2k and 2k + 1 step the k-th dimension
-    up and down by a third of the longest side.
+    evaluations pay for.  Probes 2k and 2k + 1 step the k-th dimension up
+    and down by a third of the longest side.  Each probe's point is also
+    appended to rows, coordinate by coordinate.
     """
-    center = rect.center
-    _, dims, delta = _geometry(rect.levels)
-    dims = dims[: max(budget, 0) // 2]
-    centers = []
-    row = list(center)  # one list edited in place: cheaper than slicing the tuple
+    _, _, _, (center, point), (_, dims, delta, _) = rect
+    dims = dims[: budget // 2]
+    probes = []
+    # One list of each edited in place: cheaper than slicing the tuples.
+    # A point's coordinate is c * span + lower, as numpy maps the unit
+    # cube: a product, then a sum, each rounded once.
+    c_row, p_row = list(center), list(point)
     for j in dims:
-        c = center[j]
-        row[j] = c + delta
-        centers.append(tuple(row))
-        row[j] = c - delta
-        centers.append(tuple(row))
-        row[j] = c
-    return dims, centers
+        c, s, lo = center[j], span[j], lower[j]
+        c_row[j] = x = c + delta
+        p_row[j] = x * s + lo
+        probes.append((tuple(c_row), tuple(p_row)))
+        rows += p_row
+        c_row[j] = x = c - delta
+        p_row[j] = x * s + lo
+        probes.append((tuple(c_row), tuple(p_row)))
+        rows += p_row
+        c_row[j] = c
+        p_row[j] = point[j]
+    return dims, probes
 
 
-def _split(rect: Rect, dims: tuple[int, ...], centers: list[tuple[float, ...]],
-           values: list[float], indices: Iterator[int]) -> list[Rect]:
-    """Trisect rect along dims from its probes, best dimensions first.
+def _divide(live: _Classes, rect: Rect, dims: tuple[int, ...], probes: list[tuple[tuple, tuple]],
+            values: list[float], at: int, indices: Iterator[int]) -> None:
+    """Trisect rect along dims from its probes, best dimensions first, and file the pieces in live.
 
-    The children take their creation indices from indices, in the order
-    they are returned.  They tile the parent exactly; with no dims the
-    rect comes back unchanged.
+    Probe r's value is values[at + r].  The pieces take their creation
+    indices from indices as they are filed: the two probes of each side,
+    then the center, which keeps the last side's geometry.  They tile rect
+    exactly; with no dims, rect goes back to its class unchanged.
     """
     if not dims:
-        return [rect]
+        heapq.heappush(live[rect[2]], rect)
+        return
     # By the lower value of the two probes, then by dimension; dims ascend.
     order = range(len(dims))
     if len(dims) == 2:
-        if min(values[2], values[3]) < min(values[0], values[1]):
+        if min(values[at + 2], values[at + 3]) < min(values[at], values[at + 1]):
             order = (1, 0)
     elif len(dims) > 2:
-        order = sorted(order, key=lambda k: (min(values[2 * k], values[2 * k + 1]), dims[k]))
-    children: list[Rect] = []
-    levels = list(rect.levels)
+        order = sorted(
+            order, key=lambda k: (min(values[at + 2 * k], values[at + 2 * k + 1]), dims[k])
+        )
+    levels = list(rect[4][3])
+    push = heapq.heappush
     for k in order:
         levels[dims[k]] += 1
-        child_levels = tuple(levels)
-        diameter = _geometry(child_levels)[0]
-        for row in (2 * k, 2 * k + 1):
-            children.append(Rect(centers[row], child_levels, values[row], next(indices), diameter))
-    # The center keeps the last pair's geometry.
-    children.append(Rect(rect.center, child_levels, rect.f_center, next(indices), diameter))
-    return children
+        geometry = _geometry(tuple(levels))
+        diameter = geometry[0]
+        # One lookup for the side's pieces, and for the center after the last side.
+        heap = live.get(diameter)
+        if heap is None:
+            heap = live.new(diameter)
+        r = 2 * k
+        push(heap, (values[at + r], next(indices), diameter, probes[r], geometry))
+        push(heap, (values[at + r + 1], next(indices), diameter, probes[r + 1], geometry))
+    push(heap, (rect[0], next(indices), diameter, rect[3], geometry))
+
+
+def _points(rows: list[float], d: int) -> np.ndarray:
+    """The (m, d) array of points whose coordinates rows lists one point after another."""
+    return np.fromiter(rows, float, len(rows)).reshape(-1, d)
 
 
 def direct_minimize(
@@ -334,17 +353,20 @@ def direct_minimize(
     scored in the same call as the box's probes, first.  With max_iters 0,
     or a budget below 3, the center is scored alone and nothing is divided.
     """
-    evaluate = _Evaluator(g, bounds, config.max_evals)
-    indices = itertools.count()  # creation order, for tie-breaking
-    root = Rect((0.5,) * bounds.d, (0,) * bounds.d, math.nan, next(indices))
+    d = bounds.d
+    evaluate = _Evaluator(g, config.max_evals)
+    lower, span = bounds.lower.tolist(), bounds.span.tolist()
+    geometry = _geometry((0,) * d)
+    rows = [0.5 * s + lo for s, lo in zip(span, lower)]
+    root = (math.nan, 0, geometry[0], ((0.5,) * d, tuple(rows)), geometry)
+    indices = itertools.count(1)  # creation order, for tie-breaking
     if config.max_iters == 0 or config.max_evals < 3:  # no iteration, or no probe pair paid for
-        evaluate(np.array([root.center]))
+        evaluate(_points(rows, d))
         return evaluate.best_x, evaluate.best_f, evaluate.count
-    dims, centers = _probes(root, config.max_evals - 1)
-    values = evaluate(np.array([root.center, *centers]))
-    root.f_center = values[0]
+    dims, probes = _probes(root, config.max_evals - 1, lower, span, rows)
+    values = evaluate(_points(rows, d))
     live = _Classes()
-    live.push(_split(root, dims, centers, values[1:], indices))
+    _divide(live, (values[0], *root[1:]), dims, probes, values, 1, indices)
 
     for _ in range(config.max_iters - 1):
         budget = evaluate.remaining
@@ -352,21 +374,21 @@ def direct_minimize(
             break
         heads = live.heads()
         plans = []
-        probes = []
+        rows = []
         # In ascending diameter, as the hull returns them.
         for i in potentially_optimal(heads):
             rect = heads[i]
-            heapq.heappop(live[rect.diameter])  # rect heads its class
+            heapq.heappop(live[rect[2]])  # rect heads its class
             # Once the budget runs out a rect gets no probes and stays
             # whole, so the partition stays exact.
-            dims, centers = _probes(rect, budget)
-            budget -= len(centers)
-            plans.append((rect, dims, centers))
-            probes += centers
-        values = evaluate(np.array(probes))
-        stop = 0
-        for rect, dims, centers in plans:
-            start, stop = stop, stop + len(centers)
-            live.push(_split(rect, dims, centers, values[start:stop], indices))
+            dims, probes = _probes(rect, budget, lower, span, rows)
+            budget -= len(probes)
+            plans.append((rect, dims, probes))
+        values = evaluate(_points(rows, d))
+        at = 0
+        for rect, dims, probes in plans:
+            _divide(live, rect, dims, probes, values, at, indices)
+            at += len(probes)
     assert evaluate.best_x is not None
     return evaluate.best_x, evaluate.best_f, evaluate.count
+

@@ -51,8 +51,11 @@ def _as_int(name: str, value, error: type[Exception] = ValueError) -> int:
     """value as an int if it is an integer, numpy's included; else error, naming name.
 
     A float is refused even when it is whole: a setting such as 2.5
-    iterations or workers has no meaning to round to.
+    iterations or workers has no meaning to round to.  So is a bool, which
+    Python counts as an int: True iterations is a mistake, not 1.
     """
+    if isinstance(value, bool):
+        raise error(f"{name} must be an integer, got {value!r}")
     try:
         return operator.index(value)
     except TypeError:

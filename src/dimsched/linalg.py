@@ -227,9 +227,23 @@ def chol_append(factor: CholFactor, col, diag: float) -> CholFactor:
     return CholFactor(L=L, jitter_used=factor.jitter_used)
 
 
+def std_normal_pdf_floats(zs: list[float]) -> list[float]:
+    """Standard normal density at a list of Python floats.
+
+    exp(-0.5 * z * z) / sqrt(2 pi) with one numpy call, the exp over all of
+    them: the product and the division are single IEEE operations on
+    Python floats as on arrays, so the bits are those of the array form,
+    whereas ``math.exp`` differs from ``np.exp`` in the last bit.
+    """
+    exps = np.exp(np.array([-0.5 * z * z for z in zs])).tolist()
+    return [e / _SQRT_2PI for e in exps]
+
+
 def std_normal_pdf(z):
     """Standard normal density, elementwise."""
-    return np.exp(-0.5 * z * z) / _SQRT_2PI
+    w = np.asarray(z, dtype=float)
+    pdf = np.array(std_normal_pdf_floats(w.ravel().tolist()))
+    return pdf.reshape(w.shape) if w.ndim else pdf[0]
 
 
 def std_normal_cdf_float(z: float) -> float:

@@ -1081,9 +1081,11 @@ class TestTraining:
             (dict(restarts=1.5), "restarts must be an integer, got 1.5"),
             (dict(restarts=-1), "restarts must be >= 0, got -1"),
             (dict(bounds_ranges=[-1.0, 2.0]), "bounds range of coordinate 0 is negative: -1"),
+            (dict(max_iter=True), "max_iter must be an integer, got True"),
+            (dict(restarts=False), "restarts must be an integer, got False"),
         ],
         ids=["fractional_max_iter", "negative_max_iter", "fractional_restarts",
-             "negative_restarts", "negative_bounds_range"],
+             "negative_restarts", "negative_bounds_range", "bool_max_iter", "bool_restarts"],
     )
     def test_argument_named_when_wrong(self, kwargs, message):
         # Each of these used to train: a max_iter of 2.5 or -1 without a

@@ -234,12 +234,14 @@ class TestCampaignConfig:
             ({"algorithms": ("dsa-parallel",), "workers": 2.0},
              r"\[campaign\] workers must be an integer, got 2.0"),
             ({"base_seed": 0.5}, r"\[campaign\] base_seed must be an integer, got 0.5"),
+            ({"runs": True}, r"\[campaign\] runs must be an integer, got True"),
+            ({"base_seed": False}, r"\[campaign\] base_seed must be an integer, got False"),
         ],
         ids=[
             "runs", "no_algorithms", "unknown_algorithm", "workers", "unknown_objective",
             "negative_base_seed", "repeated_algorithm", "subset_size_above_d",
             "subset_size_zero", "runs_not_integer", "workers_not_integer",
-            "base_seed_not_integer",
+            "base_seed_not_integer", "runs_bool", "base_seed_bool",
         ],
     )
     def test_rejected_when_built(self, tmp_path, kwargs, message):

@@ -20,6 +20,7 @@ from dimsched.linalg import (
     solve_tri,
     std_normal_cdf,
     std_normal_pdf,
+    std_normal_pdf_floats,
 )
 
 
@@ -373,6 +374,32 @@ class TestNormal:
             assert type(got) is type(expected) is np.float64
             assert got.tobytes() == expected.tobytes()
         assert std_normal_cdf([-1.0, 1.0]).tobytes() == fromiter_cdf([-1.0, 1.0]).tobytes()
+
+    def test_pdf_matches_array_formula(self):
+        # The pdf takes -0.5 * z * z and the division on Python floats and
+        # only the exp from numpy, once per call; each value must have the
+        # bits of the formula on arrays, at every batch length EI passes.
+        rng = np.random.default_rng(6)
+        z = np.concatenate(
+            [EXTREMES, np.linspace(-40.0, 40.0, 200_001), 10.0 * rng.normal(size=10_000)]
+        )
+
+        def array_pdf(z):
+            with np.errstate(over="ignore"):  # -0.5 * z * z overflows to -inf at 1e308
+                return np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+
+        assert std_normal_pdf(z).tobytes() == array_pdf(z).tobytes()
+        for m in range(30):
+            zs = 10.0 * rng.normal(size=m)
+            assert np.array(std_normal_pdf_floats(zs.tolist())).tobytes() == array_pdf(zs).tobytes()
+        for shape in [(0,), (1,), (7,), (2, 3), (3, 1, 2)]:
+            zs = z[: math.prod(shape)].reshape(shape)
+            got = std_normal_pdf(zs)
+            assert got.shape == shape and got.tobytes() == array_pdf(zs).tobytes()
+        for scalar in (0.0, -0.0, -1.5, np.float64(38.0), np.array(2.0), np.nan, 1e308):
+            got, expected = std_normal_pdf(scalar), array_pdf(np.float64(scalar))
+            assert type(got) is type(expected) is np.float64
+            assert got.tobytes() == expected.tobytes()
 
     def test_pdf_at_zero(self):
         assert abs(std_normal_pdf(0.0) - 0.3989422804014327) < 1e-12

@@ -128,12 +128,14 @@ class TestRunConfig:
         [
             ("n_init", 4.5), ("max_iter", 2.5), ("subset_size", 1.5), ("pca_period", 2.5),
             ("seed", 1.5), ("retrain_period", 2.5), ("train_max_iter", 2.5),
-            ("retrain_max_iter", 2.5),
+            ("retrain_max_iter", 2.5), ("max_iter", True), ("seed", False),
+            ("retrain_period", True), ("subset_size", False),
         ],
     )
     def test_non_integer_rejected(self, key, value):
         # max_iter = 2.5 used to run 3 iterations, and n_init = 4.5 or
         # subset_size = 1.5 to stop inside numpy with a TypeError, mid-run.
+        # A bool, which Python counts as an int, was stored as the count.
         with pytest.raises(ValueError, match=f"{key} must be an integer, got {value}"):
             RunConfig(**{key: value})
         assert getattr(RunConfig(**{key: np.int64(int(value))}), key) == int(value)
@@ -391,11 +393,13 @@ class TestRunDsa:
         assert objective.calls == 0
 
     def test_non_integer_workers_rejected_before_design(self):
-        # workers = 1.5 used to give exactly the records of workers = 2.
+        # workers = 1.5 used to give exactly the records of workers = 2, and
+        # workers = True those of workers = 1.
         objective = CountingObjective(sphere)
         config = RunConfig(n_init=5, max_iter=2, direct_config=small_direct())
-        with pytest.raises(ValueError, match="workers must be an integer, got 1.5"):
-            run_dsa_parallel(objective, Bounds([-1.0, -1.0], [1.0, 1.0]), config, workers=1.5)
+        for workers in (1.5, True):
+            with pytest.raises(ValueError, match=f"workers must be an integer, got {workers}"):
+                run_dsa_parallel(objective, Bounds([-1.0, -1.0], [1.0, 1.0]), config, workers=workers)
         assert objective.calls == 0
 
     def test_partial_result_on_nonfinite(self):
