@@ -40,8 +40,10 @@ not plain 2-D products or einsum.  Each row is still
 factorized (``cholesky_spd``), solved (``solve_tri``) and inverted
 (``chol_inverse_lower``) by its own call.  ``gp_fit``, the public LML and
 its gradient run it on a stack of one row, and training on the stack of
-its starts: each trial point is fitted once, and a ``KernelHyperparams``
-is built only for the value returned.  A dataset centres its targets once, for
+its starts, or of the starts of several datasets of one shape, whose
+rows each carry their dataset's squared differences, centred targets and
+box: each trial point is fitted once, and a ``KernelHyperparams`` is
+built only for the value returned.  A dataset centres its targets once, for
 every fit, training and O(n^2) append on it, and refuses, by name, targets
 whose mean, centred values or mean square overflows; training takes its
 target variance from the same pass.  A model reads its mean shift from
@@ -251,7 +253,11 @@ def _correlation(weights: np.ndarray, sq_diffs: np.ndarray) -> np.ndarray:
 
     Flat (m*n,) from weights (d,); (k, 1, m*n) from a stack of weights (k, 1, d).
     """
-    K = weights @ sq_diffs
+    return _floored_exp(weights @ sq_diffs)
+
+
+def _floored_exp(K: np.ndarray) -> np.ndarray:
+    """exp of the kernel exponents K in place, 0 below the exponent floor."""
     kept = K >= _EXPONENT_FLOOR
     # exp runs on normal numbers only; a -inf exponent or a masked copy costs more.
     np.maximum(K, _EXPONENT_FLOOR, out=K)
@@ -322,12 +328,32 @@ def _stacked_rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 _rowdot = getattr(np, "vecdot", _stacked_rowdot)
 
 
-def _fit(data: Dataset, yc: np.ndarray, thetas: np.ndarray) -> _Fit:
+def _runs(data, rows) -> list:
+    """(dataset, i, j) for each run of stack rows i..j-1 on one dataset.
+
+    Row i of the stack is row rows[i] of data, which is one Dataset for
+    every row or a list of Datasets, one per row.
+    """
+    if isinstance(data, Dataset):
+        return [(data, 0, len(rows))]
+    runs = []
+    i = 0
+    for j in range(1, len(rows) + 1):
+        if j == len(rows) or data[rows[j]] is not data[rows[i]]:
+            runs.append((data[rows[i]], i, j))
+            i = j
+    return runs
+
+
+def _fit(data, yc, thetas: np.ndarray) -> _Fit:
     """The one fit core: K + sigma_n^2 I at each row of thetas, its factor, alpha and LML.
 
     theta is [log ell_1..d, log sigma_f^2, log sigma_n^2] and yc the
-    centred targets, checked finite.  exp(w @ D) is built from
-    ``data.sq_diffs`` for the whole stack, in forms that give each row the
+    centred targets, checked finite.  data is one Dataset for every row,
+    or a list of Datasets of one shape, one per row, with yc a list of
+    their centred targets; the rows of one dataset are consecutive, and
+    share its block ``sq_diffs``.  exp(w @ D) is built for the whole
+    stack, by one product per dataset, in forms that give each row the
     bits of a fit of that row alone; each row is then scaled by its own
     sigma_f^2, factorized and solved on its own, and its LML summed as a
     Python float.  sigma_f^2 and sigma_n^2 stay Python floats, so a row's
@@ -335,10 +361,20 @@ def _fit(data: Dataset, yc: np.ndarray, thetas: np.ndarray) -> _Fit:
     stacked form would first build an array of them.  A row whose
     factorization raises keeps the error in place of its factor.
     """
-    k, n = thetas.shape[0], data.n
+    k = thetas.shape[0]
+    runs = _runs(data, range(k))
+    n = runs[0][0].n
+    if isinstance(data, Dataset):
+        yc = [yc] * k
     weights = _kernel_weights(thetas[:, :-2])
     # Each row is scaled by its own sigma_f^2 below.
-    K = _correlation(weights[:, None, :], data.sq_diffs).reshape(k, n, n)
+    if len(runs) == 1:
+        K = weights[:, None, :] @ runs[0][0].sq_diffs
+    else:
+        K = np.empty((k, 1, n * n))
+        for dataset, i, j in runs:
+            np.matmul(weights[i:j, None, :], dataset.sq_diffs, out=K[i:j])
+    K = _floored_exp(K).reshape(k, n, n)
     # K's diagonal is sigma_f^2 exactly, as exp(0) = 1.  So sigma_n^2 is
     # added to it in place for each factorization, and the diagonal is set
     # back after it: no copy of K.
@@ -363,9 +399,10 @@ def _fit(data: Dataset, yc: np.ndarray, thetas: np.ndarray) -> _Fit:
             factors.append(exc)
         else:
             factors.append(factor)
-            alpha[j] = alpha_j = _solve_alpha(factor, yc)
+            yc_j = yc[j]
+            alpha[j] = alpha_j = _solve_alpha(factor, yc_j)
             log_det = 2.0 * float(np.add.reduce(np.log(factor.L.diagonal())))
-            lml.append(-0.5 * (float(yc @ alpha_j) + log_det + constant))
+            lml.append(-0.5 * (float(yc_j @ alpha_j) + log_det + constant))
         K_diagonal[...] = signal
     return _Fit(lml, factors, alpha, K, weights, noise_variance)
 
@@ -391,18 +428,20 @@ def log_marginal_likelihood(data: Dataset, hyper: KernelHyperparams) -> float:
     return _fit_hyper(data, hyper).lml[0]
 
 
-def _lml_gradient(data: Dataset, fit: _Fit, rows: list[int]) -> np.ndarray:
+def _lml_gradient(data, fit: _Fit, rows: list[int]) -> np.ndarray:
     """LML gradients w.r.t. [log ell_1..d, log sigma_f^2, log sigma_n^2], one per row of rows.
 
-    rows are ascending rows of ``fit`` whose factorization succeeded.  Uses
-    the trace identity 0.5 * tr((alpha alpha^T - K^-1) dK/dtheta)
-    (Rasmussen & Williams 2006, eq. 5.9), with K^-1 from each row's factor.
-    With W = (alpha alpha^T - K^-1) o K, every lengthscale component comes
-    from one product with ``data.sq_diffs``, times 0.5/ell^2 = -weights;
-    the two variance components are Python floats from W's row sums and
-    traces.  A row whose K^-1 cannot be formed is nan.
+    data is what ``fit`` was fitted on, and rows are ascending rows of
+    ``fit`` whose factorization succeeded.  Uses the trace identity
+    0.5 * tr((alpha alpha^T - K^-1) dK/dtheta) (Rasmussen & Williams 2006,
+    eq. 5.9), with K^-1 from each row's factor.  With W = (alpha alpha^T -
+    K^-1) o K, every lengthscale component comes from one product per
+    dataset with its ``sq_diffs``, times 0.5/ell^2 = -weights; the two
+    variance components are Python floats from W's row sums and traces.
+    A row whose K^-1 cannot be formed is nan.
     """
-    n, d = data.n, data.d
+    runs = _runs(data, rows)
+    n, d = runs[0][0].n, runs[0][0].d
     m = len(rows)
     every = m == len(fit.factors)
     alpha, weights = fit.alpha, fit.weights
@@ -432,7 +471,13 @@ def _lml_gradient(data: Dataset, fit: _Fit, rows: list[int]) -> np.ndarray:
     sums = np.add.reduce(W_flat, axis=1).tolist()
 
     grad = np.empty((m, d + 2))
-    lengthscale = (data.sq_diffs @ W_flat[:, :, None])[:, :, 0]
+    if len(runs) == 1:
+        lengthscale = runs[0][0].sq_diffs @ W_flat[:, :, None]
+    else:
+        lengthscale = np.empty((m, d, 1))
+        for dataset, i, j in runs:
+            np.matmul(dataset.sq_diffs, W_flat[i:j, :, None], out=lengthscale[i:j])
+    lengthscale = lengthscale[:, :, 0]
     np.negative(lengthscale, out=lengthscale)
     np.multiply(lengthscale, weights, out=grad[:, :d])
     for i, j in enumerate(rows):  # the variances' components as Python floats
@@ -445,6 +490,8 @@ def lml_gradient(data: Dataset, hyper: KernelHyperparams) -> np.ndarray:
     return _lml_gradient(data, _fit_hyper(data, hyper), [0])[0]
 
 
+# The random starts of a retrain (gp_augment), besides its warm start.
+_RETRAIN_RESTARTS = 1
 # Log sigma_f^2 and log sigma_n^2 are trained below this bound, and log
 # sigma_f^2 above its negative, so exp() can neither overflow nor underflow.
 _LOG_CLIP = 300.0
@@ -458,10 +505,12 @@ _REL_GAIN_TOL = 2.2e-9
 
 
 def _ascend(
-    data: Dataset, yc: np.ndarray, thetas: np.ndarray,
-    lo: np.ndarray, hi: np.ndarray, max_iter: int,
+    data, yc, thetas: np.ndarray, lo: np.ndarray, hi: np.ndarray, max_iter: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Projected BFGS ascents on the LML inside the box [lo, hi], one from each row of thetas.
+    """Projected BFGS ascents on the LML inside a box, one from each row of thetas.
+
+    data and yc are as ``_fit`` takes them, and row i of lo and hi is the
+    box of row i of thetas.
 
     A coordinate at a bound whose gradient points out of the box is held;
     the others move along H g, with H the dense BFGS estimate of the
@@ -665,9 +714,12 @@ def _ascend(
                 [values[i] for i in keep]
                 for values in (start, f, pg_max, predicted, t, has_H, gradients)
             )
-            theta, cand, step, s, g, pg, held, direction, H = (
-                a.take(keep, axis=0) for a in (theta, cand, step, s, g, pg, held, direction, H)
+            theta, cand, step, s, g, pg, held, direction, H, lo, hi = (
+                a.take(keep, axis=0)
+                for a in (theta, cand, step, s, g, pg, held, direction, H, lo, hi)
             )
+            if not isinstance(data, Dataset):
+                data, yc = [data[i] for i in keep], [yc[i] for i in keep]
         first = False
 
 
@@ -712,6 +764,30 @@ def _count(name: str, value) -> int:
     return value
 
 
+def _training_starts(data: Dataset, restarts: int, rng, bounds_ranges, warm_start):
+    """A training's starts on data, one a row, projected onto its box, and the box (lo, hi)."""
+    if data.n < 2:
+        raise DimensionMismatch("training needs at least two observations")
+    if warm_start is not None and warm_start.d != data.d:
+        raise DimensionMismatch(f"warm start dim {warm_start.d} != data dim {data.d}")
+    if restarts < 1 and warm_start is None:
+        raise ValueError(f"training needs a warm start or a restart, got restarts={restarts}")
+    rng = np.random.default_rng(rng)
+    var_y = max(data._centred[2], _NOISE_FLOOR)
+    ranges = _coordinate_ranges(data, bounds_ranges)
+
+    log_r = np.log(ranges)
+    # Capped, so the box is not empty when var(Y) exceeds about 1.9e138.
+    noise_floor = min(math.log(max(_NOISE_FLOOR, _NOISE_FLOOR * var_y)), _LOG_CLIP)
+    lo = np.concatenate([log_r - _LOG_LENGTHSCALE_SPAN, [-_LOG_CLIP, noise_floor]])
+    hi = np.concatenate([log_r + _LOG_LENGTHSCALE_SPAN, [_LOG_CLIP, _LOG_CLIP]])
+
+    starts = _random_starts(rng, ranges, var_y, restarts)
+    if warm_start is not None:
+        starts = np.vstack([warm_start.to_vector(), starts])
+    return np.minimum(np.maximum(starts, lo), hi), lo, hi
+
+
 def train_hyperparams(
     data: Dataset,
     restarts: int = 3,
@@ -740,35 +816,45 @@ def train_hyperparams(
     Generator, which is used as it is.  restarts and max_iter must be
     integers >= 0, and bounds ranges finite and >= 0; a ValueError names
     the argument, or the coordinate of a negative range.
+
+    data may also be a list of datasets of one shape, which then train as
+    one lockstep stack of all their starts: rng, bounds_ranges and
+    warm_start are then lists with an entry per dataset (or None for
+    every one), each dataset's starts are drawn from its own rng, and a
+    list of hyperparameters comes back, each with the bits of training
+    its dataset alone.
     """
     restarts, max_iter = _count("restarts", restarts), _count("max_iter", max_iter)
-    if data.n < 2:
-        raise DimensionMismatch("training needs at least two observations")
-    if warm_start is not None and warm_start.d != data.d:
-        raise DimensionMismatch(f"warm start dim {warm_start.d} != data dim {data.d}")
-    if restarts < 1 and warm_start is None:
-        raise ValueError(f"training needs a warm start or a restart, got restarts={restarts}")
-    rng = np.random.default_rng(rng)
-    _, yc, var_y = data._centred
-    var_y = max(var_y, _NOISE_FLOOR)
-    ranges = _coordinate_ranges(data, bounds_ranges)
-
-    log_r = np.log(ranges)
-    # Capped, so the box is not empty when var(Y) exceeds about 1.9e138.
-    noise_floor = min(math.log(max(_NOISE_FLOOR, _NOISE_FLOOR * var_y)), _LOG_CLIP)
-    lo = np.concatenate([log_r - _LOG_LENGTHSCALE_SPAN, [-_LOG_CLIP, noise_floor]])
-    hi = np.concatenate([log_r + _LOG_LENGTHSCALE_SPAN, [_LOG_CLIP, _LOG_CLIP]])
-
-    starts = _random_starts(rng, ranges, var_y, restarts)
-    if warm_start is not None:
-        starts = np.vstack([warm_start.to_vector(), starts])
-    starts = np.minimum(np.maximum(starts, lo), hi)
+    several = not isinstance(data, Dataset)
+    if not several:
+        data, rng, bounds_ranges, warm_start = [data], [rng], [bounds_ranges], [warm_start]
+    shapes = {(dataset.n, dataset.d) for dataset in data}
+    if len(shapes) != 1:
+        raise DimensionMismatch(f"training needs datasets of one shape, got {sorted(shapes)}")
+    entries = [[None] * len(data) if v is None else v for v in (rng, bounds_ranges, warm_start)]
+    if any(len(values) != len(data) for values in entries):
+        raise ValueError("rng, bounds_ranges and warm_start need an entry per dataset")
+    rows = [_training_starts(dataset, restarts, *entry) for dataset, *entry in zip(data, *entries)]
+    counts = [len(starts) for starts, _, _ in rows]
+    thetas = np.concatenate([starts for starts, _, _ in rows])
+    # The box of each row, and the dataset each row is fitted on.
+    lo, hi = (np.repeat([row[i] for row in rows], counts, axis=0) for i in (1, 2))
+    if several:
+        yc = [dataset._centred[1] for dataset, c in zip(data, counts) for _ in range(c)]
+        data = [dataset for dataset, c in zip(data, counts) for _ in range(c)]
+    else:
+        data, yc = data[0], data[0]._centred[1]
 
     # The fit core and the ascent reject what overflows (module docstring).
     with np.errstate(all="ignore"):
-        f, theta = _ascend(data, yc, starts, lo, hi, max_iter=max_iter)
-    # The first best start; the first start if every one fails.
-    return KernelHyperparams.from_vector(theta[int(np.argmax(f))])
+        f, theta = _ascend(data, yc, thetas, lo, hi, max_iter=max_iter)
+    # Per dataset, its first best start; its first start if every one fails.
+    hypers = []
+    i = 0
+    for count in counts:
+        hypers.append(KernelHyperparams.from_vector(theta[i + int(np.argmax(f[i:i + count]))]))
+        i += count
+    return hypers if several else hypers[0]
 
 
 def gp_augment(
@@ -793,7 +879,7 @@ def gp_augment(
     if retrain:
         hyper = train_hyperparams(
             data,
-            restarts=1,
+            restarts=_RETRAIN_RESTARTS,
             rng=rng,
             warm_start=model.hyper,
             max_iter=retrain_max_iter,

@@ -11,8 +11,23 @@ per-coordinate weights (the sample variance of the observed inputs,
 mixed with a uniform floor); classical BO is the case where the subset
 is always every coordinate, so it keeps a single full-space GP.  The
 manager keeps a registry of GP models keyed by the sorted subset; each
-model is spawned lazily from the initial design's projection and only
-ever grows through its own subset's proposals.
+model is spawned from the initial design's projection when its subset is
+first drawn, and only ever grows through its own subset's proposals.
+
+Until the next weight refresh, which subsets are drawn, which are new,
+which tells retrain and what each of them draws from the run's generator
+depend on no result.  So the first ask, at the first refresh, runs the
+schedule of the first window (asks 0 to pca_period - 1, at most
+max_iter) on a copy of the generator, without proposals or evaluations,
+and trains every spawn it predicts in one ``train_hyperparams`` call, one
+lockstep stack of all their starts (classical BO: a batch of one; a
+design so large that their kernel matrices would pass ``_BATCH_BYTES``
+trains them in several batches).  A
+spawn takes its pre-trained hyperparameters only where the run's
+generator stands where the batch drew that spawn's starts, so they are
+the same starts, byte for byte, and it moves the generator past them;
+else it trains as a later window's spawn does.  A wrong prediction costs
+time, never bits.  Record 0's ``wall_time_ms`` includes the batch.
 
 Between the two steps sits a FIFO of pending proposals: the loop asks
 until ``workers`` proposals are pending (one for ``run_bo`` and
@@ -36,8 +51,17 @@ import numpy as np
 from .acquisition import acquisition_objective
 from .direct import Bounds, DirectConfig, direct_minimize
 from .errors import DimensionMismatch, NonFiniteAcquisition, NonFiniteObjective, _as_int
-from .gp import Dataset, GpModel, gp_augment, gp_fit, train_hyperparams
+from .gp import (
+    _RETRAIN_RESTARTS, Dataset, GpModel, _random_starts, gp_augment, gp_fit, train_hyperparams,
+)
 from .scheduler import compute_dimension_probabilities, sample_subset
+
+# The random starts of a spawn's training.
+_SPAWN_RESTARTS = 3
+# The bytes of kernel matrices one first-window batch may stack (its
+# gradient stacks as many again), so a large design trains its first window
+# in several batches, and memory does not grow with the number of spawns.
+_BATCH_BYTES = 2**26
 
 
 @dataclass(frozen=True)
@@ -162,6 +186,90 @@ def run_dsa_parallel(
     return _run(objective, bounds, config, workers, initial, scheduled=True)
 
 
+def _fifo(ask, tell, workers: int, steps: int) -> bool:
+    """The FIFO of pending proposals, run for steps tells; False once a tell fails.
+
+    It asks until ``workers`` proposals are pending (fewer near the end),
+    or until ask returns None because every draw is pending, then tells
+    the oldest.  ask takes the pending proposals, each a tuple whose first
+    item is its key.
+    """
+    pending = []
+    told = 0
+    while told < steps:
+        while len(pending) < min(workers, steps - told):
+            proposal = ask(pending)
+            if proposal is None:
+                break  # every draw is pending; tell the oldest first
+            pending.append(proposal)
+        if not tell(pending.pop(0)):
+            return False
+        told += 1
+    return True
+
+
+def _draw_key(probs, size: int, rng, pending, sample=sample_subset):
+    """A subset that no pending proposal holds: one draw, then up to 10 resamples.
+
+    None if all 11 draws are pending.  The loop passes this module's
+    ``sample_subset``, which perfbench's layer trace wraps; the default is
+    the function itself, so the first window's prediction is not traced.
+    """
+    checked_out = {proposal[0] for proposal in pending}
+    draws = (sample(probs, size, rng) for _ in range(11))
+    return next((key for key in draws if key not in checked_out), None)
+
+
+def _retrains(n: int, design_n: int, period: int) -> bool:
+    """Whether a model of n points retrains on the next: once per period points added."""
+    return (n + 1 - design_n) % period == 0
+
+
+def _generator_copy(rng: np.random.Generator) -> np.random.Generator:
+    copy = np.random.Generator(type(rng.bit_generator)())
+    copy.bit_generator.state = rng.bit_generator.state
+    return copy
+
+
+def _first_window(rng, probs, design: Dataset, config: RunConfig, workers: int, scheduled: bool):
+    """The spawns of asks 0 to pca_period - 1 (at most max_iter), each (key, generator).
+
+    Until the next weight refresh, the key draws, the FIFO, which subsets
+    are new and which tells retrain depend on no result, nor do the draws
+    the loop makes for them.  So the loop's schedule runs here on a copy
+    of rng, with no proposal, evaluation or training: a spawn and a
+    retrain draw their random starts, whose count and not their values
+    moves the generator.  Each spawn comes with a copy of the generator
+    as its training finds it.  A run that aborts spawns fewer.
+    """
+    sim = _generator_copy(rng)
+    sizes: dict[tuple[int, ...], int] = {}  # each model's number of points
+    spawns = []
+
+    def ask(pending):
+        key = (
+            _draw_key(probs, config.subset_size, sim, pending) if scheduled
+            else tuple(range(design.d))
+        )
+        if key is None:
+            return None
+        if key not in sizes:
+            spawns.append((key, _generator_copy(sim)))
+            _random_starts(sim, np.ones(len(key)), 1.0, _SPAWN_RESTARTS)
+            sizes[key] = design.n
+        return (key,)
+
+    def tell(proposal):
+        key = proposal[0]
+        if _retrains(sizes[key], design.n, config.retrain_period):
+            _random_starts(sim, np.ones(len(key)), 1.0, _RETRAIN_RESTARTS)
+        sizes[key] += 1
+        return True
+
+    _fifo(ask, tell, workers, min(config.pca_period, config.max_iter))
+    return spawns
+
+
 def _run(
     objective, bounds: Bounds, config: RunConfig, workers: int, initial,
     scheduled: bool,
@@ -206,39 +314,73 @@ def _run(
     incumbent = Incumbent(point=design.X[best].copy(), value=float(design.Y[best]))
     models: dict[tuple[int, ...], GpModel] = {}
     boxes: dict[tuple[int, ...], Bounds] = {}  # the box of each model's coordinates
+    # The first window's spawns, trained before its first proposal: by key,
+    # the projection, the generator state its starts were drawn at, the
+    # generator past them and the hyperparameters.
+    pretrained: dict[tuple[int, ...], tuple] = {}
     probs: np.ndarray | None = None
     records: list[IterationRecord] = []
+
+    def projection(key) -> Dataset:
+        """The design seen on key's coordinates."""
+        return Dataset(np.ascontiguousarray(design.X[:, list(key)]), design.Y)
+
+    def train_first_window():
+        """Train the first window's predicted spawns, each batch one call, one lockstep stack."""
+        spawns = _first_window(rng, probs, design, config, workers, scheduled)
+        size = max(1, _BATCH_BYTES // (8 * _SPAWN_RESTARTS * design.n**2))
+        for at in range(0, len(spawns), size):
+            keys, generators = zip(*spawns[at:at + size])
+            states = [generator.bit_generator.state for generator in generators]
+            for key in keys:
+                boxes[key] = bounds.subset(list(key))
+            projs = [projection(key) for key in keys]
+            hypers = train_hyperparams(
+                projs,
+                restarts=_SPAWN_RESTARTS,
+                rng=list(generators),
+                bounds_ranges=[boxes[key].span for key in keys],
+                max_iter=config.train_max_iter,
+            )
+            pretrained.update(zip(keys, zip(projs, states, generators, hypers)))
 
     def ask(pending) -> tuple[tuple[int, ...], np.ndarray, float] | None:
         """A proposal (key, x_sub, t_iter) on a key with none pending.
 
         None if every draw is pending.  The weights are refreshed every
-        pca_period proposals, counting the told and the pending ones.
+        pca_period proposals, counting the told and the pending ones.  The
+        first ask trains the first window's spawns before it proposes.
         """
         nonlocal probs
         t_iter = time.perf_counter()
         key = tuple(range(bounds.d))
+        asked = len(records) + len(pending)
+        if scheduled and asked % config.pca_period == 0:
+            probs = compute_dimension_probabilities(
+                np.vstack([design.X, *(r.x for r in records)]), config.floor_eps
+            )
+        if asked == 0:
+            train_first_window()
         if scheduled:
-            if (len(records) + len(pending)) % config.pca_period == 0:
-                probs = compute_dimension_probabilities(
-                    np.vstack([design.X, *(r.x for r in records)]), config.floor_eps
-                )
-            checked_out = {k for k, _, _ in pending}
-            # One draw, then up to 10 resamples; the first not checked out is taken.
-            draws = (sample_subset(probs, config.subset_size, rng) for _ in range(11))
-            key = next((k for k in draws if k not in checked_out), None)
+            key = _draw_key(probs, config.subset_size, rng, pending, sample_subset)
             if key is None:
                 return None
-        dims = list(key)
         if key not in models:
-            boxes[key] = bounds.subset(dims)
-            proj = Dataset(np.ascontiguousarray(design.X[:, dims]), design.Y)
-            hyper = train_hyperparams(
-                proj,
-                rng=rng,
-                bounds_ranges=boxes[key].span,
-                max_iter=config.train_max_iter,
-            )
+            proj, state, generator, hyper = pretrained.pop(key, (None,) * 4)
+            if hyper is not None and rng.bit_generator.state == state:
+                # The batch drew this spawn's starts where the run draws them
+                # now, so they are the same, byte for byte.
+                rng.bit_generator.state = generator.bit_generator.state
+            else:
+                boxes[key] = bounds.subset(list(key))
+                proj = projection(key)
+                hyper = train_hyperparams(
+                    proj,
+                    restarts=_SPAWN_RESTARTS,
+                    rng=rng,
+                    bounds_ranges=boxes[key].span,
+                    max_iter=config.train_max_iter,
+                )
             models[key] = gp_fit(proj, hyper)
         model = models[key]
         try:
@@ -267,10 +409,9 @@ def _run(
         except NonFiniteObjective:
             return False
         model = models[key]
-        # One retrain per retrain_period points added to this model.
-        retrain = (model.n + 1 - design.n) % config.retrain_period == 0
         models[key] = gp_augment(
-            model, x_sub, y_new, retrain=retrain, rng=rng,
+            model, x_sub, y_new, retrain=_retrains(model.n, design.n, config.retrain_period),
+            rng=rng,
             retrain_max_iter=config.retrain_max_iter,
         )
         if y_new < incumbent.value:
@@ -289,16 +430,7 @@ def _run(
         )
         return True
 
-    # Proposals asked for and not yet told, oldest first.
-    pending: list[tuple[tuple[int, ...], np.ndarray, float]] = []
-    aborted = False
-    while not aborted and len(records) < config.max_iter:
-        while len(pending) < min(workers, config.max_iter - len(records)):
-            proposal = ask(pending)
-            if proposal is None:
-                break  # every draw is pending; tell the oldest first
-            pending.append(proposal)
-        aborted = not tell(pending.pop(0))
+    aborted = not _fifo(ask, tell, workers, config.max_iter)
     return RunResult(
         records=records,
         incumbent=incumbent,

@@ -24,6 +24,8 @@ from dimsched.gp import (
     train_hyperparams,
 )
 from dimsched.linalg import solve_tri
+from dimsched.objectives import benchmark_catalog
+from dimsched.optimize import initial_design
 
 
 def hyper(d, ls=1.0, sf2=1.0, sn2=1e-2):
@@ -911,6 +913,123 @@ class TestLockstepMatchesSequential:
         assert events["first fit failed"] >= 20
         assert events["stopped after one step"] >= 10
         assert events["H reset"] >= 1
+
+
+def pair_projections(design, box, count):
+    """The first count projections of a design on coordinate pairs, each with its box's span."""
+    pairs = [(a, b) for a in range(design.d) for b in range(a + 1, design.d)][:count]
+    return [
+        (Dataset(design.X[:, [a, b]], design.Y), box.subset([a, b]).span) for a, b in pairs
+    ]
+
+
+def st10_projections(count):
+    spec = benchmark_catalog()["styblinski_tang-10"]
+    design, _ = initial_design(spec.evaluator, spec.bounds, 20, np.random.default_rng(43))
+    return pair_projections(design, spec.bounds, count)
+
+
+def lv4_projections():
+    spec = benchmark_catalog()["lotka_volterra"]
+    design, _ = initial_design(spec.evaluator, spec.bounds, 20, np.random.default_rng(44))
+    return pair_projections(design, spec.bounds, 6)
+
+
+def assert_batch_matches_alone(monkeypatch, datasets, seeds, ranges, warm_starts, **kwargs):
+    """One training of all the datasets gives each the bits of training it alone,
+    from as many calls to cholesky_spd and chol_inverse_lower, and leaves
+    each generator where training alone leaves it."""
+    counts = {}
+    for name in ("cholesky_spd", "chol_inverse_lower"):
+        counts[name] = count_calls(monkeypatch, name)
+    drawn = [np.random.default_rng(seed) for seed in seeds]
+    batch = train_hyperparams(
+        datasets, rng=drawn, bounds_ranges=ranges, warm_start=warm_starts, **kwargs
+    )
+    batch_counts = {name: len(calls) for name, calls in counts.items()}
+    for calls in counts.values():
+        calls.clear()
+    alone_drawn = [np.random.default_rng(seed) for seed in seeds]
+    alone = [
+        train_hyperparams(data, rng=rng, bounds_ranges=r, warm_start=w, **kwargs)
+        for data, rng, r, w in zip(datasets, alone_drawn, ranges, warm_starts)
+    ]
+    monkeypatch.undo()
+    assert len(batch) == len(datasets)
+    assert [h.to_vector().tobytes() for h in batch] == [h.to_vector().tobytes() for h in alone]
+    assert batch_counts == {name: len(calls) for name, calls in counts.items()}
+    assert [g.bit_generator.state for g in drawn] == [g.bit_generator.state for g in alone_drawn]
+
+
+class TestSeveralDatasets:
+    """train_hyperparams on a list of datasets of one shape: one lockstep
+    stack of all their starts, each dataset with its own data, targets,
+    box and generator."""
+
+    @pytest.mark.parametrize("restarts", [1, 3])
+    @pytest.mark.parametrize("source", ["st10", "lv4"])
+    def test_each_dataset_as_alone(self, monkeypatch, restarts, source):
+        projections = st10_projections(30) if source == "st10" else lv4_projections()
+        datasets = [data for data, _ in projections]
+        ranges = [span for _, span in projections]
+        assert_batch_matches_alone(
+            monkeypatch, datasets, range(50, 50 + len(datasets)), ranges,
+            [None] * len(datasets), restarts=restarts, max_iter=100,
+        )
+
+    def test_a_box_per_dataset_and_failed_first_fits(self, monkeypatch):
+        # Spans from 0.01 to 100, warm starts among them, one of them with a
+        # nan lengthscale, so its first fit fails and its row stops at once.
+        projections = st10_projections(8)
+        datasets = [data for data, _ in projections]
+        ranges = [np.array([10.0 ** (i - 2), 10.0 ** (2 - i % 3)]) for i in range(8)]
+        warm = [None] * 8
+        warm[2] = KernelHyperparams(np.full(2, np.nan), 0.0, -2.0)
+        warm[5] = KernelHyperparams(np.array([0.3, -1.0]), 8.0, 1.0)
+        for restarts in (1, 3):
+            assert_batch_matches_alone(
+                monkeypatch, datasets, range(60, 68), ranges, warm, restarts=restarts,
+                max_iter=30,
+            )
+
+    def test_non_contiguous_sources(self, monkeypatch):
+        # Datasets, targets and ranges that are strided views of larger arrays.
+        rng = np.random.default_rng(45)
+        grid = rng.uniform(-5.0, 5.0, size=(40, 12))
+        targets = np.sum(grid**4 - 16.0 * grid**2 + 5.0 * grid, axis=1).reshape(20, 2) / 2.0
+        spans = np.array([[10.0, 3.0, 10.0, 7.0]] * 6)
+        datasets = [Dataset(grid[::2, j:j + 4:3], targets[:, j % 2]) for j in range(6)]
+        assert not datasets[0].X.flags.c_contiguous
+        ranges = [spans[j, ::2] for j in range(6)]
+        assert_batch_matches_alone(
+            monkeypatch, datasets, range(70, 76), ranges, [None] * 6, restarts=3, max_iter=50,
+        )
+
+    def test_one_dataset_in_a_list(self):
+        data, span = st10_projections(1)[0]
+        (listed,) = train_hyperparams([data], rng=[7], bounds_ranges=[span], max_iter=40)
+        alone = train_hyperparams(data, rng=7, bounds_ranges=span, max_iter=40)
+        assert listed.to_vector().tobytes() == alone.to_vector().tobytes()
+
+    @pytest.mark.parametrize(
+        "datasets, kwargs, error, message",
+        [
+            ([], {}, DimensionMismatch, "datasets of one shape"),
+            (
+                [Dataset(np.zeros((4, 2)) + np.arange(4)[:, None], np.arange(4.0)),
+                 Dataset(np.zeros((5, 2)) + np.arange(5)[:, None], np.arange(5.0))],
+                {}, DimensionMismatch, "datasets of one shape",
+            ),
+            (
+                [Dataset(np.arange(8.0).reshape(4, 2), np.arange(4.0))] * 2,
+                {"rng": [0]}, ValueError, "an entry per dataset",
+            ),
+        ],
+        ids=["none", "two_shapes", "one_rng_for_two"],
+    )
+    def test_bad_lists_rejected(self, datasets, kwargs, error, message):
+        with pytest.raises(error, match=message):
+            train_hyperparams(datasets, **kwargs)
 
 
 class TestTraining:

@@ -1,9 +1,11 @@
 from dataclasses import replace
 
 import numpy as np
+import pytest
 
 from dimsched import optimize
 from dimsched.direct import Bounds, DirectConfig
+from dimsched.objectives import benchmark_catalog
 from dimsched.optimize import RunConfig, initial_design, run_dsa, run_dsa_parallel
 
 
@@ -172,3 +174,114 @@ class TestAbort:
             assert result.aborted
             assert calls[0] == 11  # 6 design + 4 good iterations + the NaN
             assert [r.iter for r in result.records] == [6, 7, 8, 9]
+
+
+class TestFirstWindow:
+    """The first window's spawns (asks 0 to pca_period - 1) are trained in one
+    call before the first proposal, and the records are those of lazy spawns."""
+
+    ST10 = RunConfig(
+        n_init=10, max_iter=30, pca_period=20, retrain_period=3, train_max_iter=30,
+        retrain_max_iter=10, direct_config=DirectConfig(max_evals=60, max_iters=20),
+    )
+    LV4 = RunConfig(
+        n_init=8, max_iter=16, pca_period=12, retrain_period=2, train_max_iter=30,
+        retrain_max_iter=10, direct_config=DirectConfig(max_evals=60, max_iters=20),
+    )
+    CASES = {
+        "st10-k1": ("styblinski_tang-10", replace(ST10, subset_size=1), 1),
+        "st10-k2": ("styblinski_tang-10", ST10, 1),
+        "st10-k3": ("styblinski_tang-10", replace(ST10, subset_size=3, seed=1), 1),
+        "lv4-retrains": ("lotka_volterra", LV4, 1),
+        "st10-2-workers": ("styblinski_tang-10", replace(ST10, seed=2), 2),
+        "st10-4-workers": ("styblinski_tang-10", replace(ST10, seed=3), 4),
+        "window-past-max-iter": ("styblinski_tang-10", replace(ST10, pca_period=100), 2),
+    }
+
+    @staticmethod
+    def run(monkeypatch, name, config, workers, initial=True):
+        """The run's records, and its trainer calls: (datasets trained, proposals made before)."""
+        spec = benchmark_catalog()[name]
+        proposals, calls = [], []
+        trainer, search = optimize.train_hyperparams, optimize.direct_minimize
+
+        def train(data, **kwargs):
+            calls.append((len(data) if isinstance(data, list) else 1, len(proposals)))
+            return trainer(data, **kwargs)
+
+        def propose(*args):
+            proposals.append(args)
+            return search(*args)
+
+        monkeypatch.setattr(optimize, "train_hyperparams", train)
+        monkeypatch.setattr(optimize, "direct_minimize", propose)
+        design = None
+        if initial:
+            design = initial_design(
+                spec.evaluator, spec.bounds, config.n_init, np.random.default_rng(config.seed)
+            )
+        result = run_dsa_parallel(spec.evaluator, spec.bounds, config, workers, initial=design)
+        monkeypatch.undo()
+        return result, calls
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_records_as_with_lazy_spawns(self, monkeypatch, case):
+        name, config, workers = self.CASES[case]
+        result, calls = self.run(monkeypatch, name, config, workers)
+        # One batch before the first proposal, of every spawn of the window;
+        # each later call trains one spawn of a later window.
+        (batch, before), *later = calls
+        assert before == 0
+        assert batch > 1
+        assert batch + len(later) == result.gp_count
+        assert all(size == 1 and made >= config.pca_period for size, made in later)
+        if case == "lv4-retrains":
+            assert batch == 6 and not later
+            gp_sizes = [r.gp_size - config.n_init for r in result.records]
+            assert any(size >= config.retrain_period for size in gp_sizes)
+
+        monkeypatch.setattr(optimize, "_first_window", lambda *args: [])
+        lazy, lazy_calls = self.run(monkeypatch, name, config, workers)
+        assert [nontiming(r) for r in result.records] == [nontiming(r) for r in lazy.records]
+        assert [size for size, _ in lazy_calls] == [1] * result.gp_count
+
+    def test_without_an_initial_design(self, monkeypatch):
+        name, config, workers = self.CASES["st10-k2"]
+        result, calls = self.run(monkeypatch, name, config, workers, initial=False)
+        assert calls[0] == (result.gp_count - len(calls) + 1, 0)
+        monkeypatch.setattr(optimize, "_first_window", lambda *args: [])
+        lazy, _ = self.run(monkeypatch, name, config, workers, initial=False)
+        assert [nontiming(r) for r in result.records] == [nontiming(r) for r in lazy.records]
+
+    def test_a_large_window_in_several_batches(self, monkeypatch):
+        # With room for two spawns' kernel matrices a batch, the window's
+        # spawns train two at a time, all before the first proposal.
+        name, config, workers = self.CASES["st10-k2"]
+        result, calls = self.run(monkeypatch, name, config, workers)
+        monkeypatch.setattr(optimize, "_BATCH_BYTES", 2 * 8 * 3 * config.n_init**2)
+        batched, batched_calls = self.run(monkeypatch, name, config, workers)
+        assert [nontiming(r) for r in result.records] == [nontiming(r) for r in batched.records]
+        first = [size for size, made in batched_calls if made == 0]
+        assert sum(first) == calls[0][0]
+        assert first[:-1] == [2] * (len(first) - 1) and first[-1] in (1, 2)
+        assert batched_calls[len(first):] == calls[1:]
+
+    def test_a_wrong_prediction_falls_back(self, monkeypatch):
+        # The generator of one predicted spawn is moved by one draw, so the
+        # batch trains that spawn from other starts.  The spawn sees that its
+        # generator is elsewhere and trains as a lazy spawn does.
+        name, config, workers = self.CASES["st10-k2"]
+        result, calls = self.run(monkeypatch, name, config, workers)
+        predict = optimize._first_window
+
+        def wrong(*args):
+            spawns = predict(*args)
+            spawns[3][1].random()
+            return spawns
+
+        monkeypatch.setattr(optimize, "_first_window", wrong)
+        fallback, fallback_calls = self.run(monkeypatch, name, config, workers)
+        assert [nontiming(r) for r in result.records] == [nontiming(r) for r in fallback.records]
+        assert fallback_calls[0] == calls[0]
+        assert len(fallback_calls) == len(calls) + 1
+        assert fallback_calls[1][1] < config.pca_period  # the fallback, in the first window
