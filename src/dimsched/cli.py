@@ -1,8 +1,9 @@
 """Command-line entry point.
 
 Subcommands: list-objectives, run, plot, report.  Diagnostics go to
-stderr (level set by the DIMSCHED_LOG env var); stdout carries only
-machine-readable output.  Exit codes: 0 ok, 2 config error, 3 runtime
+stderr, at the level the DIMSCHED_LOG env var names (error, warning,
+info or debug, in any case); stdout carries only machine-readable
+output.  Exit codes: 0 ok, 2 config error, 3 runtime
 abort, 4 I/O error.  A reader that quits early, as ``head`` does, is not
 an error: the command exits 0.
 """
@@ -33,15 +34,19 @@ EXIT_RUNTIME = 3
 EXIT_IO = 4
 
 
-def _setup_logging() -> None:
-    level_name = os.environ.get("DIMSCHED_LOG", "error").lower()
-    levels = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
-    level = levels.get(level_name, logging.ERROR)
+def _setup_logging() -> bool:
+    """Log to stderr at the level DIMSCHED_LOG names (error by default); False if it names none."""
+    levels = {"error": logging.ERROR, "warning": logging.WARNING, "info": logging.INFO,
+              "debug": logging.DEBUG}
+    level = levels.get(os.environ.get("DIMSCHED_LOG", "error").lower())
+    if level is None:
+        return False
     logging.basicConfig(
         stream=sys.stderr,
         level=level,
         format="%(levelname)s %(name)s: %(message)s",
     )
+    return True
 
 
 def _cmd_list_objectives(_args) -> int:
@@ -104,7 +109,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _setup_logging()
+    if not _setup_logging():
+        sys.stderr.write("config error: DIMSCHED_LOG must be one of error, warning, info, debug\n")
+        return EXIT_CONFIG
     args = build_parser().parse_args(argv)
     try:
         code = args.handler(args)

@@ -839,7 +839,8 @@ def train_hyperparams(
     thetas = np.concatenate([starts for starts, _, _ in rows])
     # The box of each row, and the dataset each row is fitted on.
     lo, hi = (np.repeat([row[i] for row in rows], counts, axis=0) for i in (1, 2))
-    if several:
+    # A list of one dataset trains as the dataset alone does: the same bits, fewer calls.
+    if len(data) > 1:
         yc = [dataset._centred[1] for dataset, c in zip(data, counts) for _ in range(c)]
         data = [dataset for dataset, c in zip(data, counts) for _ in range(c)]
     else:

@@ -2,11 +2,11 @@
 latter with several proposals in flight.
 
 All three are entry points of one manager loop, made of two steps.
-``ask`` picks a coordinate subset, spawns its GP if the subset is new
-and proposes a point on it by maximizing EI over the subset with
-DIRECT.  ``tell`` fills the other coordinates in from the incumbent,
-evaluates the point, augments the subset's GP, updates the incumbent and
-records the iteration.  Dimension-scheduled runs sample the subset from
+``ask`` spawns the GP of its coordinate subset if the subset is new and
+proposes a point on it by maximizing EI over the subset with DIRECT.
+``tell`` fills the other coordinates in from the incumbent, evaluates
+the point, augments the subset's GP, updates the incumbent and records
+the iteration.  Dimension-scheduled runs sample the subset from
 per-coordinate weights (the sample variance of the observed inputs,
 mixed with a uniform floor); classical BO is the case where the subset
 is always every coordinate, so it keeps a single full-space GP.  The
@@ -14,35 +14,36 @@ manager keeps a registry of GP models keyed by the sorted subset; each
 model is spawned from the initial design's projection when its subset is
 first drawn, and only ever grows through its own subset's proposals.
 
-Until the next weight refresh, which subsets are drawn, which are new,
-which tells retrain and what each of them draws from the run's generator
-depend on no result.  So the first ask, at the first refresh, runs the
-schedule of the first window (asks 0 to pca_period - 1, at most
-max_iter) on a copy of the generator, without proposals or evaluations,
-and trains every spawn it predicts in one ``train_hyperparams`` call, one
-lockstep stack of all their starts (classical BO: a batch of one; a
-design so large that their kernel matrices would pass ``_BATCH_BYTES``
-trains them in several batches).  A
-spawn takes its pre-trained hyperparameters only where the run's
-generator stands where the batch drew that spawn's starts, so they are
-the same starts, byte for byte, and it moves the generator past them;
-else it trains as a later window's spawn does.  A wrong prediction costs
-time, never bits.  Record 0's ``wall_time_ms`` includes the batch.
-
 Between the two steps sits a FIFO of pending proposals: the loop asks
 until ``workers`` proposals are pending (one for ``run_bo`` and
 ``run_dsa``), or until every subset drawn has one pending, then tells
-the oldest.  Each proposal is computed in the calling thread when it is
-asked for, as in a pool whose workers finish in submission order; runs
-stay deterministic given the seed.  There is no pool because proposals
-are Python (DIRECT and EI) that holds the GIL: a thread pool took
-1.32-1.47 s at 2 workers and 1.66-1.88 s at 4, against 1.14-1.34 s for
+the oldest.  Until the next weight refresh, the FIFO's order, the
+subsets drawn, which of them are new, which tells retrain and the
+random starts of each training depend on no result.  So ``_schedule``
+draws that schedule once per window, at each refresh, from the run's
+generator: a plan of asks and tells, where each spawn and each retrain
+holds a copy of the generator at the state its starts are drawn from.
+``ask`` and ``tell`` carry the plan out and draw nothing.  The first
+window's spawns train before the first proposal, in one
+``train_hyperparams`` call, one lockstep stack of all their starts
+(classical BO: a batch of one; a design so large that their kernel
+matrices would pass ``_BATCH_BYTES`` trains them in several batches).
+Later spawns train at their ask.  Record 0's ``wall_time_ms`` includes
+the batch.  Each plan is one DEBUG record of this module's logger.
+
+Each proposal is computed in the calling thread when it is asked for,
+as in a pool whose workers finish in submission order; runs stay
+deterministic given the seed.  There is no pool because proposals are
+Python (DIRECT and EI) that holds the GIL: a thread pool took 1.32-1.47
+s at 2 workers and 1.66-1.88 s at 4, against 1.14-1.34 s for
 ``run_dsa`` (styblinski_tang-10, 200 iterations, 2-core x86 host, BLAS on
 one thread), and its traces varied between runs.
 """
 
 from __future__ import annotations
 
+import itertools
+import logging
 import time
 from dataclasses import dataclass, field
 
@@ -52,9 +53,12 @@ from .acquisition import acquisition_objective
 from .direct import Bounds, DirectConfig, direct_minimize
 from .errors import DimensionMismatch, NonFiniteAcquisition, NonFiniteObjective, _as_int
 from .gp import (
-    _RETRAIN_RESTARTS, Dataset, GpModel, _random_starts, gp_augment, gp_fit, train_hyperparams,
+    _RETRAIN_RESTARTS, Dataset, GpModel, KernelHyperparams, _random_starts, gp_augment, gp_fit,
+    train_hyperparams,
 )
 from .scheduler import compute_dimension_probabilities, sample_subset
+
+log = logging.getLogger(__name__)
 
 # The random starts of a spawn's training.
 _SPAWN_RESTARTS = 3
@@ -186,88 +190,68 @@ def run_dsa_parallel(
     return _run(objective, bounds, config, workers, initial, scheduled=True)
 
 
-def _fifo(ask, tell, workers: int, steps: int) -> bool:
-    """The FIFO of pending proposals, run for steps tells; False once a tell fails.
+def _starts(rng: np.random.Generator, key, restarts: int) -> np.random.Generator:
+    """A copy of rng where a training on key draws its starts; rng moves past them.
 
-    It asks until ``workers`` proposals are pending (fewer near the end),
-    or until ask returns None because every draw is pending, then tells
-    the oldest.  ask takes the pending proposals, each a tuple whose first
-    item is its key.
+    The generator moves by the starts' count, not their values, so unit
+    ranges stand in for the box's.
     """
-    pending = []
-    told = 0
-    while told < steps:
-        while len(pending) < min(workers, steps - told):
-            proposal = ask(pending)
-            if proposal is None:
-                break  # every draw is pending; tell the oldest first
-            pending.append(proposal)
-        if not tell(pending.pop(0)):
-            return False
-        told += 1
-    return True
-
-
-def _draw_key(probs, size: int, rng, pending, sample=sample_subset):
-    """A subset that no pending proposal holds: one draw, then up to 10 resamples.
-
-    None if all 11 draws are pending.  The loop passes this module's
-    ``sample_subset``, which perfbench's layer trace wraps; the default is
-    the function itself, so the first window's prediction is not traced.
-    """
-    checked_out = {proposal[0] for proposal in pending}
-    draws = (sample(probs, size, rng) for _ in range(11))
-    return next((key for key in draws if key not in checked_out), None)
-
-
-def _retrains(n: int, design_n: int, period: int) -> bool:
-    """Whether a model of n points retrains on the next: once per period points added."""
-    return (n + 1 - design_n) % period == 0
-
-
-def _generator_copy(rng: np.random.Generator) -> np.random.Generator:
     copy = np.random.Generator(type(rng.bit_generator)())
     copy.bit_generator.state = rng.bit_generator.state
+    _random_starts(rng, np.ones(len(key)), 1.0, restarts)
     return copy
 
 
-def _first_window(rng, probs, design: Dataset, config: RunConfig, workers: int, scheduled: bool):
-    """The spawns of asks 0 to pca_period - 1 (at most max_iter), each (key, generator).
+def _schedule(rng, weights, design: Dataset, config: RunConfig, workers: int, scheduled: bool):
+    """The FIFO's events, drawn from rng and yielded a window's plan at a time.
 
-    Until the next weight refresh, the key draws, the FIFO, which subsets
-    are new and which tells retrain depend on no result, nor do the draws
-    the loop makes for them.  So the loop's schedule runs here on a copy
-    of rng, with no proposal, evaluation or training: a spawn and a
-    retrain draw their random starts, whose count and not their values
-    moves the generator.  Each spawn comes with a copy of the generator
-    as its training finds it.  A run that aborts spawns fewer.
+    The FIFO asks until ``workers`` proposals are pending (fewer near the
+    end), or until an ask finds all 11 of its draws (one, then up to 10
+    resamples) pending, then tells the oldest.  A window starts at each
+    weight refresh: an ask when the told and the pending proposals number
+    a multiple of pca_period, again after an ask that found every draw
+    pending.  Its plan lists the events up to the next refresh, in order:
+    ``("ask", key, spawn)`` and ``("tell", key, retrain)``, where spawn
+    and retrain are None or a copy of rng at the state the training's
+    starts are drawn from.  weights() gives a scheduled window's weights;
+    the caller has carried out every earlier event by then.  Unscheduled
+    runs ask for every coordinate.  Each plan is logged at DEBUG level.
     """
-    sim = _generator_copy(rng)
     sizes: dict[tuple[int, ...], int] = {}  # each model's number of points
-    spawns = []
-
-    def ask(pending):
-        key = (
-            _draw_key(probs, config.subset_size, sim, pending) if scheduled
-            else tuple(range(design.d))
-        )
-        if key is None:
-            return None
-        if key not in sizes:
-            spawns.append((key, _generator_copy(sim)))
-            _random_starts(sim, np.ones(len(key)), 1.0, _SPAWN_RESTARTS)
-            sizes[key] = design.n
-        return (key,)
-
-    def tell(proposal):
-        key = proposal[0]
-        if _retrains(sizes[key], design.n, config.retrain_period):
-            _random_starts(sim, np.ones(len(key)), 1.0, _RETRAIN_RESTARTS)
-        sizes[key] += 1
-        return True
-
-    _fifo(ask, tell, workers, min(config.pca_period, config.max_iter))
-    return spawns
+    pending: list[tuple[int, ...]] = []  # the keys asked and not told, oldest first
+    told = 0
+    while told < config.max_iter:
+        first, plan = told + len(pending), []
+        probs = weights() if scheduled else None
+        while told < config.max_iter:
+            if len(pending) < min(workers, config.max_iter - told):
+                if plan and (told + len(pending)) % config.pca_period == 0:
+                    break  # the next refresh
+                key = tuple(range(design.d))
+                if scheduled:  # one draw, then up to 10 resamples of pending keys
+                    draws = (sample_subset(probs, config.subset_size, rng) for _ in range(11))
+                    key = next((key for key in draws if key not in pending), None)
+                if key is not None:
+                    spawn = None if key in sizes else _starts(rng, key, _SPAWN_RESTARTS)
+                    sizes.setdefault(key, design.n)
+                    pending.append(key)
+                    plan.append(("ask", key, spawn))
+                    continue
+            # No room, or every draw is pending: tell the oldest.
+            key = pending.pop(0)
+            retrain = (sizes[key] + 1 - design.n) % config.retrain_period == 0
+            plan.append(("tell", key, _starts(rng, key, _RETRAIN_RESTARTS) if retrain else None))
+            sizes[key] += 1
+            told += 1
+        if log.isEnabledFor(logging.DEBUG):
+            asks = sum(kind == "ask" for kind, _, _ in plan)
+            fields = {
+                "first_ask": first, "asks": asks, "tells": len(plan) - asks,
+                "spawns": [key for kind, key, draw in plan if kind == "ask" and draw is not None],
+                "retrains": sum(kind == "tell" and draw is not None for kind, _, draw in plan),
+            }
+            log.debug("window plan: %s", fields, extra=fields)
+        yield plan
 
 
 def _run(
@@ -276,10 +260,10 @@ def _run(
 ) -> RunResult:
     """The one optimizer loop behind run_bo, run_dsa and run_dsa_parallel.
 
-    Its steps are the local functions ``ask`` and ``tell``, with the FIFO
-    of pending proposals between them.  Unscheduled runs (classical BO,
-    always one worker) use the full coordinate set as their only key and
-    draw no scheduler randomness.
+    Its steps are the local functions ``ask`` and ``tell``, which carry
+    out the events of ``_schedule``'s plans.  Unscheduled runs (classical
+    BO, always one worker) use the full coordinate set as their only key
+    and draw no scheduler randomness.
     """
     if _as_int("workers", workers) < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -314,74 +298,38 @@ def _run(
     incumbent = Incumbent(point=design.X[best].copy(), value=float(design.Y[best]))
     models: dict[tuple[int, ...], GpModel] = {}
     boxes: dict[tuple[int, ...], Bounds] = {}  # the box of each model's coordinates
-    # The first window's spawns, trained before its first proposal: by key,
-    # the projection, the generator state its starts were drawn at, the
-    # generator past them and the hyperparameters.
-    pretrained: dict[tuple[int, ...], tuple] = {}
-    probs: np.ndarray | None = None
+    trained: dict[tuple[int, ...], KernelHyperparams] = {}  # the first window's spawns
     records: list[IterationRecord] = []
+
+    def weights() -> np.ndarray:
+        """The scheduling weights of the design and the records told by now."""
+        return compute_dimension_probabilities(
+            np.vstack([design.X, *(r.x for r in records)]), config.floor_eps
+        )
 
     def projection(key) -> Dataset:
         """The design seen on key's coordinates."""
         return Dataset(np.ascontiguousarray(design.X[:, list(key)]), design.Y)
 
-    def train_first_window():
-        """Train the first window's predicted spawns, each batch one call, one lockstep stack."""
-        spawns = _first_window(rng, probs, design, config, workers, scheduled)
-        size = max(1, _BATCH_BYTES // (8 * _SPAWN_RESTARTS * design.n**2))
-        for at in range(0, len(spawns), size):
-            keys, generators = zip(*spawns[at:at + size])
-            states = [generator.bit_generator.state for generator in generators]
-            for key in keys:
-                boxes[key] = bounds.subset(list(key))
-            projs = [projection(key) for key in keys]
-            hypers = train_hyperparams(
-                projs,
-                restarts=_SPAWN_RESTARTS,
-                rng=list(generators),
-                bounds_ranges=[boxes[key].span for key in keys],
-                max_iter=config.train_max_iter,
-            )
-            pretrained.update(zip(keys, zip(projs, states, generators, hypers)))
+    def train(spawns) -> dict[tuple[int, ...], KernelHyperparams]:
+        """Each spawn's hyperparameters by key, from its generator: one call, one lockstep stack."""
+        keys, generators = zip(*spawns)
+        for key in keys:
+            boxes[key] = bounds.subset(list(key))
+        hypers = train_hyperparams(
+            [projection(key) for key in keys],
+            restarts=_SPAWN_RESTARTS,
+            rng=list(generators),
+            bounds_ranges=[boxes[key].span for key in keys],
+            max_iter=config.train_max_iter,
+        )
+        return dict(zip(keys, hypers))
 
-    def ask(pending) -> tuple[tuple[int, ...], np.ndarray, float] | None:
-        """A proposal (key, x_sub, t_iter) on a key with none pending.
-
-        None if every draw is pending.  The weights are refreshed every
-        pca_period proposals, counting the told and the pending ones.  The
-        first ask trains the first window's spawns before it proposes.
-        """
-        nonlocal probs
-        t_iter = time.perf_counter()
-        key = tuple(range(bounds.d))
-        asked = len(records) + len(pending)
-        if scheduled and asked % config.pca_period == 0:
-            probs = compute_dimension_probabilities(
-                np.vstack([design.X, *(r.x for r in records)]), config.floor_eps
-            )
-        if asked == 0:
-            train_first_window()
-        if scheduled:
-            key = _draw_key(probs, config.subset_size, rng, pending, sample_subset)
-            if key is None:
-                return None
-        if key not in models:
-            proj, state, generator, hyper = pretrained.pop(key, (None,) * 4)
-            if hyper is not None and rng.bit_generator.state == state:
-                # The batch drew this spawn's starts where the run draws them
-                # now, so they are the same, byte for byte.
-                rng.bit_generator.state = generator.bit_generator.state
-            else:
-                boxes[key] = bounds.subset(list(key))
-                proj = projection(key)
-                hyper = train_hyperparams(
-                    proj,
-                    restarts=_SPAWN_RESTARTS,
-                    rng=rng,
-                    bounds_ranges=boxes[key].span,
-                    max_iter=config.train_max_iter,
-                )
-            models[key] = gp_fit(proj, hyper)
+    def ask(key, spawn, t_iter) -> tuple[tuple[int, ...], np.ndarray, float]:
+        """A proposal (key, x_sub, t_iter) on key, spawning its GP from spawn's starts if new."""
+        if spawn is not None:
+            hyper = trained.pop(key) if key in trained else train([(key, spawn)])[key]
+            models[key] = gp_fit(projection(key), hyper)
         model = models[key]
         try:
             x_sub, _, _ = direct_minimize(
@@ -394,11 +342,12 @@ def _run(
             ) from exc
         return key, x_sub, t_iter
 
-    def tell(proposal) -> bool:
+    def tell(proposal, retrain) -> bool:
         """Evaluate a proposal, grow its GP and record it; False if its value is not finite.
 
-        The coordinates outside the proposal's subset are the incumbent's
-        at this moment, not at the proposal's.
+        The GP retrains from retrain's starts unless it is None.  The
+        coordinates outside the proposal's subset are the incumbent's at
+        this moment, not at the proposal's.
         """
         nonlocal incumbent
         key, x_sub, t_iter = proposal
@@ -408,10 +357,8 @@ def _run(
             y_new, eval_ms = _timed_eval(objective, x_new)
         except NonFiniteObjective:
             return False
-        model = models[key]
         models[key] = gp_augment(
-            model, x_sub, y_new, retrain=_retrains(model.n, design.n, config.retrain_period),
-            rng=rng,
+            models[key], x_sub, y_new, retrain=retrain is not None, rng=retrain,
             retrain_max_iter=config.retrain_max_iter,
         )
         if y_new < incumbent.value:
@@ -430,7 +377,24 @@ def _run(
         )
         return True
 
-    aborted = not _fifo(ask, tell, workers, config.max_iter)
+    # A proposal's clock starts where the last event ended, so record 0's
+    # holds the first window's plan and batch.
+    t_iter = time.perf_counter()
+    plans = _schedule(rng, weights, design, config, workers, scheduled)
+    first = next(plans, [])
+    spawns = [(key, spawn) for kind, key, spawn in first if kind == "ask" and spawn is not None]
+    size = max(1, _BATCH_BYTES // (8 * _SPAWN_RESTARTS * design.n**2))
+    for at in range(0, len(spawns), size):
+        trained.update(train(spawns[at:at + size]))
+    pending = []  # the proposals asked and not told, oldest first
+    aborted = False
+    for kind, key, draw in itertools.chain(first, itertools.chain.from_iterable(plans)):
+        if kind == "ask":
+            pending.append(ask(key, draw, t_iter))
+        elif not tell(pending.pop(0), draw):
+            aborted = True
+            break
+        t_iter = time.perf_counter()
     return RunResult(
         records=records,
         incumbent=incumbent,

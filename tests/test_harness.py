@@ -675,6 +675,34 @@ class TestCli:
         assert proc.returncode == 2
         assert proc.stderr.splitlines() == ["config error: unknown objective 'nope'"]
 
+    @pytest.mark.parametrize("value", ["verbose", "warn"])
+    def test_unknown_log_level(self, tmp_path, value):
+        # A config error before any work: the campaign's output directory is not made.
+        out = tmp_path / "out"
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
+        env["DIMSCHED_LOG"] = value
+        proc = subprocess.run(
+            [sys.executable, "-m", "dimsched.cli", "run", "--config",
+             write_config(tmp_path, FAST_CONFIG), "--out", str(out)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [
+            "config error: DIMSCHED_LOG must be one of error, warning, info, debug"
+        ]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["Warning", "DEBUG", "info", "error"])
+    def test_log_level_in_any_case(self, value):
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
+        env["DIMSCHED_LOG"] = value
+        proc = subprocess.run(
+            [sys.executable, "-m", "dimsched.cli", "list-objectives"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+
     @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
     def test_reader_that_quits_early(self, unbuffered):
         # A pipe whose read end is closed, as after `dimsched list-objectives | true`.

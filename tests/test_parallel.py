@@ -1,10 +1,13 @@
+import logging
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from dimsched import optimize
+from dimsched.acquisition import acquisition_objective
 from dimsched.direct import Bounds, DirectConfig
+from dimsched.gp import Dataset
 from dimsched.objectives import benchmark_catalog
 from dimsched.optimize import RunConfig, initial_design, run_dsa, run_dsa_parallel
 
@@ -176,9 +179,91 @@ class TestAbort:
             assert [r.iter for r in result.records] == [6, 7, 8, 9]
 
 
+def spy_scheduler(monkeypatch, calls: list) -> None:
+    """Record each subset draw as "draw" and each weight refresh as the rows it reads."""
+    sample, weigh = optimize.sample_subset, optimize.compute_dimension_probabilities
+    monkeypatch.setattr(optimize, "sample_subset", lambda *a: calls.append("draw") or sample(*a))
+    monkeypatch.setattr(
+        optimize, "compute_dimension_probabilities",
+        lambda X, *a: calls.append(len(X)) or weigh(X, *a),
+    )
+
+
+def lazy_loop(objective, bounds, config, workers, initial=None):
+    """The oracle: the loop as it drew before its schedule became a plan.
+
+    Each ask refreshes the weights when due, draws its subset against the
+    pending ones and trains a new subset's GP there and then, and each
+    tell retrains from the run's generator when due.  The library's
+    attributes are looked up as the loop looks them up, so a spy sees both.
+    Returns the records (nontiming fields), the number of GPs and the asks
+    that found every draw pending.
+    """
+    rng = np.random.default_rng(config.seed)
+    design, _ = initial or initial_design(objective, bounds, config.n_init, rng)
+    best = int(np.argmin(design.Y))
+    incumbent = [design.X[best].copy(), float(design.Y[best])]
+    models, records, probs, missed = {}, [], None, [0]
+
+    def ask(pending):
+        nonlocal probs
+        if (len(records) + len(pending)) % config.pca_period == 0:
+            probs = optimize.compute_dimension_probabilities(
+                np.vstack([design.X, *(r[2] for r in records)]), config.floor_eps
+            )
+        checked_out = {key for key, _ in pending}
+        draws = (optimize.sample_subset(probs, config.subset_size, rng) for _ in range(11))
+        key = next((key for key in draws if key not in checked_out), None)
+        if key is None:
+            missed[0] += 1
+            return None
+        box = bounds.subset(list(key))
+        if key not in models:
+            proj = Dataset(np.ascontiguousarray(design.X[:, list(key)]), design.Y)
+            hyper = optimize.train_hyperparams(
+                proj, restarts=3, rng=rng, bounds_ranges=box.span, max_iter=config.train_max_iter
+            )
+            models[key] = optimize.gp_fit(proj, hyper)
+        x_sub, _, _ = optimize.direct_minimize(
+            acquisition_objective(models[key], incumbent[1]), box, config.direct_config
+        )
+        return key, x_sub
+
+    def tell(proposal):
+        key, x_sub = proposal
+        x = incumbent[0].copy()
+        x[list(key)] = x_sub
+        y = float(objective(x))
+        if not np.isfinite(y):
+            return False
+        model = models[key]
+        models[key] = optimize.gp_augment(
+            model, x_sub, y, retrain=(model.n + 1 - design.n) % config.retrain_period == 0,
+            rng=rng, retrain_max_iter=config.retrain_max_iter,
+        )
+        if y < incumbent[1]:
+            incumbent[:] = [x.copy(), y]
+        records.append((design.n + len(records), key, tuple(x), y, incumbent[1], models[key].n))
+        return True
+
+    pending, told = [], 0
+    while told < config.max_iter:
+        while len(pending) < min(workers, config.max_iter - told):
+            proposal = ask(pending)
+            if proposal is None:
+                break
+            pending.append(proposal)
+        if not tell(pending.pop(0)):
+            break
+        told += 1
+    return records, len(models), missed[0]
+
+
 class TestFirstWindow:
-    """The first window's spawns (asks 0 to pca_period - 1) are trained in one
-    call before the first proposal, and the records are those of lazy spawns."""
+    """The schedule is drawn one window at a time.  The first window's
+    spawns (asks 0 to pca_period - 1) are trained in one call before the
+    first proposal, later spawns each at its ask, and the records are the
+    lazy loop's."""
 
     ST10 = RunConfig(
         n_init=10, max_iter=30, pca_period=20, retrain_period=3, train_max_iter=30,
@@ -196,11 +281,18 @@ class TestFirstWindow:
         "st10-2-workers": ("styblinski_tang-10", replace(ST10, seed=2), 2),
         "st10-4-workers": ("styblinski_tang-10", replace(ST10, seed=3), 4),
         "window-past-max-iter": ("styblinski_tang-10", replace(ST10, pca_period=100), 2),
+        # Tells of one window's proposals fall inside the next window's plan.
+        "windows-crossed": ("styblinski_tang-10", replace(ST10, pca_period=10, max_iter=70), 4),
+        # Six subsets for six workers: every draw can be pending.
+        "every-draw-pending": ("styblinski_tang-4", replace(ST10, pca_period=5), 6),
     }
 
     @staticmethod
-    def run(monkeypatch, name, config, workers, initial=True):
-        """The run's records, and its trainer calls: (datasets trained, proposals made before)."""
+    def run(monkeypatch, name, config, workers, initial=True, scheduler=None):
+        """The run's records, and its trainer calls: (datasets trained, proposals made before).
+
+        A scheduler list gets the run's scheduler calls (spy_scheduler).
+        """
         spec = benchmark_catalog()[name]
         proposals, calls = [], []
         trainer, search = optimize.train_hyperparams, optimize.direct_minimize
@@ -215,6 +307,8 @@ class TestFirstWindow:
 
         monkeypatch.setattr(optimize, "train_hyperparams", train)
         monkeypatch.setattr(optimize, "direct_minimize", propose)
+        if scheduler is not None:
+            spy_scheduler(monkeypatch, scheduler)
         design = None
         if initial:
             design = initial_design(
@@ -224,10 +318,12 @@ class TestFirstWindow:
         monkeypatch.undo()
         return result, calls
 
-    @pytest.mark.parametrize("case", list(CASES))
-    def test_records_as_with_lazy_spawns(self, monkeypatch, case):
-        name, config, workers = self.CASES[case]
-        result, calls = self.run(monkeypatch, name, config, workers)
+    @classmethod
+    def check(cls, monkeypatch, case, initial):
+        """The batch before the first proposal, and the lazy loop's records and scheduler calls."""
+        name, config, workers = cls.CASES[case]
+        ours, lazy = [], []
+        result, calls = cls.run(monkeypatch, name, config, workers, initial, ours)
         # One batch before the first proposal, of every spawn of the window;
         # each later call trains one spawn of a later window.
         (batch, before), *later = calls
@@ -235,23 +331,34 @@ class TestFirstWindow:
         assert batch > 1
         assert batch + len(later) == result.gp_count
         assert all(size == 1 and made >= config.pca_period for size, made in later)
+        spec = benchmark_catalog()[name]
+        design = None
+        if initial:
+            design = initial_design(
+                spec.evaluator, spec.bounds, config.n_init, np.random.default_rng(config.seed)
+            )
+        spy_scheduler(monkeypatch, lazy)
+        records, gp_count, missed = lazy_loop(spec.evaluator, spec.bounds, config, workers, design)
+        monkeypatch.undo()
+        assert [nontiming(r) for r in result.records] == records
+        assert ours == lazy
+        assert result.gp_count == gp_count
+        return result, batch, later, missed
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_records_as_with_lazy_spawns(self, monkeypatch, case):
+        result, batch, later, missed = self.check(monkeypatch, case, initial=True)
+        config = self.CASES[case][1]
         if case == "lv4-retrains":
             assert batch == 6 and not later
             gp_sizes = [r.gp_size - config.n_init for r in result.records]
             assert any(size >= config.retrain_period for size in gp_sizes)
-
-        monkeypatch.setattr(optimize, "_first_window", lambda *args: [])
-        lazy, lazy_calls = self.run(monkeypatch, name, config, workers)
-        assert [nontiming(r) for r in result.records] == [nontiming(r) for r in lazy.records]
-        assert [size for size, _ in lazy_calls] == [1] * result.gp_count
+        if case == "every-draw-pending":
+            assert missed > 0
 
     def test_without_an_initial_design(self, monkeypatch):
-        name, config, workers = self.CASES["st10-k2"]
-        result, calls = self.run(monkeypatch, name, config, workers, initial=False)
-        assert calls[0] == (result.gp_count - len(calls) + 1, 0)
-        monkeypatch.setattr(optimize, "_first_window", lambda *args: [])
-        lazy, _ = self.run(monkeypatch, name, config, workers, initial=False)
-        assert [nontiming(r) for r in result.records] == [nontiming(r) for r in lazy.records]
+        for case in self.CASES:
+            self.check(monkeypatch, case, initial=False)
 
     def test_a_large_window_in_several_batches(self, monkeypatch):
         # With room for two spawns' kernel matrices a batch, the window's
@@ -266,22 +373,40 @@ class TestFirstWindow:
         assert first[:-1] == [2] * (len(first) - 1) and first[-1] in (1, 2)
         assert batched_calls[len(first):] == calls[1:]
 
-    def test_a_wrong_prediction_falls_back(self, monkeypatch):
-        # The generator of one predicted spawn is moved by one draw, so the
-        # batch trains that spawn from other starts.  The spawn sees that its
-        # generator is elsewhere and trains as a lazy spawn does.
-        name, config, workers = self.CASES["st10-k2"]
-        result, calls = self.run(monkeypatch, name, config, workers)
-        predict = optimize._first_window
 
-        def wrong(*args):
-            spawns = predict(*args)
-            spawns[3][1].random()
-            return spawns
+class TestSchedule:
+    """Each key is drawn once, through optimize.sample_subset, and each
+    window's plan is one DEBUG record of dimsched.optimize."""
 
-        monkeypatch.setattr(optimize, "_first_window", wrong)
-        fallback, fallback_calls = self.run(monkeypatch, name, config, workers)
-        assert [nontiming(r) for r in result.records] == [nontiming(r) for r in fallback.records]
-        assert fallback_calls[0] == calls[0]
-        assert len(fallback_calls) == len(calls) + 1
-        assert fallback_calls[1][1] < config.pca_period  # the fallback, in the first window
+    CONFIG = replace(make_config(16), max_iter=25)  # pca_period 10: windows at asks 0, 10, 20
+
+    def test_one_draw_per_key(self, monkeypatch):
+        calls = []
+        spy_scheduler(monkeypatch, calls)
+        run_dsa(sphere, BOUNDS, self.CONFIG)
+        assert calls.count("draw") == self.CONFIG.max_iter
+
+    def test_resamples_drawn_once(self, monkeypatch):
+        ours, lazy = [], []
+        spy_scheduler(monkeypatch, ours)
+        run_dsa_parallel(sphere, BOUNDS, self.CONFIG, workers=3)
+        monkeypatch.undo()
+        spy_scheduler(monkeypatch, lazy)
+        lazy_loop(sphere, BOUNDS, self.CONFIG, 3)
+        assert ours.count("draw") == lazy.count("draw") > self.CONFIG.max_iter
+
+    def test_one_record_per_window(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="dimsched.optimize"):
+            result = run_dsa_parallel(sphere, BOUNDS, self.CONFIG, workers=3)
+        plans = [r for r in caplog.records if r.name == "dimsched.optimize"]
+        assert [plan.first_ask for plan in plans] == [0, 10, 20]
+        assert [plan.asks for plan in plans] == [10, 10, 5]
+        assert sum(plan.tells for plan in plans) == self.CONFIG.max_iter
+        assert plans[0].tells < plans[0].asks  # the rest are told in the next window
+        assert sum(len(plan.spawns) for plan in plans) == result.gp_count
+        assert sum(plan.retrains for plan in plans) > 0
+
+    def test_no_record_at_the_default_level(self, caplog):
+        assert not logging.getLogger("dimsched.optimize").isEnabledFor(logging.DEBUG)
+        run_dsa(sphere, BOUNDS, self.CONFIG)
+        assert not [r for r in caplog.records if r.name == "dimsched.optimize"]
