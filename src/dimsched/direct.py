@@ -115,8 +115,7 @@ class DirectConfig:
 
     def __post_init__(self):
         for key, least in (("max_evals", 1), ("max_iters", 0)):
-            if _as_int(key, getattr(self, key)) < least:
-                raise ValueError(f"{key} must be >= {least}")
+            _as_int(key, getattr(self, key), least=least)
 
 
 @functools.lru_cache(maxsize=None)

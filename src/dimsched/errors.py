@@ -47,8 +47,9 @@ class ParseError(DimschedError):
     """A harness-written file failed to parse."""
 
 
-def _as_int(name: str, value, error: type[Exception] = ValueError) -> int:
-    """value as an int if it is an integer, numpy's included; else error, naming name.
+def _as_int(name: str, value, error: type[Exception] = ValueError, least: int | None = None) -> int:
+    """value as an int if it is an integer, numpy's included, and >= least if given;
+    else error, naming name.
 
     A float is refused even when it is whole: a setting such as 2.5
     iterations or workers has no meaning to round to.  So is a bool, which
@@ -57,6 +58,9 @@ def _as_int(name: str, value, error: type[Exception] = ValueError) -> int:
     if isinstance(value, bool):
         raise error(f"{name} must be an integer, got {value!r}")
     try:
-        return operator.index(value)
+        value = operator.index(value)
     except TypeError:
         raise error(f"{name} must be an integer, got {value!r}") from None
+    if least is not None and value < least:
+        raise error(f"{name} must be >= {least}, got {value}")
+    return value

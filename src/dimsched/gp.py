@@ -32,22 +32,23 @@ slower than normal floats.
 
 One fit core, ``_fit``, builds K + sigma_n^2 I for each row of a stack of
 log-hyperparameter vectors, factorizes each and solves for alpha; it
-returns the LMLs and keeps the noise-free K for the gradient.  The
-stacked forms it and the gradient use give each row the bits of the 1-D
-computation for that row alone: (k, 1, d) @ (d, N), (d, N) @ (k, N, 1),
-(k, p, p) @ (k, p, 1), row dot products (``_rowdot``) and row-wise sums;
-not plain 2-D products or einsum.  Each row is still
+returns the LMLs and keeps the noise-free K for the gradient.  A stack
+comes as its runs, (dataset, i, j) where rows i..j-1 are fitted on
+dataset and share its ``sq_diffs`` and centred targets.  The stacked
+forms the fit core and the gradient use give each row the bits of the
+1-D computation for that row alone: (k, 1, d) @ (d, N), (d, N) @
+(k, N, 1), (k, p, p) @ (k, p, 1), row dot products (``_rowdot``) and
+row-wise sums; not plain 2-D products or einsum.  Each row is still
 factorized (``cholesky_spd``), solved (``solve_tri``) and inverted
 (``chol_inverse_lower``) by its own call.  ``gp_fit``, the public LML and
-its gradient run it on a stack of one row, and training on the stack of
-its starts, or of the starts of several datasets of one shape, whose
-rows each carry their dataset's squared differences, centred targets and
-box: each trial point is fitted once, and a ``KernelHyperparams`` is
-built only for the value returned.  A dataset centres its targets once, for
-every fit, training and O(n^2) append on it, and refuses, by name, targets
-whose mean, centred values or mean square overflows; training takes its
-target variance from the same pass.  A model reads its mean shift from
-its data; the append solves for alpha as the fit core does.
+its gradient fit a stack of one row in one run, and training the stack
+of its starts, in one run per dataset: each trial point is fitted once,
+and a ``KernelHyperparams`` is built only for the value returned.  A
+dataset centres its targets once, for every fit, training and O(n^2)
+append on it, and refuses, by name, targets whose mean, centred values
+or mean square overflows; training takes its target variance from the
+same pass.  A model reads its mean shift from its data; the append
+solves for alpha as the fit core does.
 Trial points may overflow or fail to factorize, so one
 ``np.errstate(all="ignore")`` spans a training's starts and ascents; the
 fit core and the gradient enter none of their own.
@@ -55,9 +56,11 @@ fit core and the gradient enter none of their own.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -308,6 +311,7 @@ def gp_predict(model: GpModel, X) -> tuple[np.ndarray, np.ndarray]:
 class _Fit(NamedTuple):
     """Fits at the k rows of a stack of log-hyperparameter vectors, thetas (k, d+2)."""
 
+    runs: list  # (dataset, i, j): rows i..j-1 are fitted on dataset
     lml: list[float]  # per row; nan where the factorization failed
     factors: list  # per row, its CholFactor or the DimschedError that factorizing raised
     alpha: np.ndarray  # (k, n); unset where the factorization failed
@@ -328,52 +332,38 @@ def _stacked_rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 _rowdot = getattr(np, "vecdot", _stacked_rowdot)
 
 
-def _runs(data, rows) -> list:
-    """(dataset, i, j) for each run of stack rows i..j-1 on one dataset.
-
-    Row i of the stack is row rows[i] of data, which is one Dataset for
-    every row or a list of Datasets, one per row.
-    """
-    if isinstance(data, Dataset):
-        return [(data, 0, len(rows))]
-    runs = []
-    i = 0
-    for j in range(1, len(rows) + 1):
-        if j == len(rows) or data[rows[j]] is not data[rows[i]]:
-            runs.append((data[rows[i]], i, j))
-            i = j
-    return runs
+def _cut(runs: list, rows: list[int]) -> list:
+    """runs re-cut to the stack of the given ascending rows, renumbered from 0."""
+    cut = []
+    for dataset, start, end in runs:
+        i, j = bisect.bisect_left(rows, start), bisect.bisect_left(rows, end)
+        if i < j:
+            cut.append((dataset, i, j))
+    return cut
 
 
-def _fit(data, yc, thetas: np.ndarray) -> _Fit:
+def _fit(runs: list, thetas: np.ndarray) -> _Fit:
     """The one fit core: K + sigma_n^2 I at each row of thetas, its factor, alpha and LML.
 
-    theta is [log ell_1..d, log sigma_f^2, log sigma_n^2] and yc the
-    centred targets, checked finite.  data is one Dataset for every row,
-    or a list of Datasets of one shape, one per row, with yc a list of
-    their centred targets; the rows of one dataset are consecutive, and
-    share its block ``sq_diffs``.  exp(w @ D) is built for the whole
-    stack, by one product per dataset, in forms that give each row the
+    theta is [log ell_1..d, log sigma_f^2, log sigma_n^2], and runs cut
+    the stack, in row order, into (dataset, i, j), rows i..j-1 fitted on
+    dataset, the datasets of one shape.  exp(w @ D) is built for the
+    whole stack, by one product per run, in forms that give each row the
     bits of a fit of that row alone; each row is then scaled by its own
-    sigma_f^2, factorized and solved on its own, and its LML summed as a
-    Python float.  sigma_f^2 and sigma_n^2 stay Python floats, so a row's
-    scaling and diagonal cost one call each at any stack height, where a
-    stacked form would first build an array of them.  A row whose
-    factorization raises keeps the error in place of its factor.
+    sigma_f^2, factorized and solved against its dataset's centred
+    targets on its own, and its LML summed as a Python float.  sigma_f^2 and sigma_n^2
+    stay Python floats, so a row's scaling and diagonal cost one call
+    each at any stack height, where a stacked form would first build an
+    array of them.  A row whose factorization raises keeps the error in
+    place of its factor.
     """
     k = thetas.shape[0]
-    runs = _runs(data, range(k))
     n = runs[0][0].n
-    if isinstance(data, Dataset):
-        yc = [yc] * k
     weights = _kernel_weights(thetas[:, :-2])
     # Each row is scaled by its own sigma_f^2 below.
-    if len(runs) == 1:
-        K = weights[:, None, :] @ runs[0][0].sq_diffs
-    else:
-        K = np.empty((k, 1, n * n))
-        for dataset, i, j in runs:
-            np.matmul(weights[i:j, None, :], dataset.sq_diffs, out=K[i:j])
+    K = np.empty((k, 1, n * n))
+    for dataset, i, j in runs:
+        np.matmul(weights[i:j, None, :], dataset.sq_diffs, out=K[i:j])
     K = _floored_exp(K).reshape(k, n, n)
     # K's diagonal is sigma_f^2 exactly, as exp(0) = 1.  So sigma_n^2 is
     # added to it in place for each factorization, and the diagonal is set
@@ -384,27 +374,29 @@ def _fit(data, yc, thetas: np.ndarray) -> _Fit:
     noise_variance = []
     alpha = np.empty((k, n))
     constant = n * _LOG_2PI
-    # sigma_f^2 and sigma_n^2 per row, by math.exp: np.exp differs in the last bit.
-    for j, (sf, sn) in enumerate(thetas[:, -2:].tolist()):
-        signal, noise = math.exp(sf), math.exp(sn)
-        noise_variance.append(noise)
-        K_j = K[j]
-        K_j *= signal
-        K_diagonal = K_diagonals[j]
-        K_diagonal += noise
-        try:
-            factor = cholesky_spd(K_j)
-        except (NotPositiveDefinite, DimensionMismatch) as exc:
-            lml.append(math.nan)
-            factors.append(exc)
-        else:
-            factors.append(factor)
-            yc_j = yc[j]
-            alpha[j] = alpha_j = _solve_alpha(factor, yc_j)
-            log_det = 2.0 * float(np.add.reduce(np.log(factor.L.diagonal())))
-            lml.append(-0.5 * (float(yc_j @ alpha_j) + log_det + constant))
-        K_diagonal[...] = signal
-    return _Fit(lml, factors, alpha, K, weights, noise_variance)
+    variances = thetas[:, -2:].tolist()
+    for dataset, i, end in runs:
+        yc = dataset._centred[1]
+        # sigma_f^2 and sigma_n^2 per row, by math.exp: np.exp differs in the last bit.
+        for j, (sf, sn) in enumerate(variances[i:end], i):
+            signal, noise = math.exp(sf), math.exp(sn)
+            noise_variance.append(noise)
+            K_j = K[j]
+            K_j *= signal
+            K_diagonal = K_diagonals[j]
+            K_diagonal += noise
+            try:
+                factor = cholesky_spd(K_j)
+            except (NotPositiveDefinite, DimensionMismatch) as exc:
+                lml.append(math.nan)
+                factors.append(exc)
+            else:
+                factors.append(factor)
+                alpha[j] = alpha_j = _solve_alpha(factor, yc)
+                log_det = 2.0 * float(np.add.reduce(np.log(factor.L.diagonal())))
+                lml.append(-0.5 * (float(yc @ alpha_j) + log_det + constant))
+            K_diagonal[...] = signal
+    return _Fit(runs, lml, factors, alpha, K, weights, noise_variance)
 
 
 def _solve_alpha(factor: CholFactor, yc: np.ndarray) -> np.ndarray:
@@ -418,7 +410,7 @@ def _fit_hyper(data: Dataset, hyper: KernelHyperparams) -> _Fit:
         raise DimensionMismatch("need at least one observation")
     if hyper.d != data.d:
         raise DimensionMismatch(f"hyper dim {hyper.d} != data dim {data.d}")
-    fit = _fit(data, data._centred[1], hyper.to_vector()[None])
+    fit = _fit([(data, 0, 1)], hyper.to_vector()[None])
     if not isinstance(fit.factors[0], CholFactor):
         raise fit.factors[0]
     return fit
@@ -428,24 +420,26 @@ def log_marginal_likelihood(data: Dataset, hyper: KernelHyperparams) -> float:
     return _fit_hyper(data, hyper).lml[0]
 
 
-def _lml_gradient(data, fit: _Fit, rows: list[int]) -> np.ndarray:
+def _lml_gradient(fit: _Fit, rows: list[int]) -> np.ndarray:
     """LML gradients w.r.t. [log ell_1..d, log sigma_f^2, log sigma_n^2], one per row of rows.
 
-    data is what ``fit`` was fitted on, and rows are ascending rows of
-    ``fit`` whose factorization succeeded.  Uses the trace identity
-    0.5 * tr((alpha alpha^T - K^-1) dK/dtheta) (Rasmussen & Williams 2006,
-    eq. 5.9), with K^-1 from each row's factor.  With W = (alpha alpha^T -
-    K^-1) o K, every lengthscale component comes from one product per
-    dataset with its ``sq_diffs``, times 0.5/ell^2 = -weights; the two
-    variance components are Python floats from W's row sums and traces.
-    A row whose K^-1 cannot be formed is nan.
+    rows are ascending rows of ``fit`` whose factorization succeeded.
+    Uses the trace identity 0.5 * tr((alpha alpha^T - K^-1) dK/dtheta)
+    (Rasmussen & Williams 2006, eq. 5.9), with K^-1 from each row's
+    factor.  With W = (alpha alpha^T - K^-1) o K, every lengthscale
+    component comes from one product per run of the fit with its
+    dataset's ``sq_diffs``, times 0.5/ell^2 = -weights; the two variance
+    components are Python floats from W's row sums and traces.  A row
+    whose K^-1 cannot be formed is nan.
     """
-    runs = _runs(data, rows)
-    n, d = runs[0][0].n, runs[0][0].d
     m = len(rows)
+    n, d = fit.K.shape[1], fit.weights.shape[1]
+    # A gradient of every row reads the fit's stacks in place and re-cuts
+    # no runs; the per-row form alone made spawn training 3-6% slower.
     every = m == len(fit.factors)
-    alpha, weights = fit.alpha, fit.weights
+    runs, alpha, weights = fit.runs, fit.alpha, fit.weights
     if not every:
+        runs = _cut(runs, rows)
         alpha, weights = alpha.take(rows, axis=0), weights.take(rows, axis=0)
     W = alpha[:, :, None] * alpha[:, None, :]
     for i, j in enumerate(rows):
@@ -471,12 +465,9 @@ def _lml_gradient(data, fit: _Fit, rows: list[int]) -> np.ndarray:
     sums = np.add.reduce(W_flat, axis=1).tolist()
 
     grad = np.empty((m, d + 2))
-    if len(runs) == 1:
-        lengthscale = runs[0][0].sq_diffs @ W_flat[:, :, None]
-    else:
-        lengthscale = np.empty((m, d, 1))
-        for dataset, i, j in runs:
-            np.matmul(dataset.sq_diffs, W_flat[i:j, :, None], out=lengthscale[i:j])
+    lengthscale = np.empty((m, d, 1))
+    for dataset, i, j in runs:
+        np.matmul(dataset.sq_diffs, W_flat[i:j, :, None], out=lengthscale[i:j])
     lengthscale = lengthscale[:, :, 0]
     np.negative(lengthscale, out=lengthscale)
     np.multiply(lengthscale, weights, out=grad[:, :d])
@@ -487,7 +478,7 @@ def _lml_gradient(data, fit: _Fit, rows: list[int]) -> np.ndarray:
 
 
 def lml_gradient(data: Dataset, hyper: KernelHyperparams) -> np.ndarray:
-    return _lml_gradient(data, _fit_hyper(data, hyper), [0])[0]
+    return _lml_gradient(_fit_hyper(data, hyper), [0])[0]
 
 
 # The random starts of a retrain (gp_augment), besides its warm start.
@@ -505,12 +496,12 @@ _REL_GAIN_TOL = 2.2e-9
 
 
 def _ascend(
-    data, yc, thetas: np.ndarray, lo: np.ndarray, hi: np.ndarray, max_iter: int,
+    runs: list, thetas: np.ndarray, lo: np.ndarray, hi: np.ndarray, max_iter: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Projected BFGS ascents on the LML inside a box, one from each row of thetas.
 
-    data and yc are as ``_fit`` takes them, and row i of lo and hi is the
-    box of row i of thetas.
+    runs cut the stack as ``_fit`` takes them, and row i of lo and hi is
+    the box of row i of thetas.
 
     A coordinate at a bound whose gradient points out of the box is held;
     the others move along H g, with H the dense BFGS estimate of the
@@ -533,15 +524,18 @@ def _ascend(
     The starts climb in lockstep, one row each of every stack.  A round
     fits the next point of every row as one stack, then differentiates
     the rows whose point passed as one stack; a row leaves when its ascent
-    stops.  Each row takes the steps it would take alone, bit for bit:
-    per-row scalars are Python floats, as in a single ascent, and the
-    stacked forms give each row the bits of its own 1-D computation.  A
-    round's numpy calls act on whole stacks, whatever their height; rows
-    that moved while others did not are written in place, one row at a
-    time, so no stack is copied for them.  Each trial point is fitted
-    once, and the accepted trial's fit gives the next gradient.  Returns
-    each start's LML, -inf where its first fit fails, and its last
-    accepted point.
+    stops, and the runs are re-cut to the rows left.  Each row takes the
+    steps it would take alone, bit for bit: per-row scalars are Python
+    floats, as in a single ascent, and the stacked forms give each row
+    the bits of its own 1-D computation.  A round's numpy calls act on
+    whole stacks, whatever their height; rows that moved while others did
+    not are written in place, one row at a time, so no stack is copied
+    for them.  Where every row moved, the stack is rebound or updated
+    whole: each such form pays, as its per-row loop alone made spawn
+    training 1-5% slower, and all of them with the gradient's 9-10%.
+    Each trial point is fitted once, and the accepted trial's fit gives
+    the next gradient.  Returns each start's LML, -inf where its first
+    fit fails, and its last accepted point.
     """
     k, p = thetas.shape
     f_end = np.full(k, -np.inf)
@@ -571,7 +565,7 @@ def _ascend(
 
     while True:
         m = len(start)
-        fit = _fit(data, yc, cand)
+        fit = _fit(runs, cand)
         passed = []  # rows whose point is accepted
         climb = []  # of these, the rows that take a gradient
         searching = []  # rows that backtrack along their direction
@@ -611,7 +605,7 @@ def _ascend(
 
         new = []  # rows that start a new search
         if climb:
-            g_next = _lml_gradient(data, fit, climb)
+            g_next = _lml_gradient(fit, climb)
             if len(climb) < m:  # the other rows keep g, so their y is 0 and H stays
                 g_climb, g_next = g_next, g.copy()
                 for i, j in enumerate(climb):
@@ -718,8 +712,7 @@ def _ascend(
                 a.take(keep, axis=0)
                 for a in (theta, cand, step, s, g, pg, held, direction, H, lo, hi)
             )
-            if not isinstance(data, Dataset):
-                data, yc = [data[i] for i in keep], [yc[i] for i in keep]
+            runs = _cut(runs, keep)
         first = False
 
 
@@ -754,14 +747,6 @@ def _coordinate_ranges(data: Dataset, bounds_ranges=None) -> np.ndarray:
             j = int(negative[0])
             raise ValueError(f"bounds range of coordinate {j} is negative: {ranges[j]:g}")
     return np.where(ranges > 0, ranges, 1.0)
-
-
-def _count(name: str, value) -> int:
-    """value as a nonnegative int; else ValueError, naming name."""
-    value = _as_int(name, value)
-    if value < 0:
-        raise ValueError(f"{name} must be >= 0, got {value}")
-    return value
 
 
 def _training_starts(data: Dataset, restarts: int, rng, bounds_ranges, warm_start):
@@ -817,14 +802,15 @@ def train_hyperparams(
     integers >= 0, and bounds ranges finite and >= 0; a ValueError names
     the argument, or the coordinate of a negative range.
 
-    data may also be a list of datasets of one shape, which then train as
-    one lockstep stack of all their starts: rng, bounds_ranges and
-    warm_start are then lists with an entry per dataset (or None for
-    every one), each dataset's starts are drawn from its own rng, and a
-    list of hyperparameters comes back, each with the bits of training
-    its dataset alone.
+    data may also be a list of datasets of one shape: rng, bounds_ranges
+    and warm_start are then lists with an entry per dataset (or None for
+    every one), and a list of hyperparameters comes back.  Either way the
+    starts climb as one lockstep stack, one run of rows per dataset, each
+    dataset's starts drawn from its own rng, and each dataset gets the
+    bits of training it alone.
     """
-    restarts, max_iter = _count("restarts", restarts), _count("max_iter", max_iter)
+    restarts = _as_int("restarts", restarts, least=0)
+    max_iter = _as_int("max_iter", max_iter, least=0)
     several = not isinstance(data, Dataset)
     if not several:
         data, rng, bounds_ranges, warm_start = [data], [rng], [bounds_ranges], [warm_start]
@@ -834,27 +820,20 @@ def train_hyperparams(
     entries = [[None] * len(data) if v is None else v for v in (rng, bounds_ranges, warm_start)]
     if any(len(values) != len(data) for values in entries):
         raise ValueError("rng, bounds_ranges and warm_start need an entry per dataset")
-    rows = [_training_starts(dataset, restarts, *entry) for dataset, *entry in zip(data, *entries)]
-    counts = [len(starts) for starts, _, _ in rows]
-    thetas = np.concatenate([starts for starts, _, _ in rows])
-    # The box of each row, and the dataset each row is fitted on.
-    lo, hi = (np.repeat([row[i] for row in rows], counts, axis=0) for i in (1, 2))
-    # A list of one dataset trains as the dataset alone does: the same bits, fewer calls.
-    if len(data) > 1:
-        yc = [dataset._centred[1] for dataset, c in zip(data, counts) for _ in range(c)]
-        data = [dataset for dataset, c in zip(data, counts) for _ in range(c)]
-    else:
-        data, yc = data[0], data[0]._centred[1]
+    starts, lo, hi = zip(*(
+        _training_starts(dataset, restarts, *entry) for dataset, *entry in zip(data, *entries)
+    ))
+    counts = [len(rows) for rows in starts]
+    # One run per dataset: its starts are rows j - c..j-1 of the stack.
+    runs = [(dataset, j - c, j) for dataset, c, j in zip(data, counts, accumulate(counts))]
+    # The box of each row.
+    lo, hi = (np.repeat(bound, counts, axis=0) for bound in (lo, hi))
 
     # The fit core and the ascent reject what overflows (module docstring).
     with np.errstate(all="ignore"):
-        f, theta = _ascend(data, yc, thetas, lo, hi, max_iter=max_iter)
+        f, theta = _ascend(runs, np.concatenate(starts), lo, hi, max_iter=max_iter)
     # Per dataset, its first best start; its first start if every one fails.
-    hypers = []
-    i = 0
-    for count in counts:
-        hypers.append(KernelHyperparams.from_vector(theta[i + int(np.argmax(f[i:i + count]))]))
-        i += count
+    hypers = [KernelHyperparams.from_vector(theta[i + int(np.argmax(f[i:j]))]) for _, i, j in runs]
     return hypers if several else hypers[0]
 
 
@@ -874,7 +853,7 @@ def gp_augment(
     retrain=True the hyperparameters are re-optimized, warm-started from
     the current values plus one random restart, and the model is refitted.
     """
-    retrain_max_iter = _count("retrain_max_iter", retrain_max_iter)
+    retrain_max_iter = _as_int("retrain_max_iter", retrain_max_iter, least=0)
     data = model.data.append(x, y)
     hyper = model.hyper
     if retrain:

@@ -60,8 +60,7 @@ class CampaignConfig:
         if not self.algorithms:
             raise ConfigError("[campaign] algorithms must list at least one algorithm")
         for key, least in (("runs", 1), ("workers", 1), ("base_seed", 0)):
-            if _as_int(f"[campaign] {key}", getattr(self, key), ConfigError) < least:
-                raise ConfigError(f"[campaign] {key} must be >= {least}")
+            _as_int(f"[campaign] {key}", getattr(self, key), ConfigError, least)
         # BO ignores subset_size; a scheduled loop would abort on it after BO has run.
         d, size = catalog[self.objective_name].dimension, self.run_config.subset_size
         if {"dsa", "dsa-parallel"} & set(self.algorithms) and not 1 <= size <= d:

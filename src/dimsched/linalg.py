@@ -239,23 +239,9 @@ def std_normal_pdf_floats(zs: list[float]) -> list[float]:
     return [e / _SQRT_2PI for e in exps]
 
 
-def std_normal_pdf(z):
-    """Standard normal density, elementwise."""
-    w = np.asarray(z, dtype=float)
-    pdf = np.array(std_normal_pdf_floats(w.ravel().tolist()))
-    return pdf.reshape(w.shape) if w.ndim else pdf[0]
-
-
 def std_normal_cdf_float(z: float) -> float:
     """Standard normal distribution function at one Python float."""
     # The erfc form keeps full accuracy in the left tail.  numpy has no
     # erfc, and scipy.special is slow to import, so math.erfc runs on one
     # Python float at a time.
     return 0.5 * math.erfc(z / -_SQRT_2)
-
-
-def std_normal_cdf(z):
-    """Standard normal distribution function, elementwise."""
-    w = np.asarray(z, dtype=float)
-    cdf = np.array(list(map(std_normal_cdf_float, w.ravel().tolist())))
-    return cdf.reshape(w.shape) if w.ndim else cdf[0]

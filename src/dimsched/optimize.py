@@ -91,14 +91,12 @@ class RunConfig:
         # Smaller values crash the loop (a design too small to train a GP on,
         # a zero modulus, a seed numpy rejects) or would pass as 0 iterations,
         # which is legal: a design-only run, or a training that keeps its start.
+        # BO ignores subset_size; the scheduled loops check it against the box.
         for key, least in (
             ("n_init", 2), ("pca_period", 1), ("retrain_period", 1), ("seed", 0),
-            ("max_iter", 0), ("train_max_iter", 0), ("retrain_max_iter", 0),
+            ("max_iter", 0), ("train_max_iter", 0), ("retrain_max_iter", 0), ("subset_size", None),
         ):
-            if _as_int(key, getattr(self, key)) < least:
-                raise ValueError(f"{key} must be >= {least}")
-        # BO ignores subset_size; the scheduled loops check it against the box.
-        _as_int("subset_size", self.subset_size)
+            _as_int(key, getattr(self, key), least=least)
         # Outside [0, 1] the scheduling weights can go negative; nan fails
         # the subset draw mid-run.
         if not 0.0 <= self.floor_eps <= 1.0:
@@ -265,8 +263,7 @@ def _run(
     BO, always one worker) use the full coordinate set as their only key
     and draw no scheduler randomness.
     """
-    if _as_int("workers", workers) < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    _as_int("workers", workers, least=1)
     if scheduled and bounds.d < 2:
         raise DimensionMismatch(
             f"dimension scheduling needs at least 2 coordinates, got a {bounds.d}-d box"

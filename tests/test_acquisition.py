@@ -8,7 +8,7 @@ from dimsched import acquisition
 from dimsched.acquisition import acquisition_objective, expected_improvement
 from dimsched.errors import DimensionMismatch
 from dimsched.gp import Dataset, KernelHyperparams, gp_fit, gp_predict
-from dimsched.linalg import std_normal_cdf, std_normal_pdf
+from test_linalg import std_normal_cdf, std_normal_pdf
 
 
 def closed_form(mu, sigma, y_best):

@@ -127,7 +127,7 @@ class TestKernelBits:
                 for lo, hi in ((-0.5, 1.5), (-40.0, 20.0)):
                     log_ls = rng.uniform(lo, hi, size=d)
                     h = KernelHyperparams(log_ls, float(rng.uniform(-5, 5)), -3.0)
-                    fit = gp_module._fit(data, data.Y - np.mean(data.Y), h.to_vector()[None])
+                    fit = gp_module._fit([(data, 0, 1)], h.to_vector()[None])
                     K = kernel_matrix(X, X, h)
                     assert K.shape == (n, n)
                     assert np.array_equal(K, fit.K[0]), (d, n, lo)
@@ -567,11 +567,10 @@ class TestOnePassGradient:
             cases.append((Dataset(X, Y), np.array([0.0, 0.0, -2.0])))
         jittered = 0
         for data, theta in cases:
-            yc = data.Y - np.mean(data.Y)
-            fit = gp_module._fit(data, yc, theta[None])
+            fit = gp_module._fit([(data, 0, 1)], theta[None])
             jittered += fit.factors[0].jitter_used > 0.0
             noise = math.exp(theta[-1])
-            got = gp_module._lml_gradient(data, fit, [0])[0]
+            got = gp_module._lml_gradient(fit, [0])[0]
             assert got.tobytes() == self.symmetrized_gradient(data, fit, noise).tobytes()
         assert jittered > 20
 
@@ -1005,6 +1004,16 @@ class TestSeveralDatasets:
             monkeypatch, datasets, range(70, 76), ranges, [None] * 6, restarts=3, max_iter=50,
         )
 
+    def test_one_dataset_twice(self, monkeypatch):
+        # One object in two entries of the list: its two runs of rows are
+        # cut apart as each entry's starts stop.
+        (d, d_span), (e, e_span) = st10_projections(2)
+        for restarts in (1, 3):
+            assert_batch_matches_alone(
+                monkeypatch, [d, d, e], [80, 81, 82], [d_span, d_span, e_span], [None] * 3,
+                restarts=restarts, max_iter=100,
+            )
+
     def test_one_dataset_in_a_list(self):
         data, span = st10_projections(1)[0]
         (listed,) = train_hyperparams([data], rng=[7], bounds_ranges=[span], max_iter=40)
@@ -1305,8 +1314,8 @@ class TestTraining:
         fits = count_calls(monkeypatch, "_fit")
         gradients = count_calls(monkeypatch, "_lml_gradient")
         train_hyperparams(data, restarts=1, rng=rng, warm_start=warm, max_iter=20)
-        fitted = sum(len(thetas) for _, _, thetas in fits)
-        differentiated = sum(len(rows) for _, _, rows in gradients)
+        fitted = sum(len(thetas) for _, thetas in fits)
+        differentiated = sum(len(rows) for _, rows in gradients)
         assert differentiated >= 20
         assert fitted <= 1.3 * differentiated
 
